@@ -28,14 +28,14 @@ from .reduced_energy import (EnergyContents, cg_bending_closed,
                              coupling_stationary_angles, eigenframe_coupling,
                              energy_series_coefficients, gent_contents,
                              gent_contents_general, gent_contents_unimodular,
-                             integrate_contents, point_contents,
-                             series_contents, svk_content)
+                             grid_contents, integrate_contents,
+                             point_contents, series_contents, svk_content)
 from .surface_geometry import (AreaDistortionError,
                                DegenerateImmersionError, DomainError,
-                               OrientationReport, ParametricSurface,
-                               SurfaceJet, appendix_H_K, catalog_surface,
-                               evaluate_jet, sampled_injectivity,
-                               verify_orientation)
+                               JetBatch, OrientationReport,
+                               ParametricSurface, SurfaceJet, appendix_H_K,
+                               catalog_surface, evaluate_jet, evaluate_jets,
+                               sampled_injectivity, verify_orientation)
 from .thickness_profile import (ExactIncompressibleProfile,
                                 HyperbolicProfile, PolyProfile,
                                 ProfileConstraintError, cg_profile,
@@ -48,7 +48,7 @@ __all__ = [
     "AreaDistortionError", "BracketError", "CiarletGeymonat", "CodazziReport",
     "ConnectorFrame", "DegenerateImmersionError", "DomainError",
     "EnergyContents", "ExactIncompressibleProfile", "FitError", "FrameGrid",
-    "Gent", "HFit", "HyperbolicProfile", "InvariantSeries",
+    "Gent", "HFit", "HyperbolicProfile", "InvariantSeries", "JetBatch",
     "MaterialDomainError", "MooneyRivlin", "NeoHookean", "OrientationReport",
     "ParametricSurface", "PolyProfile", "ProfileConstraintError",
     "ResolutionError", "SaintVenantKirchhoff", "StiffeningLimitError",
@@ -57,10 +57,11 @@ __all__ = [
     "cg_profile", "cg_small_strain_contents", "cg_stretching_closed",
     "check_codazzi", "compute_frame", "coupling_stationary_angles",
     "curvatures_from_frame", "deformed_thickness", "eigenframe_coupling",
-    "energy_series_coefficients", "evaluate_jet", "exact_invariants",
+    "energy_series_coefficients", "evaluate_jet", "evaluate_jets",
+    "exact_invariants",
     "exact_invariants_from_jet", "fiber_deformation_gradient", "fit_h_powers",
     "gauss_from_connectors", "gauss_uniform_stretch", "gent_contents",
-    "gent_contents_general", "gent_contents_unimodular",
+    "gent_contents_general", "gent_contents_unimodular", "grid_contents",
     "incompressible_profile", "incompressible_profile_general",
     "integrate_contents", "invariant_series", "lame_constants",
     "material_from_config", "minimize_scalar", "molecular_params",

@@ -29,18 +29,19 @@ from .connectors import (check_codazzi, compute_frame, gauss_from_connectors,
                          gauss_uniform_stretch, sample_frame_grid)
 from .materials import (CiarletGeymonat, Gent, MaterialDomainError,
                         NeoHookean, SaintVenantKirchhoff,
-                        StiffeningLimitError, invariant_series,
-                        lame_constants, material_from_config,
-                        volumetric_energy)
+                        StiffeningLimitError, finite_number,
+                        invariant_series, lame_constants,
+                        material_from_config, volumetric_energy)
 from .oracle import (fit_h_powers, minimize_scalar, parabolic_refine,
                      solve_svk_profile_ode, through_thickness_energy_from_jet)
 from .reduced_energy import (cg_contents, cg_small_strain_contents,
                              cg_stretching_closed, coupling_stationary_angles,
                              eigenframe_coupling, gent_contents,
-                             integrate_contents, point_contents)
+                             grid_contents, integrate_contents,
+                             point_contents)
 from .surface_geometry import (ParametricSurface, appendix_H_K,
                                catalog_surface, evaluate_jet,
-                               verify_orientation)
+                               unimodular_tolerance, verify_orientation)
 from .thickness_profile import (ExactIncompressibleProfile, PolyProfile,
                                 ProfileConstraintError, cg_profile,
                                 deformed_thickness, incompressible_profile,
@@ -95,9 +96,10 @@ SWEEP_PARAMS = ("h", "Jm", "lambda1", "quad_order")
 
 
 def _as_number(value, key, positive=True):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{key}' must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = finite_number(value, key)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     if positive and not value > 0.0:
         raise ConfigError(f"'{key}' must be positive, got {value:g}")
     return value
@@ -238,7 +240,7 @@ def _profile_for_point(jet, material, h):
         return cg_profile(jet, material)
     if isinstance(material, SaintVenantKirchhoff):
         return svk_profile(jet.H, material.lam, material.mu, h)
-    if abs(jet.detC - 1.0) <= (1e-8 if jet.derivative_mode == "analytic" else 1e-4):
+    if abs(jet.detC - 1.0) <= unimodular_tolerance(jet):
         return incompressible_profile(jet)
     return incompressible_profile_general(jet)
 
@@ -269,21 +271,20 @@ def cmd_evaluate(config, out_dir):
     center, and the set of formula ids used.
     """
     xs, ys = _evaluation_nodes(config.surface, *config.grid)
-    rows = []
-    ids = set()
-    for x1 in xs:
-        for x2 in ys:
-            jet = evaluate_jet(config.surface, np.array([x1, x2]))
-            try:
-                contents = point_contents(jet, config.material)
-            except _ADMISSIBILITY_ERRORS as err:
-                print(f"admissibility failure at point ({x1:.6g}, {x2:.6g}): {err}",
-                      file=sys.stderr)
-                return EXIT_ADMISSIBILITY
-            ids.add(contents.formula_id)
-            rows.append((x1, x2, jet.trC, jet.detC, jet.lambda1, jet.lambda2,
-                         jet.H, jet.K, jet.b1, contents.stretching,
-                         contents.bending, contents.formula_id))
+    # x1 outer, x2 inner, as the rows of points.csv
+    points = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
+    try:
+        jets, contents = grid_contents(config.surface, config.material, points)
+    except _ADMISSIBILITY_ERRORS as err:
+        x1, x2 = points[err.index]
+        print(f"admissibility failure at point ({x1:.6g}, {x2:.6g}): {err}",
+              file=sys.stderr)
+        return EXIT_ADMISSIBILITY
+    columns = (points[:, 0], points[:, 1], jets.trC, jets.detC, jets.lambda1,
+               jets.lambda2, jets.H, jets.K, jets.b1, contents.stretching,
+               contents.bending)
+    rows = list(zip(*(c.tolist() for c in columns), contents.formula_id))
+    ids = set(contents.formula_id)
     try:
         total_s, total_b, energy = integrate_contents(
             config.surface, config.material, config.h, grid=config.grid)
@@ -890,12 +891,14 @@ def cmd_sweep(config, out_dir):
     if param == "h":
         profile = incompressible_profile_general(jet)
         series = invariant_series(jet, profile)
+        # the contents do not depend on h: integrate once
+        total_s, total_b, _ = integrate_contents(
+            config.surface, config.material, values[0], grid=config.grid)
         for h in values:
             rows.append((param, h, "detcf_residual",
                          abs(series.exact(h)[2] - 1.0)))
-            totals = integrate_contents(config.surface, config.material, h,
-                                        grid=config.grid)
-            rows.append((param, h, "total_energy", totals[2]))
+            # the expression integrate_contents returns
+            rows.append((param, h, "total_energy", h * total_s + h**3 * total_b))
     elif param == "Jm":
         if not isinstance(config.material, Gent):
             print("Jm sweep requires a gent material in the config",

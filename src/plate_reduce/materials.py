@@ -12,6 +12,8 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
+from .surface_geometry import evaluate_jet, raise_first_failure
+
 
 class StiffeningLimitError(ValueError):
     """First invariant reached the finite-extensibility limit of the model."""
@@ -111,32 +113,50 @@ def lame_constants(material):
     raise TypeError(f"no Lame constants for {type(material).__name__}")
 
 
+def finite_number(value, key):
+    """``value`` as a float; ValueError unless it is a finite real number.
+
+    The one number check of config parsing: booleans, strings, NaN and
+    infinities are all rejected.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"'{key}' must be a number, got {value!r}")
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"'{key}' must be finite, got {value!r}")
+    return value
+
+
 def material_from_config(spec):
     """Build a material from a config mapping like {"model": "gent", ...}."""
     if not isinstance(spec, dict) or "model" not in spec:
         raise ValueError("material spec must be a mapping with a 'model' key")
     spec = dict(spec)
     model = spec.pop("model")
+
+    def num(key):
+        return finite_number(spec.pop(key), key)
+
     try:
         if model == "gent":
-            out = Gent(mu=float(spec.pop("mu")), jm=float(spec.pop("jm")))
+            out = Gent(mu=num("mu"), jm=num("jm"))
         elif model == "neo_hookean":
-            out = NeoHookean(mu=float(spec.pop("mu")))
+            out = NeoHookean(mu=num("mu"))
         elif model == "mooney_rivlin":
-            out = MooneyRivlin(mu=float(spec.pop("mu")), chi=float(spec.pop("chi")))
+            out = MooneyRivlin(mu=num("mu"), chi=num("chi"))
         elif model == "ciarlet_geymonat":
             if "lambda" in spec or "mu" in spec:
-                out = CiarletGeymonat.from_lame(float(spec.pop("lambda")), float(spec.pop("mu")))
+                out = CiarletGeymonat.from_lame(num("lambda"), num("mu"))
             else:
                 c = spec.pop("c", None)
                 d = spec.pop("d", None)
                 out = CiarletGeymonat(
-                    a=float(spec.pop("a")), b=float(spec.pop("b")),
-                    c=None if c is None else float(c),
-                    d=None if d is None else float(d),
+                    a=num("a"), b=num("b"),
+                    c=None if c is None else finite_number(c, "c"),
+                    d=None if d is None else finite_number(d, "d"),
                 )
         elif model == "svk":
-            out = SaintVenantKirchhoff(lam=float(spec.pop("lambda")), mu=float(spec.pop("mu")))
+            out = SaintVenantKirchhoff(lam=num("lambda"), mu=num("mu"))
         else:
             raise ValueError(f"unknown material model '{model}'")
     except KeyError as e:
@@ -169,8 +189,9 @@ def symmetric_sqrt(A):
 def volumetric_energy(material, I1=None, I2=None, I3=None, C_f=None):
     """Energy density per unit reference volume at the given invariants.
 
-    Invariant-based models take (I1, I2, I3); SaintVenantKirchhoff needs
-    the full right Cauchy-Green matrix ``C_f``.
+    Invariant-based models take (I1, I2, I3), scalars or arrays over
+    points; SaintVenantKirchhoff needs the full right Cauchy-Green matrix
+    ``C_f`` of one point.
     """
     if isinstance(material, SaintVenantKirchhoff):
         if C_f is None:
@@ -180,10 +201,9 @@ def volumetric_energy(material, I1=None, I2=None, I3=None, C_f=None):
         return 0.5 * material.lam * np.trace(E) ** 2 + material.mu * np.trace(E @ E)
     if isinstance(material, Gent):
         gap = 1.0 - (I1 - 3.0) / material.jm
-        if gap <= 0.0:
-            raise StiffeningLimitError(
-                f"I1 = {I1:.9g} reached the extensibility limit Jm + 3 = {material.jm + 3.0:.9g}"
-            )
+        raise_first_failure((gap <= 0.0, lambda i: StiffeningLimitError(
+            f"I1 = {np.ravel(I1)[i]:.9g} reached the extensibility limit "
+            f"Jm + 3 = {material.jm + 3.0:.9g}")))
         return -0.5 * material.mu * material.jm * np.log(gap)
     if isinstance(material, NeoHookean):
         return 0.5 * material.mu * (I1 - 3.0)
@@ -191,8 +211,8 @@ def volumetric_energy(material, I1=None, I2=None, I3=None, C_f=None):
         return 0.5 * material.mu * (
             material.chi * (I1 - 3.0) + (1.0 - material.chi) * (I2 - 3.0))
     if isinstance(material, CiarletGeymonat):
-        if I3 <= 0.0:
-            raise MaterialDomainError(f"I3 = {I3:.9g} must be positive")
+        raise_first_failure((I3 <= 0.0, lambda i: MaterialDomainError(
+            f"I3 = {np.ravel(I3)[i]:.9g} must be positive")))
         return material.a * I1 + material.b * I3 - 0.5 * material.c * np.log(I3) + material.d
     raise TypeError(f"unknown material {type(material).__name__}")
 
@@ -239,8 +259,6 @@ def exact_invariants_from_jet(jet, profile, x3):
 
 def exact_invariants(surface, x, profile, x3):
     """Invariants of the fiber deformation at reference point x, offset x3."""
-    from .surface_geometry import evaluate_jet
-
     return exact_invariants_from_jet(evaluate_jet(surface, x), profile, x3)
 
 
@@ -267,8 +285,10 @@ def invariant_series(jet, profile):
     """Fiber invariants through quadratic order for a cubic profile.
 
     ``jet`` needs only the scalar fields trC, detC, H, K, b1; ``profile``
-    needs alpha, beta, gamma (cubic coefficients, phi(0) = 0).  The
-    closed-form route, independent of the matrix route above.
+    needs alpha, beta, gamma (cubic coefficients, phi(0) = 0).  Fields
+    and coefficients may be arrays over points (a JetBatch and the
+    profile built from it).  The closed-form route, independent of the
+    matrix route above.
     """
     trC, detC = jet.trC, jet.detC
     H, K, b1 = jet.H, jet.K, jet.b1

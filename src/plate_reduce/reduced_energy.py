@@ -23,7 +23,9 @@ from .materials import (
     invariant_series,
     volumetric_energy,
 )
-from .surface_geometry import evaluate_jet
+from .surface_geometry import (DegenerateImmersionError, DomainError, JetBatch,
+                               evaluate_jets, float_if_scalar,
+                               raise_first_failure, unimodular_tolerance)
 from .thickness_profile import (
     cg_profile,
     incompressible_profile,
@@ -46,6 +48,7 @@ __all__ = [
     "eigenframe_coupling",
     "coupling_stationary_angles",
     "point_contents",
+    "grid_contents",
     "integrate_contents",
 ]
 
@@ -62,6 +65,9 @@ class EnergyContents:
         Content multiplying h^3.
     formula_id : str
         Identifier of the closed form that produced the values.
+
+    For a JetBatch the contents are arrays over its points; from
+    ``point_contents`` all three fields are (N,) arrays.
     """
 
     stretching: float
@@ -69,10 +75,37 @@ class EnergyContents:
     formula_id: str
 
 
-def _detc_tolerance(jet, tol):
-    if tol is not None:
-        return tol
-    return 1e-8 if getattr(jet, "derivative_mode", "analytic") == "analytic" else 1e-4
+def _split(jet, mask, on_true, on_false):
+    """Contents from ``on_true`` where ``mask`` holds, ``on_false`` elsewhere.
+
+    Each branch sees only its own points, as a point-by-point dispatch
+    would.  When both branches fail, the error of the earlier point is
+    raised.
+    """
+    if not isinstance(jet, JetBatch):
+        return on_true(jet) if mask else on_false(jet)
+    n = len(jet)
+    out = EnergyContents(np.empty(n), np.empty(n), np.empty(n, dtype=object))
+    first = None
+    for branch, index in ((on_true, np.flatnonzero(mask)),
+                          (on_false, np.flatnonzero(~mask))):
+        if index.size == 0:
+            continue
+        try:
+            part = branch(jet if index.size == n else jet.take(index))
+        except ValueError as err:
+            if not hasattr(err, "index"):
+                raise
+            err.index = int(index[err.index])
+            if first is None or err.index < first.index:
+                first = err
+            continue
+        out.stretching[index] = part.stretching
+        out.bending[index] = part.bending
+        out.formula_id[index] = part.formula_id
+    if first is not None:
+        raise first
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -82,19 +115,19 @@ def _detc_tolerance(jet, tol):
 def _invariant_partials(material, I1, I2, I3):
     """Gradient and Hessian of the stored energy in the invariants.
 
-    Only invariant-based models are supported; entries the model does not
+    Returned as nested lists, elementwise over arrays of invariants.  Only
+    invariant-based models are supported; entries the model does not
     depend on stay zero.
     """
-    g = np.zeros(3)
-    h = np.zeros((3, 3))
+    g = [0.0] * 3
+    h = [[0.0] * 3 for _ in range(3)]
     if isinstance(material, Gent):
         gap = material.jm - (I1 - 3.0)
-        if gap <= 0.0:
-            raise StiffeningLimitError(
-                f"I1 = {I1:.9g} reached the extensibility limit "
-                f"Jm + 3 = {material.jm + 3.0:.9g}")
+        raise_first_failure((gap <= 0.0, lambda i: StiffeningLimitError(
+            f"I1 = {np.ravel(I1)[i]:.9g} reached the extensibility limit "
+            f"Jm + 3 = {material.jm + 3.0:.9g}")))
         g[0] = 0.5 * material.mu * material.jm / gap
-        h[0, 0] = 0.5 * material.mu * material.jm / gap**2
+        h[0][0] = 0.5 * material.mu * material.jm / gap**2
     elif isinstance(material, NeoHookean):
         g[0] = 0.5 * material.mu
     elif isinstance(material, MooneyRivlin):
@@ -104,7 +137,7 @@ def _invariant_partials(material, I1, I2, I3):
         s = material.a + material.b
         g[0] = material.a
         g[2] = material.b - s / I3
-        h[2, 2] = s / I3**2
+        h[2][2] = s / I3**2
     else:
         raise TypeError(
             f"{type(material).__name__} has no invariant representation; "
@@ -131,10 +164,11 @@ def energy_series_coefficients(material, series):
     I1, I2, I3 = series.i1[0], series.i2[0], series.i3[0]
     g, h = _invariant_partials(material, I1, I2, I3)
     w0 = volumetric_energy(material, I1, I2, I3)
-    v1 = np.array([series.i1[1], series.i2[1], series.i3[1]])
-    v2 = np.array([series.i1[2], series.i2[2], series.i3[2]])
-    w2 = g @ v2 + 0.5 * (v1 @ h @ v1)
-    return float(w0), float(w2)
+    v1 = (series.i1[1], series.i2[1], series.i3[1])
+    v2 = (series.i1[2], series.i2[2], series.i3[2])
+    w2 = (sum(g[k] * v2[k] for k in range(3))
+          + 0.5 * sum(v1[j] * h[j][k] * v1[k] for j in range(3) for k in range(3)))
+    return float_if_scalar(w0), float_if_scalar(w2)
 
 
 def series_contents(jet, material, profile, formula_id="series"):
@@ -157,14 +191,14 @@ def gent_contents_unimodular(jet, mu, jm):
     """Gent contents for an area-preserving mid-surface (det C = 1)."""
     trc, b1, H, K = jet.trC, jet.b1, jet.H, jet.K
     delta = jm - (trc - 2.0)
-    if delta <= 0.0:
-        raise StiffeningLimitError(
-            f"tr C - 2 = {trc - 2.0:.9g} reached the extensibility limit Jm = {jm:.9g}")
+    raise_first_failure((delta <= 0.0, lambda i: StiffeningLimitError(
+        f"tr C - 2 = {np.ravel(trc)[i] - 2.0:.9g} reached the extensibility "
+        f"limit Jm = {jm:.9g}")))
     w_s = -mu * jm * np.log1p(-(trc - 2.0) / jm)
     w_b = (mu / 3.0) * jm * (
         2.0 * ((b1 - 2.0 * H) / delta) ** 2
         + (16.0 * H * H - K * (trc + 2.0)) / delta)
-    return EnergyContents(float(w_s), float(w_b), "gent_unimodular")
+    return EnergyContents(float_if_scalar(w_s), float_if_scalar(w_b), "gent_unimodular")
 
 
 def gent_contents_general(jet, mu, jm):
@@ -174,15 +208,15 @@ def gent_contents_general(jet, mu, jm):
     """
     trc, detc, b1, H, K = jet.trC, jet.detC, jet.b1, jet.H, jet.K
     den = detc * (jm - trc + 3.0) - 1.0
-    if den <= 0.0:
-        raise StiffeningLimitError(
-            f"det C (Jm - tr C + 3) - 1 = {den:.9g} is not positive "
-            f"(tr C = {trc:.9g}, det C = {detc:.9g}, Jm = {jm:.9g})")
+    raise_first_failure((den <= 0.0, lambda i: StiffeningLimitError(
+        f"det C (Jm - tr C + 3) - 1 = {np.ravel(den)[i]:.9g} is not positive "
+        f"(tr C = {np.ravel(trc)[i]:.9g}, det C = {np.ravel(detc)[i]:.9g}, "
+        f"Jm = {jm:.9g})")))
     w_s = -mu * jm * np.log1p(-(detc * (trc - 3.0) + 1.0) / (jm * detc))
     w_b = (mu * jm / (3.0 * detc)) * (
         2.0 * ((detc * b1 - 2.0 * H) / den) ** 2
         + (16.0 * H * H - K * (detc * trc + 2.0)) / den)
-    return EnergyContents(float(w_s), float(w_b), "gent_general")
+    return EnergyContents(float_if_scalar(w_s), float_if_scalar(w_b), "gent_general")
 
 
 def gent_contents(jet, mu, jm, tol=None):
@@ -197,9 +231,9 @@ def gent_contents(jet, mu, jm, tol=None):
     StiffeningLimitError
         When the stretch reaches the model's extensibility limit.
     """
-    if abs(jet.detC - 1.0) <= _detc_tolerance(jet, tol):
-        return gent_contents_unimodular(jet, mu, jm)
-    return gent_contents_general(jet, mu, jm)
+    return _split(jet, np.abs(jet.detC - 1.0) <= unimodular_tolerance(jet, tol),
+                  lambda part: gent_contents_unimodular(part, mu, jm),
+                  lambda part: gent_contents_general(part, mu, jm))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +317,8 @@ def svk_content(H, K, lam, mu):
     though isometries of a flat sheet have K = 0.
     """
     w3 = 16.0 / 3.0 * mu * (lam + mu) / (2.0 * mu + lam) * H * H - 4.0 / 3.0 * mu * K
-    return EnergyContents(0.0, float(w3), "svk_isometry")
+    return EnergyContents(float_if_scalar(np.zeros_like(w3)), float_if_scalar(w3),
+                          "svk_isometry")
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +373,30 @@ def coupling_stationary_angles(kappa1, kappa2, lambda1):
 
 
 def point_contents(jet, material, tol=None):
-    """Contents of the reduced energy at one surface point for any model.
+    """Contents of the reduced energy at a surface point for any model.
+
+    ``jet`` is a SurfaceJet, or a JetBatch for the contents at all of its
+    points in one vectorized pass; then the three fields of the result
+    are (N,) arrays.  A batch raises the error the first failing point
+    would raise on its own, with that point's position as the error's
+    ``index``.
 
     Gent and Ciarlet-Geymonat use their closed forms; the other
     incompressible models go through the series expansion along the
     volume-preserving profile; Saint Venant-Kirchhoff requires an
     unstretched mid-surface.
     """
+    contents = _model_contents(jet, material, tol)
+    if isinstance(jet, JetBatch):
+        n = len(jet)
+        return EnergyContents(
+            np.broadcast_to(contents.stretching, (n,)).astype(float),
+            np.broadcast_to(contents.bending, (n,)).astype(float),
+            np.broadcast_to(np.asarray(contents.formula_id, dtype=object), (n,)).copy())
+    return contents
+
+
+def _model_contents(jet, material, tol):
     if isinstance(material, Gent):
         return gent_contents(jet, material.mu, material.jm, tol=tol)
     if isinstance(material, CiarletGeymonat):
@@ -352,27 +404,49 @@ def point_contents(jet, material, tol=None):
     if isinstance(material, (NeoHookean, MooneyRivlin)):
         name = ("neo_hookean" if isinstance(material, NeoHookean)
                 else "mooney_rivlin")
-        if abs(jet.detC - 1.0) <= _detc_tolerance(jet, tol):
-            profile = incompressible_profile(jet, tol=tol)
-        else:
-            profile = incompressible_profile_general(jet)
-        return series_contents(jet, material, profile, f"{name}_series")
+        return _split(
+            jet, np.abs(jet.detC - 1.0) <= unimodular_tolerance(jet, tol),
+            lambda part: series_contents(part, material, incompressible_profile(part, tol=tol),
+                                         f"{name}_series"),
+            lambda part: series_contents(part, material, incompressible_profile_general(part),
+                                         f"{name}_series"))
     if isinstance(material, SaintVenantKirchhoff):
-        strain = np.max(np.abs(jet.C - np.eye(2)))
-        if strain > _detc_tolerance(jet, tol):
-            raise MaterialDomainError(
-                f"Saint Venant-Kirchhoff content needs an unstretched "
-                f"mid-surface; max |C - I| = {strain:.6g}")
+        eye = np.eye(2).reshape((2, 2) + (1,) * (np.ndim(jet.C) - 2))
+        strain = np.max(np.abs(jet.C - eye), axis=(0, 1))
+        raise_first_failure((strain > unimodular_tolerance(jet, tol), lambda i: MaterialDomainError(
+            f"Saint Venant-Kirchhoff content needs an unstretched "
+            f"mid-surface; max |C - I| = {np.ravel(strain)[i]:.6g}")))
         return svk_content(jet.H, jet.K, material.lam, material.mu)
     raise TypeError(f"unknown material {type(material).__name__}")
+
+
+def grid_contents(surface, material, points):
+    """Jets and contents at every row of ``points`` (N, 2).
+
+    Returns (JetBatch, EnergyContents of (N,) arrays) from one pass of
+    ``evaluate_jets`` and one of ``point_contents``.  Errors come in the
+    order of a point-by-point loop that evaluates each point's jet and
+    then its contents: the error of the first failing row is raised, with
+    that row as the error's ``index``.
+    """
+    try:
+        jets = evaluate_jets(surface, points)
+    except (DomainError, DegenerateImmersionError) as err:
+        if err.index:
+            # the contents of a row before the failing jet may fail first
+            point_contents(evaluate_jets(surface, points[:err.index]), material)
+        raise
+    return jets, point_contents(jets, material)
 
 
 def integrate_contents(surface, material, h, grid=(8, 8)):
     """Integrate the reduced energy over the surface's reference domain.
 
     Tensor-product Gauss-Legendre quadrature with ``grid`` nodes per axis
-    on the flat reference area element.  Accumulation is a fixed-order
-    pairwise reduction, so totals are reproducible bit-for-bit.
+    on the flat reference area element.  The surface callables are called
+    once with all nodes, so they must broadcast over trailing point axes
+    (see ParametricSurface).  Accumulation is a fixed-order pairwise
+    reduction, so totals are reproducible bit-for-bit.
 
     Returns
     -------
@@ -383,32 +457,27 @@ def integrate_contents(surface, material, h, grid=(8, 8)):
     Raises
     ------
     StiffeningLimitError, MaterialDomainError
-        Re-raised with the offending grid node attached.
+        Re-raised with the first offending grid node attached, nodes
+        ordered by the first axis, then the second.
     """
     if h <= 0.0:
         raise ValueError(f"half thickness h = {h:.9g} must be positive")
-    nx, ny = grid
+    nx, ny = int(grid[0]), int(grid[1])
     (u0, u1), (v0, v1) = surface.domain
-    xu, wu = np.polynomial.legendre.leggauss(int(nx))
-    xv, wv = np.polynomial.legendre.leggauss(int(ny))
+    xu, wu = np.polynomial.legendre.leggauss(nx)
+    xv, wv = np.polynomial.legendre.leggauss(ny)
     su, cu = 0.5 * (u1 - u0), 0.5 * (u1 + u0)
     sv, cv = 0.5 * (v1 - v0), 0.5 * (v1 + v0)
 
-    ws = np.empty((nx, ny))
-    wb = np.empty((nx, ny))
-    weights = np.outer(wu * su, wv * sv)
-    for i in range(int(nx)):
-        for j in range(int(ny)):
-            x = np.array([su * xu[i] + cu, sv * xv[j] + cv])
-            try:
-                jet = evaluate_jet(surface, x)
-                contents = point_contents(jet, material)
-            except (StiffeningLimitError, MaterialDomainError) as err:
-                raise type(err)(
-                    f"at grid node ({x[0]:.6g}, {x[1]:.6g}): {err}") from err
-            ws[i, j] = contents.stretching
-            wb[i, j] = contents.bending
+    points = np.column_stack([np.repeat(su * xu + cu, ny), np.tile(sv * xv + cv, nx)])
+    try:
+        _, contents = grid_contents(surface, material, points)
+    except (StiffeningLimitError, MaterialDomainError) as err:
+        x = points[err.index]
+        raise type(err)(
+            f"at grid node ({x[0]:.6g}, {x[1]:.6g}): {err}") from err
 
-    total_stretch = float(np.sum(weights * ws))
-    total_bend = float(np.sum(weights * wb))
+    weights = np.outer(wu * su, wv * sv)
+    total_stretch = float(np.sum(weights * contents.stretching.reshape(nx, ny)))
+    total_bend = float(np.sum(weights * contents.bending.reshape(nx, ny)))
     return total_stretch, total_bend, h * total_stretch + h**3 * total_bend

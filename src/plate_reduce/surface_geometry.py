@@ -3,12 +3,16 @@
 A deformation maps a flat reference domain into 3-space.  Everything the
 plate energy formulas need at a point (tangents, normal, stretch
 eigenframe, curvature invariants) is collected into a single jet record.
+
+The jet code is elementwise over a trailing point shape: ``evaluate_jet``
+runs it on one point (shape ``()``), ``evaluate_jets`` on N points at once
+(shape ``(N,)``), and the downstream formulas accept either record.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Tuple
 
 # Relative eigenvalue gap below which the stretch frame is treated as an
@@ -16,6 +20,21 @@ from typing import Callable, Optional, Tuple
 UMBILIC_GAP = 1e-12
 
 _GL64 = np.polynomial.legendre.leggauss(64)
+
+
+def _pow(a, k):
+    # On arrays the catalog uses np.float_power, which rounds like the
+    # scalar ``**`` of a single point; the array ``**`` does not, and the
+    # finite-difference stencil amplifies any change of rounding in
+    # ``surface.map`` by 1/step^2.
+    return np.float_power(a, k) if isinstance(a, np.ndarray) else a ** k
+
+
+def _where(cond, a, b):
+    # np.where that keeps a single point's values scalar
+    if np.ndim(cond) == 0:
+        return a if cond else b
+    return np.where(cond, a, b)
 
 
 class DomainError(ValueError):
@@ -35,14 +54,21 @@ class AreaDistortionError(ValueError):
 class ParametricSurface:
     """Deformation of a flat rectangular reference domain into 3-space.
 
+    The callables broadcast over trailing point axes: given ``x`` of shape
+    ``(2, ...)`` they return shapes ``(3, ...)``, ``(3, 2, ...)`` and
+    ``(3, 2, 2, ...)``.  ``evaluate_jet`` calls them with one point of
+    shape ``(2,)``; ``evaluate_jets`` calls them once with ``(2, N)`` and
+    raises TypeError when a callable returns any other shape.  A surface
+    whose callables only take single points works with ``evaluate_jet``.
+
     Parameters
     ----------
     map : callable
-        x (2,) -> y (3,).
+        x (2, ...) -> y (3, ...).
     grad : callable, optional
-        x -> dy (3, 2).  Required in analytic mode.
+        x -> dy (3, 2, ...).  Required in analytic mode.
     hess : callable, optional
-        x -> ddy (3, 2, 2), symmetric in the last two axes.  Required in
+        x -> ddy (3, 2, 2, ...), symmetric in axes 1 and 2.  Required in
         analytic mode.
     derivative_mode : str
         "analytic" or "finite-difference".
@@ -104,130 +130,246 @@ class SurfaceJet:
     derivative_mode: str = "analytic"
 
 
-def _check_domain(surface, x, margin):
-    (lo1, hi1), (lo2, hi2) = surface.domain
-    if not (lo1 + margin <= x[0] <= hi1 - margin and lo2 + margin <= x[1] <= hi2 - margin):
-        raise DomainError(
-            f"point ({x[0]:.6g}, {x[1]:.6g}) outside domain of '{surface.name}' "
-            f"(margin {margin:g})"
-        )
+class JetBatch(SurfaceJet):
+    """The jets of N points as a struct of arrays.
+
+    Each field is the SurfaceJet field with the point axis appended: the
+    scalars (lambda1, H, K, b1, trC, detC, ...) are (N,) arrays, ``x`` is
+    (2, N), ``grad_y`` is (3, 2, N) and so on.
+    """
+
+    def __len__(self):
+        return self.x.shape[-1]
+
+    def take(self, index):
+        """The sub-batch of the points at ``index`` (an integer array)."""
+        return replace(self, **{f.name: getattr(self, f.name)[..., index]
+                                for f in fields(self)
+                                if f.name != "derivative_mode"})
+
+
+def raise_first_failure(*checks):
+    """Raise the error of the first failing point, if any point fails.
+
+    Each check is a pair (failed, make_error): a boolean mask over the
+    points (0-d for a single point) and a function of a point's position
+    that builds its error.  Checks are listed in the order one point is
+    checked, so the error is the one a point-by-point loop would raise.
+    The raised error carries that position as its ``index`` attribute.
+    """
+    masks = [np.ravel(failed) for failed, _ in checks]
+    if not any(mask.any() for mask in masks):
+        return
+    i = int(np.flatnonzero(np.logical_or.reduce(masks))[0])
+    for mask, (_, make_error) in zip(masks, checks):
+        if mask[i]:
+            err = make_error(i)
+            err.index = i
+            raise err
+
+
+def float_if_scalar(value):
+    """A Python float for a single point's value; arrays pass through."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def unimodular_tolerance(jet, tol=None):
+    """Tolerance on |det C - 1| below which ``jet`` counts as area
+    preserving: ``tol`` when given, else 1e-8 for analytic jets and 1e-4
+    for finite-difference ones."""
+    if tol is not None:
+        return tol
+    return 1e-8 if getattr(jet, "derivative_mode", "analytic") == "analytic" else 1e-4
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _call(surface, what, x, shape):
+    out = np.asarray(getattr(surface, what)(x), dtype=float)
+    expected = shape + x.shape[1:]
+    if out.shape != expected:
+        raise TypeError(
+            f"{what} of surface '{surface.name}' returned shape {out.shape} "
+            f"for points of shape {x.shape}; expected {expected} (callables "
+            "must broadcast over trailing point axes, see ParametricSurface)")
+    return out
+
+
+def _unit_offset(k, step, x):
+    e = np.zeros((2,) + (1,) * (x.ndim - 1))
+    e[k] = step
+    return e
 
 
 def _fd_grad(surface, x, step):
-    g = np.empty((3, 2))
+    cols = []
     for k in range(2):
-        e = np.zeros(2)
-        e[k] = step
-        g[:, k] = (surface.map(x + e) - surface.map(x - e)) / (2.0 * step)
-    return g
+        e = _unit_offset(k, step, x)
+        cols.append((_call(surface, "map", x + e, (3,))
+                     - _call(surface, "map", x - e, (3,))) / (2.0 * step))
+    return np.stack(cols, axis=1)
 
 
 def _fd_hess(surface, x, step):
-    h = np.empty((3, 2, 2))
+    cols = []
     for k in range(2):
-        e = np.zeros(2)
-        e[k] = step
+        e = _unit_offset(k, step, x)
         gp = _fd_grad(surface, x + e, step)
         gm = _fd_grad(surface, x - e, step)
-        h[:, :, k] = (gp - gm) / (2.0 * step)
+        cols.append((gp - gm) / (2.0 * step))
+    h = np.stack(cols, axis=2)
     # nested differences are not exactly symmetric; enforce it
-    return 0.5 * (h + h.transpose(0, 2, 1))
+    return 0.5 * (h + h.swapaxes(1, 2))
 
 
 def _stretch_frame(C):
-    """Eigenvalues and deterministic eigenframe of a 2x2 SPD matrix.
+    """Eigenvalues and deterministic eigenframe of 2x2 SPD matrices.
 
-    Returns (mu1, mu2, r1, r2) with mu1 >= mu2, r2 = rot90(r1).  Ties are
-    pinned to r1 = e1; otherwise r1 is chosen in the +x1 half plane (+x2
-    on its edge).
+    ``C`` is (2, 2, ...).  Returns (mu1, mu2, r1, r2) with mu1 >= mu2 and
+    r2 = rot90(r1).  Ties are pinned to r1 = e1; otherwise r1 is chosen in
+    the +x1 half plane (+x2 on its edge).
     """
-    mean = 0.5 * (C[0, 0] + C[1, 1])
-    diff = 0.5 * (C[0, 0] - C[1, 1])
-    gap = np.hypot(diff, C[0, 1])
+    c11, c12, c22 = C[0, 0], C[0, 1], C[1, 1]
+    mean = 0.5 * (c11 + c22)
+    diff = 0.5 * (c11 - c22)
+    gap = np.hypot(diff, c12)
     mu1 = mean + gap
     mu2 = mean - gap
-    if gap <= UMBILIC_GAP * abs(mean):
-        r1 = np.array([1.0, 0.0])
+    tie = gap <= UMBILIC_GAP * np.abs(mean)
+    # eigenvector of mu1 from the longer of the two rows of C - mu1 I
+    v1x, v1y = c12, mu1 - c11
+    v2x, v2y = mu1 - c22, c12
+    first = v1x * v1x + v1y * v1y >= v2x * v2x + v2y * v2y
+    vx = _where(first, v1x, v2x)
+    vy = _where(first, v1y, v2y)
+    norm = _where(tie, 1.0, np.sqrt(vx * vx + vy * vy))
+    sign = _where((vx < 0.0) | ((vx == 0.0) & (vy < 0.0)), -1.0, 1.0)
+    r1x = _where(tie, 1.0, sign * vx / norm)
+    r1y = _where(tie, 0.0, sign * vy / norm)
+    return mu1, mu2, np.array([r1x, r1y]), np.array([-r1y, r1x])
+
+
+def _jet_fields(surface, x):
+    """Every SurfaceJet field at the points ``x`` (2, ...), the point
+    shape trailing each field's own shape.
+
+    Raises the DomainError or DegenerateImmersionError of the first
+    failing point.
+    """
+    fd = surface.derivative_mode == "finite-difference"
+    margin = 2.0 * surface.step if fd else 0.0
+    (lo1, hi1), (lo2, hi2) = surface.domain
+    outside = ~((lo1 + margin <= x[0]) & (x[0] <= hi1 - margin)
+                & (lo2 + margin <= x[1]) & (x[1] <= hi2 - margin))
+    xe = x
+    if outside.any():
+        # evaluate those points at the domain center; they raise below
+        center = np.reshape([0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)],
+                            (2,) + (1,) * (x.ndim - 1))
+        xe = np.where(outside, center, x)
+    if fd:
+        grad_y = _fd_grad(surface, xe, surface.step)
+        hess_y = _fd_hess(surface, xe, surface.step)
     else:
-        v1 = np.array([C[0, 1], mu1 - C[0, 0]])
-        v2 = np.array([mu1 - C[1, 1], C[0, 1]])
-        v = v1 if v1 @ v1 >= v2 @ v2 else v2
-        r1 = v / np.linalg.norm(v)
-        if r1[0] < 0.0 or (r1[0] == 0.0 and r1[1] < 0.0):
-            r1 = -r1
-    r2 = np.array([-r1[1], r1[0]])
-    return mu1, mu2, r1, r2
+        grad_y = _call(surface, "grad", xe, (3, 2))
+        hess_y = _call(surface, "hess", xe, (3, 2, 2))
+
+    a1 = grad_y[:, 0]
+    a2 = grad_y[:, 1]
+    w = _cross(a1, a2)
+    area = np.sqrt(_dot(w, w))
+    c11, c12, c22 = _dot(a1, a1), _dot(a1, a2), _dot(a2, a2)
+    flat = area <= 1e-12 * np.maximum(np.maximum(c11, c22), 1e-30)
+    area = _where(flat, 1.0, area)
+    nu = w / area
+
+    C = np.array([[c11, c12], [c12, c22]])
+    B = (grad_y[:, None, 0] * grad_y[None, :, 0]
+         + grad_y[:, None, 1] * grad_y[None, :, 1])
+    trC = c11 + c22
+    detC = c11 * c22 - c12 * c12
+
+    mu1, mu2, r1, r2 = _stretch_frame(C)
+
+    def point(i):
+        x1, x2 = np.reshape(x, (2, -1))[:, i]
+        return f"({x1:.6g}, {x2:.6g})"
+
+    raise_first_failure(
+        (outside, lambda i: DomainError(
+            f"point {point(i)} outside domain of '{surface.name}' "
+            f"(margin {margin:g})")),
+        (flat, lambda i: DegenerateImmersionError(
+            f"surface gradient is rank deficient at {point(i)}")),
+        (mu2 <= 0.0, lambda i: DegenerateImmersionError(
+            f"stretch tensor not positive definite at {point(i)}")),
+    )
+    lam1 = np.sqrt(mu1)
+    lam2 = np.sqrt(mu2)
+    l1 = (a1 * r1[0] + a2 * r1[1]) / lam1
+    l2 = (a1 * r2[0] + a2 * r2[1]) / lam2
+
+    # gradient of the unit normal from the product-rule gradient of a1 x a2
+    cols = []
+    for k in range(2):
+        dw = _cross(hess_y[:, 0, k], a2) + _cross(a1, hess_y[:, 1, k])
+        cols.append((dw - nu * _dot(nu, dw)) / area)
+    grad_nu = np.array(cols).swapaxes(0, 1)
+
+    # surface gradient of the normal in the (l1, l2) frame
+    dnu_r1 = cols[0] * r1[0] + cols[1] * r1[1]
+    dnu_r2 = cols[0] * r2[0] + cols[1] * r2[1]
+    s11 = _dot(l1, dnu_r1) / lam1
+    s12 = _dot(l1, dnu_r2) / lam2
+    s21 = _dot(l2, dnu_r1) / lam1
+    s22 = _dot(l2, dnu_r2) / lam2
+
+    return dict(
+        x=x, grad_y=grad_y, hess_y=hess_y, grad_nu=grad_nu,
+        a1=a1, a2=a2, normal=nu, C=C, B=B,
+        lambda1=lam1, lambda2=lam2, r1=r1, r2=r2, l1=l1, l2=l2,
+        shape_op=np.array([[s11, s12], [s21, s22]]),
+        H=0.5 * (s11 + s22), K=s11 * s22 - s12 * s21, b1=mu1 * s11 + mu2 * s22,
+        trC=trC, detC=detC, derivative_mode=surface.derivative_mode,
+    )
+
+
+_SCALAR_FIELDS = ("lambda1", "lambda2", "H", "K", "b1", "trC", "detC")
 
 
 def evaluate_jet(surface, x):
-    """Evaluate the full second-order jet of ``surface`` at ``x``.
+    """Evaluate the full second-order jet of ``surface`` at ``x`` (2,).
 
     Raises DomainError outside the domain and DegenerateImmersionError if
     the surface gradient loses rank.
     """
-    x = np.asarray(x, dtype=float)
-    fd = surface.derivative_mode == "finite-difference"
-    _check_domain(surface, x, 2.0 * surface.step if fd else 0.0)
-    if fd:
-        grad_y = _fd_grad(surface, x, surface.step)
-        hess_y = _fd_hess(surface, x, surface.step)
-    else:
-        grad_y = np.asarray(surface.grad(x), dtype=float)
-        hess_y = np.asarray(surface.hess(x), dtype=float)
+    jet = _jet_fields(surface, np.asarray(x, dtype=float))
+    for name in _SCALAR_FIELDS:
+        jet[name] = float(jet[name])
+    return SurfaceJet(**jet)
 
-    a1 = grad_y[:, 0]
-    a2 = grad_y[:, 1]
-    w = np.cross(a1, a2)
-    area = np.linalg.norm(w)
-    scale = max(a1 @ a1, a2 @ a2)
-    if area <= 1e-12 * max(scale, 1e-30):
-        raise DegenerateImmersionError(
-            f"surface gradient is rank deficient at ({x[0]:.6g}, {x[1]:.6g})"
-        )
-    nu = w / area
 
-    C = grad_y.T @ grad_y
-    B = grad_y @ grad_y.T
-    trC = C[0, 0] + C[1, 1]
-    detC = C[0, 0] * C[1, 1] - C[0, 1] * C[1, 0]
+def evaluate_jets(surface, points):
+    """Evaluate the jets of ``surface`` at every row of ``points`` (N, 2)
+    in one vectorized pass.
 
-    mu1, mu2, r1, r2 = _stretch_frame(C)
-    if mu2 <= 0.0:
-        raise DegenerateImmersionError(
-            f"stretch tensor not positive definite at ({x[0]:.6g}, {x[1]:.6g})"
-        )
-    lam1 = np.sqrt(mu1)
-    lam2 = np.sqrt(mu2)
-    l1 = grad_y @ r1 / lam1
-    l2 = grad_y @ r2 / lam2
-
-    # gradient of the unit normal from the product-rule gradient of a1 x a2
-    grad_nu = np.empty((3, 2))
-    for k in range(2):
-        dw = np.cross(hess_y[:, 0, k], a2) + np.cross(a1, hess_y[:, 1, k])
-        grad_nu[:, k] = (dw - nu * (nu @ dw)) / area
-
-    # surface gradient of the normal in the (l1, l2) frame
-    S = np.empty((2, 2))
-    dnu_r1 = grad_nu @ r1
-    dnu_r2 = grad_nu @ r2
-    S[0, 0] = l1 @ dnu_r1 / lam1
-    S[0, 1] = l1 @ dnu_r2 / lam2
-    S[1, 0] = l2 @ dnu_r1 / lam1
-    S[1, 1] = l2 @ dnu_r2 / lam2
-
-    H = 0.5 * (S[0, 0] + S[1, 1])
-    K = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    b1 = mu1 * S[0, 0] + mu2 * S[1, 1]
-
-    return SurfaceJet(
-        x=x, grad_y=grad_y, hess_y=hess_y, grad_nu=grad_nu,
-        a1=a1, a2=a2, normal=nu, C=C, B=B,
-        lambda1=float(lam1), lambda2=float(lam2), r1=r1, r2=r2, l1=l1, l2=l2,
-        shape_op=S, H=float(H), K=float(K), b1=float(b1),
-        trC=float(trC), detC=float(detC),
-        derivative_mode=surface.derivative_mode,
-    )
+    The surface callables are called once with all points (see
+    ParametricSurface).  Raises the DomainError or
+    DegenerateImmersionError that ``evaluate_jet`` raises at the first
+    failing row, with that row as the error's ``index``.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must have shape (N, 2), got {points.shape}")
+    return JetBatch(**_jet_fields(surface, np.ascontiguousarray(points.T)))
 
 
 def appendix_H_K(jet, tol=None):
@@ -236,8 +378,7 @@ def appendix_H_K(jet, tol=None):
     Valid only for area-preserving mid-surfaces (det C = 1); an
     independent cross-check of the eigenframe route.
     """
-    if tol is None:
-        tol = 1e-8 if jet.derivative_mode == "analytic" else 1e-4
+    tol = unimodular_tolerance(jet, tol)
     if abs(jet.detC - 1.0) > tol:
         raise AreaDistortionError(
             f"det C = {jet.detC:.12g} is not 1 within {tol:g}; "
@@ -331,42 +472,46 @@ def _bump_scalars(v, amp, w):
     """Radial building blocks of the area-preserving bump at v = |x|^2 / 2.
 
     Returns (m, m', m'', zeta_v, zeta_vv) for the planar shrink factor m
-    and the height zeta; primes are d/dv.
+    and the height zeta; primes are d/dv.  Elementwise over arrays of v.
     """
     q = v / w
     e = np.exp(-q * q)
     gp = 2.0 * amp * v * e / w ** 2
     gpp = 2.0 * amp * (1.0 - 2.0 * q * q) * e / w ** 2
-    if q < 0.01:
-        # series branches: the direct quotients lose digits as v -> 0
-        n = amp * (v / w ** 2 - v ** 3 / (2 * w ** 4) + v ** 5 / (6 * w ** 6) - v ** 7 / (24 * w ** 8))
-        n1 = amp * (1.0 / w ** 2 - 3 * v ** 2 / (2 * w ** 4) + 5 * v ** 4 / (6 * w ** 6) - 7 * v ** 6 / (24 * w ** 8))
-        n2 = amp * (-3.0 * v / w ** 4 + 10 * v ** 3 / (3 * w ** 6) - 7 * v ** 5 / (4 * w ** 8))
-    else:
-        n = -amp * np.expm1(-q * q) / v
-        n1 = (gp - n) / v
-        n2 = (gpp - 2.0 * n1) / v
+    # series branches where the direct quotients lose digits as v -> 0;
+    # the direct ones are computed with v = 1 there and discarded
+    series = q < 0.01
+    vd = _where(series, 1.0, v)
+    nd = -amp * np.expm1(-q * q) / vd
+    n1d = (gp - nd) / vd
+    n = _where(series, amp * (v / w ** 2 - _pow(v, 3) / (2 * w ** 4)
+                                + _pow(v, 5) / (6 * w ** 6) - _pow(v, 7) / (24 * w ** 8)), nd)
+    n1 = _where(series, amp * (1.0 / w ** 2 - 3 * _pow(v, 2) / (2 * w ** 4)
+                                 + 5 * _pow(v, 4) / (6 * w ** 6) - 7 * _pow(v, 6) / (24 * w ** 8)), n1d)
+    n2 = _where(series, amp * (-3.0 * v / w ** 4 + 10 * _pow(v, 3) / (3 * w ** 6)
+                                 - 7 * _pow(v, 5) / (4 * w ** 8)), (gpp - 2.0 * n1d) / vd)
     m = np.sqrt(1.0 - n)
     m1 = -n1 / (2.0 * m)
-    m2 = -n2 / (2.0 * m) - n1 * n1 / (4.0 * m ** 3)
+    m2 = -n2 / (2.0 * m) - n1 * n1 / (4.0 * _pow(m, 3))
     G = 2.0 * amp * e / w ** 2
     G1 = -4.0 * amp * v * e / w ** 4
     s = G * (2.0 - gp) / (2.0 * (1.0 - n))
-    s1 = (G1 * (2.0 - gp) - G * gpp) / (2.0 * (1.0 - n)) + G * (2.0 - gp) * n1 / (2.0 * (1.0 - n) ** 2)
+    s1 = (G1 * (2.0 - gp) - G * gpp) / (2.0 * (1.0 - n)) + G * (2.0 - gp) * n1 / (2.0 * _pow(1.0 - n, 2))
     zv = np.sqrt(s)
     zvv = s1 / (2.0 * zv)
     return m, m1, m2, zv, zvv
 
 
 def _bump_height(v, amp, w):
-    # integrate zeta' = sqrt(s) from 0 to v with fixed-order quadrature
-    if v == 0.0:
-        return 0.0
+    # integrate zeta' = sqrt(s) from 0 to v with fixed-order quadrature,
+    # accumulated node by node: the finite-difference stencil divides by
+    # step^2, so the summation order must not change
     nodes, weights = _GL64
-    t = 0.5 * v * (nodes + 1.0)
+    t = 0.5 * v * np.reshape(nodes + 1.0, (-1,) + (1,) * np.ndim(v))
+    zv = _bump_scalars(t, amp, w)[3]
     total = 0.0
-    for tk, wk in zip(t, weights):
-        total += wk * _bump_scalars(tk, amp, w)[3]
+    for wk, zk in zip(weights, zv):
+        total = total + wk * zk
     return 0.5 * v * total
 
 
@@ -385,42 +530,39 @@ def _make_bump(amp, s):
                 "reduce A or increase s"
             )
 
+    def _radius(x):
+        return 0.5 * (_pow(x[0], 2) + _pow(x[1], 2))
+
     def _map(x):
-        v = 0.5 * (x[0] ** 2 + x[1] ** 2)
         if amp == 0.0:
-            return np.array([x[0], x[1], 0.0])
+            return np.array([x[0], x[1], np.zeros_like(x[0])])
+        v = _radius(x)
         m = _bump_scalars(v, amp, w)[0]
         return np.array([x[0] * m, x[1] * m, _bump_height(v, amp, w)])
 
     def _grad(x):
         if amp == 0.0:
-            return np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        v = 0.5 * (x[0] ** 2 + x[1] ** 2)
-        m, m1, _, zv, _ = _bump_scalars(v, amp, w)
-        g = np.empty((3, 2))
-        g[0, 0] = m + x[0] ** 2 * m1
-        g[0, 1] = x[0] * x[1] * m1
-        g[1, 0] = x[0] * x[1] * m1
-        g[1, 1] = m + x[1] ** 2 * m1
-        g[2, 0] = x[0] * zv
-        g[2, 1] = x[1] * zv
-        return g
+            return _constant(_IDENTITY_GRAD, x)
+        m, m1, _, zv, _ = _bump_scalars(_radius(x), amp, w)
+        x1, x2 = x[0], x[1]
+        return np.array([[m + _pow(x1, 2) * m1, x1 * x2 * m1],
+                         [x1 * x2 * m1, m + _pow(x2, 2) * m1],
+                         [x1 * zv, x2 * zv]])
 
     def _hess(x):
-        hh = np.zeros((3, 2, 2))
+        hh = _zero_hess(x)
         if amp == 0.0:
             return hh
-        v = 0.5 * (x[0] ** 2 + x[1] ** 2)
-        m, m1, m2, zv, zvv = _bump_scalars(v, amp, w)
+        m, m1, m2, zv, zvv = _bump_scalars(_radius(x), amp, w)
         x1, x2 = x[0], x[1]
-        hh[0, 0, 0] = 3.0 * x1 * m1 + x1 ** 3 * m2
-        hh[0, 0, 1] = x2 * m1 + x1 ** 2 * x2 * m2
+        hh[0, 0, 0] = 3.0 * x1 * m1 + _pow(x1, 3) * m2
+        hh[0, 0, 1] = x2 * m1 + _pow(x1, 2) * x2 * m2
         hh[0, 1, 0] = hh[0, 0, 1]
-        hh[0, 1, 1] = x1 * m1 + x1 * x2 ** 2 * m2
-        hh[1, 0, 0] = x2 * m1 + x1 ** 2 * x2 * m2
-        hh[1, 0, 1] = x1 * m1 + x1 * x2 ** 2 * m2
+        hh[0, 1, 1] = x1 * m1 + x1 * _pow(x2, 2) * m2
+        hh[1, 0, 0] = x2 * m1 + _pow(x1, 2) * x2 * m2
+        hh[1, 0, 1] = x1 * m1 + x1 * _pow(x2, 2) * m2
         hh[1, 1, 0] = hh[1, 0, 1]
-        hh[1, 1, 1] = 3.0 * x2 * m1 + x2 ** 3 * m2
+        hh[1, 1, 1] = 3.0 * x2 * m1 + _pow(x2, 3) * m2
         for i in range(2):
             for j in range(2):
                 hh[2, i, j] = (1.0 if i == j else 0.0) * zv + x[i] * x[j] * zvv
@@ -429,27 +571,42 @@ def _make_bump(amp, s):
     return _map, _grad, _hess
 
 
+_IDENTITY_GRAD = ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
+
+
+def _zero_hess(x):
+    return np.zeros((3, 2, 2) + np.shape(x)[1:])
+
+
+def _constant(value, x):
+    """A fresh array holding ``value`` at every point of ``x`` (2, ...)."""
+    value = np.asarray(value, dtype=float)
+    return np.tile(value.reshape(value.shape + (1,) * (np.ndim(x) - 1)),
+                   (1,) * value.ndim + np.shape(x)[1:])
+
+
 def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
     """Build one of the named benchmark surfaces.
 
     Names: plane, uniform_stretch{l1,l2}, cylinder{R}, sphere_cap{R},
-    saddle{a}, gaussian_bump{A,s}.
+    saddle{a}, gaussian_bump{A,s}.  Their callables broadcast over
+    trailing point axes (see ParametricSurface).
     """
     box = ((-0.5, 0.5), (-0.5, 0.5))
     if name == "plane":
         _reject_unknown(params, set(), name)
-        _map = lambda x: np.array([x[0], x[1], 0.0])
-        _grad = lambda x: np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        _hess = lambda x: np.zeros((3, 2, 2))
+        _map = lambda x: np.array([x[0], x[1], np.zeros_like(x[0])])
+        _grad = lambda x: _constant(_IDENTITY_GRAD, x)
+        _hess = _zero_hess
     elif name == "uniform_stretch":
         _reject_unknown(params, {"l1", "l2"}, name)
         l1 = float(params.get("l1", 2.0))
         l2 = float(params.get("l2", 0.5))
         if l1 <= 0 or l2 <= 0:
             raise ValueError("stretch factors must be positive")
-        _map = lambda x: np.array([l1 * x[0], l2 * x[1], 0.0])
-        _grad = lambda x: np.array([[l1, 0.0], [0.0, l2], [0.0, 0.0]])
-        _hess = lambda x: np.zeros((3, 2, 2))
+        _map = lambda x: np.array([l1 * x[0], l2 * x[1], np.zeros_like(x[0])])
+        _grad = lambda x: _constant(((l1, 0.0), (0.0, l2), (0.0, 0.0)), x)
+        _hess = _zero_hess
     elif name == "cylinder":
         _reject_unknown(params, {"R"}, name)
         R = float(params.get("R", 1.0))
@@ -457,11 +614,15 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
             raise ValueError("cylinder radius must be positive")
         _map = lambda x: np.array(
             [R * np.sin(x[0] / R), x[1], R * (1.0 - np.cos(x[0] / R))])
-        _grad = lambda x: np.array(
-            [[np.cos(x[0] / R), 0.0], [0.0, 1.0], [np.sin(x[0] / R), 0.0]])
+
+        def _grad(x, R=R):
+            g = _constant(((0.0, 0.0), (0.0, 1.0), (0.0, 0.0)), x)
+            g[0, 0] = np.cos(x[0] / R)
+            g[2, 0] = np.sin(x[0] / R)
+            return g
 
         def _hess(x, R=R):
-            hh = np.zeros((3, 2, 2))
+            hh = _zero_hess(x)
             hh[0, 0, 0] = -np.sin(x[0] / R) / R
             hh[2, 0, 0] = np.cos(x[0] / R) / R
             return hh
@@ -474,20 +635,25 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
         if R <= 0:
             raise ValueError("sphere radius must be positive")
 
+        def _root(x, R=R):
+            return np.sqrt(R * R - _pow(x[0], 2) - _pow(x[1], 2))
+
         def _map(x, R=R):
-            root = np.sqrt(R * R - x[0] ** 2 - x[1] ** 2)
-            return np.array([x[0], x[1], R - root])
+            return np.array([x[0], x[1], R - _root(x)])
 
-        def _grad(x, R=R):
-            root = np.sqrt(R * R - x[0] ** 2 - x[1] ** 2)
-            return np.array([[1.0, 0.0], [0.0, 1.0], [x[0] / root, x[1] / root]])
+        def _grad(x):
+            g = _constant(_IDENTITY_GRAD, x)
+            root = _root(x)
+            g[2, 0] = x[0] / root
+            g[2, 1] = x[1] / root
+            return g
 
-        def _hess(x, R=R):
-            root = np.sqrt(R * R - x[0] ** 2 - x[1] ** 2)
-            hh = np.zeros((3, 2, 2))
+        def _hess(x):
+            root = _root(x)
+            hh = _zero_hess(x)
             for i in range(2):
                 for j in range(2):
-                    hh[2, i, j] = (1.0 if i == j else 0.0) / root + x[i] * x[j] / root ** 3
+                    hh[2, i, j] = (1.0 if i == j else 0.0) / root + x[i] * x[j] / _pow(root, 3)
             return hh
 
         half = 0.45 * R
@@ -496,10 +662,15 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
         _reject_unknown(params, {"a"}, name)
         a = float(params.get("a", 1.0))
         _map = lambda x: np.array([x[0], x[1], a * x[0] * x[1]])
-        _grad = lambda x: np.array([[1.0, 0.0], [0.0, 1.0], [a * x[1], a * x[0]]])
+
+        def _grad(x, a=a):
+            g = _constant(_IDENTITY_GRAD, x)
+            g[2, 0] = a * x[1]
+            g[2, 1] = a * x[0]
+            return g
 
         def _hess(x, a=a):
-            hh = np.zeros((3, 2, 2))
+            hh = _zero_hess(x)
             hh[2, 0, 1] = a
             hh[2, 1, 0] = a
             return hh

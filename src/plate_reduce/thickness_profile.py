@@ -12,6 +12,9 @@ import numpy as np
 from dataclasses import dataclass
 from scipy.optimize import brentq
 
+from .surface_geometry import (float_if_scalar, raise_first_failure,
+                               unimodular_tolerance)
+
 SHC_SERIES_CUTOFF = 1e-4
 
 
@@ -29,14 +32,17 @@ def _shc(z):
 
 @dataclass(frozen=True)
 class PolyProfile:
-    """Cubic fiber profile alpha x3 + beta x3^2 + gamma x3^3."""
+    """Cubic fiber profile alpha x3 + beta x3^2 + gamma x3^3.
+
+    The coefficients may be arrays over points, one profile per point.
+    """
 
     alpha: float
     beta: float = 0.0
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
+        if not np.all(np.greater(self.alpha, 0)):
             raise ValueError("profile slope alpha at the mid-plane must be positive")
 
     def phi(self, x3):
@@ -139,12 +145,6 @@ class ExactIncompressibleProfile(object):
         return 1.0 / (self.root_detC * area)
 
 
-def _unimodular_tol(jet, tol):
-    if tol is not None:
-        return tol
-    return 1e-8 if getattr(jet, "derivative_mode", "analytic") == "analytic" else 1e-4
-
-
 def incompressible_profile(jet, tol=None):
     """Cubic profile keeping det C_f = 1 through quadratic order, for an
     area-preserving mid-surface.
@@ -153,11 +153,10 @@ def incompressible_profile(jet, tol=None):
     when det C deviates from 1; use ``incompressible_profile_general``
     for surfaces that stretch area.
     """
-    tol = _unimodular_tol(jet, tol)
-    if abs(jet.detC - 1.0) > tol:
-        raise ProfileConstraintError(
-            f"det C = {jet.detC:.12g} is not 1 within {tol:g}; "
-            "use incompressible_profile_general for area-changing stretches")
+    tol = unimodular_tolerance(jet, tol)
+    raise_first_failure((np.abs(jet.detC - 1.0) > tol, lambda i: ProfileConstraintError(
+        f"det C = {np.ravel(jet.detC)[i]:.12g} is not 1 within {tol:g}; "
+        "use incompressible_profile_general for area-changing stretches")))
     return PolyProfile(alpha=1.0, beta=-jet.H,
                        gamma=(6.0 * jet.H * jet.H - jet.K) / 3.0)
 
@@ -166,8 +165,7 @@ def incompressible_profile_general(jet):
     """Cubic profile keeping det C_f = 1 through quadratic order for any
     mid-surface stretch."""
     d = jet.detC
-    if d <= 0:
-        raise ProfileConstraintError("det C must be positive")
+    raise_first_failure((d <= 0, lambda i: ProfileConstraintError("det C must be positive")))
     return PolyProfile(alpha=1.0 / np.sqrt(d),
                        beta=-jet.H / d,
                        gamma=(6.0 * jet.H * jet.H - jet.K) / (3.0 * d ** 1.5))
@@ -185,7 +183,7 @@ def cg_profile(jet, material):
     D = a + b * jet.detC
     alpha = np.sqrt(s / D)
     beta = -(a / (8.0 * D)) * jet.b1 + (s * (a - 4.0 * b * jet.detC) / (4.0 * D * D)) * jet.H
-    return PolyProfile(alpha=float(alpha), beta=float(beta), gamma=0.0)
+    return PolyProfile(alpha=float_if_scalar(alpha), beta=float_if_scalar(beta), gamma=0.0)
 
 
 def svk_profile(H, lam, mu, h):

@@ -1,0 +1,259 @@
+"""The batched jet -> contents -> integration pipeline against the
+per-point one, value for value and error for error."""
+
+import json
+
+import numpy as np
+import pytest
+
+import plate_reduce.cli_io as cli_io
+from plate_reduce import (
+    CiarletGeymonat,
+    DegenerateImmersionError,
+    Gent,
+    MaterialDomainError,
+    MooneyRivlin,
+    NeoHookean,
+    ParametricSurface,
+    SaintVenantKirchhoff,
+    StiffeningLimitError,
+    catalog_surface,
+    evaluate_jet,
+    integrate_contents,
+    point_contents,
+)
+from plate_reduce.reduced_energy import grid_contents
+from plate_reduce.surface_geometry import (_GL64, JetBatch, _bump_height,
+                                           _bump_scalars, evaluate_jets)
+
+SURFACES = ("plane", "uniform_stretch", "cylinder", "sphere_cap", "saddle",
+            "gaussian_bump")
+MODES = ("analytic", "finite-difference")
+MATERIALS = (Gent(mu=1.0, jm=10.0), NeoHookean(mu=1.0),
+             MooneyRivlin(mu=1.0, chi=0.7), CiarletGeymonat.from_lame(1.0, 1.0),
+             SaintVenantKirchhoff(lam=1.0, mu=1.0))
+ARRAY_FIELDS = ("grad_y", "hess_y", "grad_nu", "a1", "a2", "normal", "C", "B",
+                "r1", "r2", "l1", "l2", "shape_op")
+SCALAR_FIELDS = ("lambda1", "lambda2", "H", "K", "b1", "trC", "detC")
+
+
+def grid_points(surface, n=7):
+    # an odd count puts a node on the center: umbilic frames, the bump's
+    # series branch and unimodular nodes next to stretched ones
+    margin = 3.0 * surface.step
+    (u0, u1), (v0, v1) = surface.domain
+    xs = np.linspace(u0 + margin, u1 - margin, n)
+    ys = np.linspace(v0 + margin, v1 - margin, n)
+    return np.column_stack([np.repeat(xs, n), np.tile(ys, n)])
+
+
+def first_error_per_point(surface, material, points):
+    """(index, type, message) of the first failure of a per-point loop."""
+    for i, x in enumerate(points):
+        try:
+            point_contents(evaluate_jet(surface, x), material)
+        except ValueError as err:
+            return i, type(err), str(err)
+    return None
+
+
+def assert_close(batched, per_point, what):
+    scale = max(np.max(np.abs(per_point)), 1e-300)
+    gap = np.max(np.abs(np.asarray(batched) - per_point))
+    assert gap <= 1e-14 * scale, f"{what}: gap {gap:.3g} of {scale:.3g}"
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", SURFACES)
+def test_batched_jets_match_per_point_jets(name, mode):
+    surface = catalog_surface(name, derivative_mode=mode)
+    points = grid_points(surface)
+    batch = evaluate_jets(surface, points)
+    jets = [evaluate_jet(surface, x) for x in points]
+    assert isinstance(batch, JetBatch) and len(batch) == len(points)
+    assert batch.derivative_mode == mode
+    np.testing.assert_array_equal(batch.x, points.T)
+    for field in ARRAY_FIELDS + SCALAR_FIELDS:
+        per_point = np.stack([np.asarray(getattr(j, field)) for j in jets], axis=-1)
+        assert getattr(batch, field).shape == per_point.shape, field
+        assert_close(getattr(batch, field), per_point, f"{name} {mode} {field}")
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_batched_map_is_bit_equal_to_per_point_map(name):
+    # the finite-difference stencil amplifies any rounding change of the
+    # map by 1/step^2, so the batched map must reproduce every bit
+    surface = catalog_surface(name, derivative_mode="finite-difference")
+    points = grid_points(surface)
+    step = surface.step
+    for offset in ((0.0, 0.0), (step, 0.0), (-step, step), (2 * step, -step)):
+        shifted = points + np.array(offset)
+        per_point = np.stack([surface.map(x) for x in shifted], axis=-1)
+        assert np.array_equal(surface.map(shifted.T), per_point)
+
+
+def test_bump_scalars_round_like_single_points():
+    # both sides of the series switch at q = v / s^2 = 0.01
+    v = np.linspace(0.0, 0.02, 2001)
+    per_point = np.array([_bump_scalars(vi, 0.5, 1.0) for vi in v]).T
+    assert np.array_equal(np.array(_bump_scalars(v, 0.5, 1.0)), per_point)
+
+
+def test_bump_height_sums_like_a_per_node_loop():
+    # the vectorized height keeps the node order of this loop, and its
+    # series branch (q < 0.01) the rounding of the per-point powers
+    v = np.array([0.0, 1e-4, 3e-3, 9.9e-3, 0.02, 0.3, 0.5625])
+    nodes, weights = _GL64
+    heights = _bump_height(v, 0.5, 1.0)
+    for vi, height in zip(v, heights):
+        total = 0.0
+        for t, wk in zip(0.5 * vi * (nodes + 1.0), weights):
+            total += wk * _bump_scalars(t, 0.5, 1.0)[3]
+        assert height == 0.5 * vi * total
+
+
+@pytest.mark.parametrize("material", MATERIALS, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", SURFACES)
+def test_batched_contents_match_per_point_contents(name, mode, material):
+    surface = catalog_surface(name, derivative_mode=mode)
+    points = grid_points(surface)
+    expected_error = first_error_per_point(surface, material, points)
+    if expected_error is not None:
+        with pytest.raises(ValueError) as info:
+            grid_contents(surface, material, points)
+        assert (info.value.index, type(info.value), str(info.value)) == expected_error
+        return
+    batch, contents = grid_contents(surface, material, points)
+    singles = [point_contents(evaluate_jet(surface, x), material) for x in points]
+    for field in ("stretching", "bending"):
+        values = getattr(contents, field)
+        assert values.shape == (len(points),)
+        assert_close(values, [getattr(c, field) for c in singles],
+                     f"{name} {mode} {type(material).__name__} {field}")
+    assert list(contents.formula_id) == [c.formula_id for c in singles]
+    # a batch of jets gives the same contents as point_contents on it
+    again = point_contents(batch, material)
+    np.testing.assert_array_equal(again.bending, contents.bending)
+
+
+def test_svk_batch_reports_first_stretched_node():
+    surface = catalog_surface("sphere_cap")
+    with pytest.raises(MaterialDomainError) as info:
+        point_contents(evaluate_jets(surface, grid_points(surface)),
+                       SaintVenantKirchhoff(lam=1.0, mu=1.0))
+    assert info.value.index == 0
+
+
+def ramp(slope):
+    """(x1 + slope x1^2 / 2, x2, 0): stretch 1 + slope x1 along x1."""
+    def _map(x):
+        return np.array([x[0] + 0.5 * slope * x[0] * x[0], x[1], 0.0 * x[0]])
+
+    def _grad(x):
+        one, zero = np.ones_like(x[0]), np.zeros_like(x[0])
+        return np.array([[one + slope * x[0], zero], [zero, one], [zero, zero]])
+
+    def _hess(x):
+        hh = np.zeros((3, 2, 2) + np.shape(x)[1:])
+        hh[0, 0, 0] = slope
+        return hh
+
+    return ParametricSurface(map=_map, grad=_grad, hess=_hess, name="ramp")
+
+
+@pytest.mark.parametrize("slope,index,error", [
+    # unimodular and general Gent nodes; only the last x1 row fails
+    (-1.0, 20, StiffeningLimitError),
+    # rank deficient at x1 = 0.5, but the contents fail at the first node
+    (-2.0, 0, StiffeningLimitError),
+    # rank deficient at the first node, the contents fail after it
+    (2.0, 0, DegenerateImmersionError),
+])
+def test_grid_contents_raises_in_per_point_order(slope, index, error):
+    surface = ramp(slope)
+    xs = np.linspace(-0.5, 0.5, 5)
+    points = np.column_stack([np.repeat(xs, 5), np.tile(xs, 5)])
+    expected = first_error_per_point(surface, Gent(mu=1.0, jm=1.0), points)
+    assert expected[:2] == (index, error)
+    with pytest.raises(error) as info:
+        grid_contents(surface, Gent(mu=1.0, jm=1.0), points)
+    assert (info.value.index, type(info.value), str(info.value)) == expected
+
+
+@pytest.mark.parametrize("surface,jm,grid,message", [
+    (catalog_surface("uniform_stretch", l1=4, l2=0.25), 10.0, (3, 3),
+     "at grid node (-0.387298, -0.387298): tr C - 2 = 14.0625 reached the "
+     "extensibility limit Jm = 10"),
+    (ramp(-1.0), 1.0, (4, 4),
+     "at grid node (0.430568, -0.430568): det C (Jm - tr C + 3) - 1 = "
+     "-0.132381889 is not positive (tr C = 1.32425263, det C = 0.324252625, "
+     "Jm = 1)"),
+])
+def test_integrate_contents_names_the_first_failing_node(surface, jm, grid,
+                                                         message):
+    with pytest.raises(StiffeningLimitError) as info:
+        integrate_contents(surface, Gent(mu=1.0, jm=jm), 0.01, grid=grid)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("slope,line", [
+    (None, "admissibility failure at point (-0.5, -0.5): tr C - 2 = 14.0625 "
+           "reached the extensibility limit Jm = 10\n"),
+    (-1.0, "admissibility failure at point (0.5, -0.5): det C (Jm - tr C + 3) "
+           "- 1 = -0.3125 is not positive (tr C = 1.25, det C = 0.25, Jm = 1)\n"),
+])
+def test_evaluate_names_the_first_failing_point(tmp_path, capsys, monkeypatch,
+                                                slope, line):
+    if slope is None:
+        surface = {"name": "uniform_stretch", "l1": 4, "l2": 0.25}
+        material = {"model": "gent", "mu": 1.0, "jm": 10.0}
+        grid = {"nx": 3, "ny": 3}
+    else:
+        monkeypatch.setattr(cli_io, "catalog_surface",
+                            lambda name, **kwargs: ramp(slope))
+        surface = {"name": "ramp"}
+        material = {"model": "gent", "mu": 1.0, "jm": 1.0}
+        grid = {"nx": 5, "ny": 5}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"surface": surface, "material": material,
+                                "h": 1e-3, "grid": grid}))
+    code = cli_io.main(["evaluate", "--config", str(path),
+                        "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == line
+
+
+def test_point_only_callables_work_per_point_and_fail_clearly_in_a_batch():
+    surface = ParametricSurface(
+        map=lambda x: np.array([x[0], x[1], 0.0]),
+        grad=lambda x: np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+        hess=lambda x: np.zeros((3, 2, 2)), name="per_point")
+    assert evaluate_jet(surface, np.array([0.1, 0.2])).trC == 2.0
+    with pytest.raises(TypeError, match=r"grad of surface 'per_point' returned "
+                                        r"shape \(3, 2\) for points of shape "
+                                        r"\(2, 4\); expected \(3, 2, 4\)"):
+        evaluate_jets(surface, np.zeros((4, 2)))
+
+
+def test_evaluate_jets_rejects_points_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="points must have shape"):
+        evaluate_jets(catalog_surface("plane"), np.zeros((4, 3)))
+
+
+def test_h_sweep_totals_equal_per_h_integration(tmp_path):
+    values = [5e-4, 1e-3, 2e-3]
+    cfg = {"surface": {"name": "gaussian_bump"},
+           "material": {"model": "neo_hookean", "mu": 1.0},
+           "h": 1e-3, "grid": {"nx": 4, "ny": 4},
+           "options": {"sweep": {"param": "h", "values": values}}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_io.main(["sweep", "--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    totals = [row.split(",")[3] for row in rows if ",total_energy," in row]
+    surface = catalog_surface("gaussian_bump")
+    expected = [cli_io._fmt(integrate_contents(surface, NeoHookean(mu=1.0), h,
+                                               grid=(4, 4))[2]) for h in values]
+    assert totals == expected

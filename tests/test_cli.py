@@ -2,12 +2,14 @@
 
 import json
 import math
-import shutil
+import os
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import plate_reduce
 from plate_reduce import Gent, evaluate_jet
 from plate_reduce.cli_io import (
     CHECK_IDS,
@@ -213,6 +215,28 @@ def test_parse_config_rejects(data, match):
     assert match in str(err.value)
 
 
+@pytest.mark.parametrize("command,changes,message", [
+    ("evaluate", {"h": math.inf}, "'h' must be finite, got inf"),
+    ("evaluate", {"material": {"model": "gent", "mu": math.nan, "jm": 10.0}},
+     "material: 'mu' must be finite, got nan"),
+    ("evaluate", {"fd_step": math.inf}, "'fd_step' must be finite, got inf"),
+    ("sweep", {"options": {"sweep": {"param": "h", "values": [1e-3, math.nan]}}},
+     "'sweep.values' must be finite, got nan"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command,
+                                              changes, message):
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    code, out = run_cli(tmp_path, _patched(**changes), command=command)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_material_parameters_must_be_numbers():
+    with pytest.raises(ConfigError, match="material: 'mu' must be a number"):
+        parse_config(_patched(material={"model": "neo_hookean", "mu": "10"}))
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(str(tmp_path / "missing.json"))
@@ -403,14 +427,17 @@ def test_sweep_is_deterministic(tmp_path):
 # console entry point and helper surfaces
 
 
-@pytest.mark.skipif(shutil.which("plate-reduce") is None,
-                    reason="console script not on PATH")
 def test_console_script(tmp_path):
+    # the module entry point behind the plate-reduce script, run from this
+    # checkout whether or not the package is installed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plate_reduce.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = tmp_path / "out"
     proc = subprocess.run(
-        ["plate-reduce", "evaluate", "--config",
+        [sys.executable, "-m", "plate_reduce.cli_io", "evaluate", "--config",
          write_config(tmp_path, BASE), "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (out / "summary.json").exists()
     assert "evaluated 9 points" in proc.stdout
