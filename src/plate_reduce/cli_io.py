@@ -722,7 +722,7 @@ def _check_eigenframe_coupling(ctx):
     lambda1 = np.sqrt(1.5)
 
     phis = np.linspace(0.0, 0.5 * np.pi, 200001)
-    values = np.array([eigenframe_coupling(k1, k2, lambda1, p) for p in phis])
+    values = eigenframe_coupling(k1, k2, lambda1, phis)
     scan_argmin = phis[int(np.argmin(values))]
 
     # the quadratic factor A cos^2 + B sin^2 is monotone in sin^2, so its

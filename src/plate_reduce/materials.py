@@ -12,7 +12,8 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
-from .surface_geometry import evaluate_jet, raise_first_failure
+from .surface_geometry import (evaluate_jet, finite_number,
+                               raise_first_failure)
 
 
 class StiffeningLimitError(ValueError):
@@ -97,8 +98,8 @@ class SaintVenantKirchhoff(object):
     mu: float
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("SaintVenantKirchhoff requires mu > 0")
+        if self.mu <= 0 or self.lam <= 0:
+            raise ValueError("SaintVenantKirchhoff requires lam > 0 and mu > 0")
 
 
 MaterialModel = Union[Gent, NeoHookean, MooneyRivlin, CiarletGeymonat, SaintVenantKirchhoff]
@@ -111,20 +112,6 @@ def lame_constants(material):
     if isinstance(material, SaintVenantKirchhoff):
         return material.lam, material.mu
     raise TypeError(f"no Lame constants for {type(material).__name__}")
-
-
-def finite_number(value, key):
-    """``value`` as a float; ValueError unless it is a finite real number.
-
-    The one number check of config parsing: booleans, strings, NaN and
-    infinities are all rejected.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"'{key}' must be a number, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"'{key}' must be finite, got {value!r}")
-    return value
 
 
 def material_from_config(spec):
@@ -179,11 +166,12 @@ def molecular_params(n_chains, n_links, k_boltzmann, temperature):
 
 
 def symmetric_sqrt(A):
-    """Principal square root of a symmetric positive-definite matrix."""
+    """Principal square root of a symmetric positive-definite matrix, or
+    of each matrix in a stack of shape (..., n, n)."""
     vals, vecs = np.linalg.eigh(np.asarray(A, dtype=float))
-    if vals[0] <= 0.0:
+    if np.any(vals[..., 0] <= 0.0):
         raise MaterialDomainError("matrix is not positive definite")
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def volumetric_energy(material, I1=None, I2=None, I3=None, C_f=None):
@@ -191,14 +179,16 @@ def volumetric_energy(material, I1=None, I2=None, I3=None, C_f=None):
 
     Invariant-based models take (I1, I2, I3), scalars or arrays over
     points; SaintVenantKirchhoff needs the full right Cauchy-Green matrix
-    ``C_f`` of one point.
+    ``C_f``, one 3x3 or a stack of shape (..., 3, 3), and returns a float
+    or an array of the stack's leading shape.
     """
     if isinstance(material, SaintVenantKirchhoff):
         if C_f is None:
             raise ValueError("SaintVenantKirchhoff energy needs C_f")
         U = symmetric_sqrt(C_f)
         E = U - np.eye(3)
-        return 0.5 * material.lam * np.trace(E) ** 2 + material.mu * np.trace(E @ E)
+        tr = lambda M: np.trace(M, axis1=-2, axis2=-1)
+        return 0.5 * material.lam * tr(E) ** 2 + material.mu * tr(E @ E)
     if isinstance(material, Gent):
         gap = 1.0 - (I1 - 3.0) / material.jm
         raise_first_failure((gap <= 0.0, lambda i: StiffeningLimitError(

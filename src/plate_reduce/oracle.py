@@ -236,13 +236,12 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400, slope_bracket=(0.5, 1.5)):
 
     def fiber_energy(s):
         x3, phi, psi = profile_for(s)
-        dens = np.empty_like(phi)
-        for i in range(len(x3)):
-            c11 = (1.0 + 2.0 * H * phi[i]) ** 2
-            C_f = np.diag([c11, 1.0, psi[i] ** 2])
-            dens[i] = _materials.volumetric_energy(material, C_f=C_f)
+        C_f = np.zeros((len(x3), 3, 3))
+        C_f[:, 0, 0] = (1.0 + 2.0 * H * phi) ** 2
+        C_f[:, 1, 1] = 1.0
+        C_f[:, 2, 2] = psi ** 2
+        dens = _materials.volumetric_energy(material, C_f=C_f)
         # composite Simpson on the uniform grid
-        n = len(x3) - 1
         total = dens[0] + dens[-1] + 4.0 * dens[1:-1:2].sum() + 2.0 * dens[2:-2:2].sum()
         return total * dt / 3.0
 

@@ -345,13 +345,14 @@ def eigenframe_coupling(kappa1, kappa2, lambda1, phi_angle):
 
     Returns
     -------
-    float
-        The (nonnegative) coupling term.
+    float or ndarray
+        The (nonnegative) coupling term, a float for a scalar
+        ``phi_angle`` and an array of its shape otherwise.
     """
     a, b = _coupling_coefficients(kappa1, kappa2, lambda1)
     c = np.cos(phi_angle)
     s = np.sin(phi_angle)
-    return float((a * c * c + b * s * s) ** 2)
+    return float_if_scalar((a * c * c + b * s * s) ** 2)
 
 
 def coupling_stationary_angles(kappa1, kappa2, lambda1):

@@ -168,6 +168,21 @@ def raise_first_failure(*checks):
             raise err
 
 
+def finite_number(value, key):
+    """``value`` as a float; ValueError unless it is a finite real number.
+
+    The one number check of config parsing (surface and material
+    parameters and top-level numbers): booleans, strings, NaN and
+    infinities are all rejected.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"'{key}' must be a number, got {value!r}")
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"'{key}' must be finite, got {value!r}")
+    return value
+
+
 def float_if_scalar(value):
     """A Python float for a single point's value; arrays pass through."""
     return float(value) if np.ndim(value) == 0 else value
@@ -600,8 +615,8 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
         _hess = _zero_hess
     elif name == "uniform_stretch":
         _reject_unknown(params, {"l1", "l2"}, name)
-        l1 = float(params.get("l1", 2.0))
-        l2 = float(params.get("l2", 0.5))
+        l1 = finite_number(params.get("l1", 2.0), "l1")
+        l2 = finite_number(params.get("l2", 0.5), "l2")
         if l1 <= 0 or l2 <= 0:
             raise ValueError("stretch factors must be positive")
         _map = lambda x: np.array([l1 * x[0], l2 * x[1], np.zeros_like(x[0])])
@@ -609,7 +624,7 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
         _hess = _zero_hess
     elif name == "cylinder":
         _reject_unknown(params, {"R"}, name)
-        R = float(params.get("R", 1.0))
+        R = finite_number(params.get("R", 1.0), "R")
         if R <= 0:
             raise ValueError("cylinder radius must be positive")
         _map = lambda x: np.array(
@@ -631,7 +646,7 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
         box = ((-half, half), (-0.5, 0.5))
     elif name == "sphere_cap":
         _reject_unknown(params, {"R"}, name)
-        R = float(params.get("R", 2.0))
+        R = finite_number(params.get("R", 2.0), "R")
         if R <= 0:
             raise ValueError("sphere radius must be positive")
 
@@ -660,7 +675,7 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
         box = ((-half, half), (-half, half))
     elif name == "saddle":
         _reject_unknown(params, {"a"}, name)
-        a = float(params.get("a", 1.0))
+        a = finite_number(params.get("a", 1.0), "a")
         _map = lambda x: np.array([x[0], x[1], a * x[0] * x[1]])
 
         def _grad(x, a=a):
@@ -676,8 +691,8 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
             return hh
     elif name == "gaussian_bump":
         _reject_unknown(params, {"A", "s"}, name)
-        amp = float(params.get("A", 0.5))
-        s = float(params.get("s", 1.0))
+        amp = finite_number(params.get("A", 0.5), "A")
+        s = finite_number(params.get("s", 1.0), "s")
         if s <= 0:
             raise ValueError("bump width must be positive")
         _map, _grad, _hess = _make_bump(amp, s)

@@ -222,6 +222,14 @@ def test_parse_config_rejects(data, match):
     ("evaluate", {"fd_step": math.inf}, "'fd_step' must be finite, got inf"),
     ("sweep", {"options": {"sweep": {"param": "h", "values": [1e-3, math.nan]}}},
      "'sweep.values' must be finite, got nan"),
+    ("evaluate", {"surface": {"name": "sphere_cap", "R": math.nan}},
+     "surface: 'R' must be finite, got nan"),
+    ("evaluate", {"surface": {"name": "sphere_cap", "R": "2"}},
+     "surface: 'R' must be a number, got '2'"),
+    ("evaluate", {"surface": {"name": "sphere_cap", "R": True}},
+     "surface: 'R' must be a number, got True"),
+    ("evaluate", {"material": {"model": "svk", "lambda": -2, "mu": 1}},
+     "material: SaintVenantKirchhoff requires lam > 0 and mu > 0"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command,
                                               changes, message):

@@ -119,6 +119,8 @@ def test_model_parameter_validation():
         CiarletGeymonat(a=-1.0, b=1.0)
     with pytest.raises(ValueError):
         SaintVenantKirchhoff(lam=1.0, mu=-1.0)
+    with pytest.raises(ValueError, match="lam > 0"):
+        SaintVenantKirchhoff(lam=-2.0, mu=1.0)
 
 
 def test_cg_constants_are_locked():
@@ -200,6 +202,42 @@ def test_symmetric_sqrt():
         assert np.max(np.abs(R @ R - A)) <= 1e-10
     with pytest.raises(MaterialDomainError):
         symmetric_sqrt(np.diag([1.0, -1.0, 1.0]))
+
+
+def _spd_stack(n, seed=11):
+    M = np.random.default_rng(seed).normal(size=(n, 3, 3))
+    return np.swapaxes(M, -1, -2) @ M + 0.1 * np.eye(3)
+
+
+def test_stacked_symmetric_sqrt_matches_per_matrix_calls():
+    stack = _spd_stack(6).reshape(2, 3, 3, 3)
+    roots = symmetric_sqrt(stack)
+    assert roots.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(roots[idx], symmetric_sqrt(stack[idx]))
+
+
+def test_stacked_svk_energy_matches_per_matrix_calls():
+    material = SaintVenantKirchhoff(lam=1.3, mu=0.7)
+    stack = _spd_stack(7)
+    diag = np.zeros((5, 3, 3))
+    diag[:, [0, 1, 2], [0, 1, 2]] = np.linspace(0.5, 1.5, 15).reshape(5, 3)
+    for C_f in (stack, diag):
+        energies = volumetric_energy(material, C_f=C_f)
+        assert energies.shape == (len(C_f),)
+        for i, C in enumerate(C_f):
+            single = volumetric_energy(material, C_f=C)
+            assert isinstance(single, float)
+            assert energies[i] == single
+
+
+def test_stack_with_one_indefinite_member_is_rejected():
+    stack = _spd_stack(4)
+    stack[2] = np.diag([1.0, -1e-3, 1.0])
+    with pytest.raises(MaterialDomainError, match="not positive definite"):
+        symmetric_sqrt(stack)
+    with pytest.raises(MaterialDomainError, match="not positive definite"):
+        volumetric_energy(SaintVenantKirchhoff(lam=1.0, mu=1.0), C_f=stack)
 
 
 def test_error_types_are_value_errors():

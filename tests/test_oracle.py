@@ -160,6 +160,14 @@ def test_svk_ode_agrees_with_closed_profile():
     assert sup <= 1e-8
 
 
+def test_svk_ode_values_are_frozen():
+    # the shooting oracle's numbers, pinned bit for bit
+    solution = solve_svk_profile_ode(-0.5, 1.0, 1.0, 0.05, n_steps=400)
+    assert solution.slope == 0.9988900451208073
+    assert solution.energy == 0.00011102325083621138
+    assert solution.ode_residual == 8.578457943997364e-10
+
+
 def test_svk_ode_resolution_guards():
     with pytest.raises(ValueError, match="n_steps"):
         solve_svk_profile_ode(-0.5, 1.0, 1.0, 0.05, n_steps=50)

@@ -234,6 +234,20 @@ def test_eigenframe_coupling_degenerate_cases():
         eigenframe_coupling(1.0, 2.0, 0.0, 0.3)
 
 
+def test_eigenframe_coupling_over_an_angle_array():
+    k1, k2, l1 = 1.0, 2.0, np.sqrt(1.5)
+    phis = np.linspace(0.0, 0.5 * np.pi, 2001).reshape(3, 667)
+    values = eigenframe_coupling(k1, k2, l1, phis)
+    assert values.shape == phis.shape
+    scalar = np.array([[eigenframe_coupling(k1, k2, l1, p) for p in row]
+                       for row in phis])
+    assert isinstance(eigenframe_coupling(k1, k2, l1, 0.3), float)
+    # vectorized sin/cos may differ from the scalar ones in the last bit
+    assert np.max(np.abs(values - scalar)) <= 1e-15
+    assert np.unravel_index(np.argmin(values), phis.shape) == \
+        np.unravel_index(np.argmin(scalar), phis.shape)
+
+
 # ---------------------------------------------------------------------------
 # series machinery and dispatch
 
