@@ -23,15 +23,13 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .connectors import (check_codazzi, compute_frame, gauss_from_connectors,
                          gauss_uniform_stretch, sample_frame_grid)
 from .materials import (CiarletGeymonat, Gent, MaterialDomainError,
-                        NeoHookean, SaintVenantKirchhoff,
-                        StiffeningLimitError, finite_number,
-                        invariant_series, lame_constants,
-                        material_from_config, volumetric_energy)
+                        NeoHookean, StiffeningLimitError, fiber_invariants,
+                        finite_number, lame_constants, material_from_config,
+                        volumetric_energy)
 from .oracle import (fit_h_powers, minimize_scalar, parabolic_refine,
                      solve_svk_profile_ode, through_thickness_energy_from_jet)
 from .reduced_energy import (cg_contents, cg_small_strain_contents,
@@ -39,9 +37,10 @@ from .reduced_energy import (cg_contents, cg_small_strain_contents,
                              eigenframe_coupling, gent_contents,
                              grid_contents, integrate_contents,
                              point_contents)
-from .surface_geometry import (ParametricSurface, appendix_H_K,
+from .surface_geometry import (DegenerateImmersionError, DomainError,
+                               ParametricSurface, appendix_H_K,
                                catalog_surface, evaluate_jet,
-                               unimodular_tolerance, verify_orientation)
+                               verify_orientation)
 from .thickness_profile import (ExactIncompressibleProfile, PolyProfile,
                                 ProfileConstraintError, cg_profile,
                                 deformed_thickness, incompressible_profile,
@@ -235,27 +234,11 @@ def _evaluation_nodes(surface, nx, ny):
             np.linspace(v0 + margin, v1 - margin, ny))
 
 
-def _profile_for_point(jet, material, h):
-    if isinstance(material, CiarletGeymonat):
-        return cg_profile(jet, material)
-    if isinstance(material, SaintVenantKirchhoff):
-        return svk_profile(jet.H, material.lam, material.mu, h)
-    if abs(jet.detC - 1.0) <= unimodular_tolerance(jet):
-        return incompressible_profile(jet)
-    return incompressible_profile_general(jet)
-
-
-def _profile_record(jet, material, h):
-    profile = _profile_for_point(jet, material, h)
-    kind = "hyperbolic" if isinstance(material, SaintVenantKirchhoff) else "cubic"
-    return {"kind": kind, "alpha": float(profile.alpha),
-            "beta": float(profile.beta), "gamma": float(profile.gamma)}
-
-
 def _write_json(path, payload):
+    # strict JSON: a non-finite value raises before the file is opened
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _fmt(value):
@@ -301,7 +284,8 @@ def cmd_evaluate(config, out_dir):
 
     (u0, u1), (v0, v1) = config.surface.domain
     center = np.array([0.5 * (u0 + u1), 0.5 * (v0 + v1)])
-    center_jet = evaluate_jet(config.surface, center)
+    profile = config.material.profile(evaluate_jet(config.surface, center),
+                                      h=config.h)
     summary = {
         "config": config.raw,
         "results": {
@@ -309,9 +293,10 @@ def cmd_evaluate(config, out_dir):
             "totals": {"stretching_content": float(total_s),
                        "bending_content": float(total_b),
                        "energy": float(energy)},
-            "profile_at_center": dict(
-                _profile_record(center_jet, config.material, config.h),
-                x1=float(center[0]), x2=float(center[1])),
+            "profile_at_center": {
+                "kind": profile.kind, "alpha": float(profile.alpha),
+                "beta": float(profile.beta), "gamma": float(profile.gamma),
+                "x1": float(center[0]), "x2": float(center[1])},
             "formula_ids": sorted(ids),
         },
     }
@@ -365,8 +350,7 @@ def _check_incompressibility_order(ctx):
         base = incompressible_profile(jet)
         profile = PolyProfile(base.alpha, base.beta + ctx.perturb_beta,
                               base.gamma)
-        series = invariant_series(jet, profile)
-        residuals = [abs(series.exact(h)[2] - 1.0) for h in hs]
+        residuals = [abs(fiber_invariants(jet, profile, h)[2] - 1.0) for h in hs]
         slopes[name] = _loglog_slope(hs, residuals)
     passed = all(abs(s - 3.0) <= tol for s in slopes.values())
     detail = ("det C_f residual slopes " +
@@ -554,10 +538,10 @@ def _cg_beta_objective(material, jet, alpha):
 
     def f(beta):
         profile = PolyProfile(alpha, beta, 0.0)
-        series = invariant_series(jet, profile)
         acc = 0.0
         for o, w in zip(offsets, weights):
-            acc += w * volumetric_energy(material, *series.exact(o * delta))
+            acc += w * volumetric_energy(material,
+                                         *fiber_invariants(jet, profile, o * delta))
         return acc / (180.0 * delta * delta) / 2.0
     return f
 
@@ -730,7 +714,15 @@ def _check_eigenframe_coupling(ctx):
     A = k1 * lambda1 ** 2 + k2 / lambda1 ** 2 - (k1 + k2)
     B = k2 * lambda1 ** 2 + k1 / lambda1 ** 2 - (k1 + k2)
     g = lambda p: A * np.cos(p) ** 2 + B * np.sin(p) ** 2
-    phi_star = brentq(g, 0.0, 0.5 * np.pi, xtol=1e-14, rtol=8.9e-16)
+    # plain bisection down to adjacent floats: g(0) = A < 0 < B = g(pi/2)
+    # here, and the root taken is the first float where g is positive
+    lo, phi_star = 0.0, 0.5 * np.pi
+    while lo < 0.5 * (lo + phi_star) < phi_star:
+        mid = 0.5 * (lo + phi_star)
+        if g(mid) > 0.0:
+            phi_star = mid
+        else:
+            lo = mid
 
     tan2 = np.tan(phi_star) ** 2
     tan2_err = abs(tan2 - 0.25)
@@ -890,13 +882,12 @@ def cmd_sweep(config, out_dir):
 
     if param == "h":
         profile = incompressible_profile_general(jet)
-        series = invariant_series(jet, profile)
         # the contents do not depend on h: integrate once
         total_s, total_b, _ = integrate_contents(
             config.surface, config.material, values[0], grid=config.grid)
         for h in values:
             rows.append((param, h, "detcf_residual",
-                         abs(series.exact(h)[2] - 1.0)))
+                         abs(fiber_invariants(jet, profile, h)[2] - 1.0)))
             # the expression integrate_contents returns
             rows.append((param, h, "total_energy", h * total_s + h**3 * total_b))
     elif param == "Jm":
@@ -1004,7 +995,10 @@ def main(argv=None):
                 print("sweep needs --config", file=sys.stderr)
                 return EXIT_CONFIG
             return cmd_sweep(load_config(args.config), args.out)
-    except ConfigError as err:
+    except (ConfigError, DomainError, DegenerateImmersionError) as err:
+        # a config error in evaluate and sweep, a bug in verify's own checks
+        if args.command == "verify" and not isinstance(err, ConfigError):
+            raise
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_CONFIG

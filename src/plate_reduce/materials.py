@@ -1,4 +1,4 @@
-"""Bulk hyperelastic energy densities and fiber invariants.
+"""Hyperelastic material models, each owning its rules, and fiber invariants.
 
 The deformation of a thin sheet is resolved along the thickness fiber:
 mid-surface jet plus a through-thickness profile give the full 3D
@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Tuple
 
 from .surface_geometry import (evaluate_jet, finite_number,
-                               raise_first_failure)
+                               raise_first_failure, unimodular_tolerance)
+from .thickness_profile import (cg_profile, incompressible_profile_general,
+                                svk_profile)
 
 
 class StiffeningLimitError(ValueError):
@@ -24,31 +26,95 @@ class MaterialDomainError(ValueError):
     """Invariants outside the domain of the energy density."""
 
 
+def _pop_numbers(spec, keys):
+    return [finite_number(spec.pop(key), key) for key in keys]
+
+
+class MaterialModel(object):
+    """Base of the material models; each model owns its rules.
+
+    ``name`` and ``params`` are its config name and parameter keys (in
+    field order).  ``energy`` is its density, elementwise over arrays, of
+    (I1, I2, I3), or of C_f when ``needs_C_f``; ``partials`` the gradient
+    and Hessian diagonal of that density in (I1, I2, I3); ``lame`` its
+    Lame pair; ``profile`` its through-thickness profile rule at a jet
+    (half thickness ``h`` for the hyperbolic one).  ``series_id`` is the
+    formula id of contents from the invariant series along that profile,
+    None for a model whose contents have a closed form.
+    """
+
+    needs_C_f, series_id = False, None
+
+    @classmethod
+    def from_config(cls, spec):
+        """The model of config parameters, popping each key it reads."""
+        return cls(*_pop_numbers(spec, cls.params))
+
+    def partials(self, I1, I2, I3):
+        raise TypeError(
+            f"{type(self).__name__} has no invariant representation; "
+            "its fiber energy cannot be expanded this way")
+
+    def lame(self):
+        raise TypeError(f"no Lame constants for {type(self).__name__}")
+
+    def profile(self, jet, h=None, tol=None):
+        return incompressible_profile_general(jet, unimodular_tolerance(jet, tol))
+
+
 @dataclass(frozen=True)
-class Gent(object):
+class Gent(MaterialModel):
     """Incompressible rubber model with a finite extensibility limit."""
 
     mu: float
     jm: float
 
+    name, params = "gent", ("mu", "jm")
+
     def __post_init__(self):
         if self.mu <= 0 or self.jm <= 0:
             raise ValueError("Gent requires mu > 0 and jm > 0")
 
+    def _extensibility_gap(self, I1):
+        gap = 1.0 - (I1 - 3.0) / self.jm
+        raise_first_failure((gap <= 0.0, lambda i: StiffeningLimitError(
+            f"I1 = {np.ravel(I1)[i]:.9g} reached the extensibility limit "
+            f"Jm + 3 = {self.jm + 3.0:.9g}")))
+        return gap
+
+    def energy(self, I1, I2, I3):
+        return -0.5 * self.mu * self.jm * np.log(self._extensibility_gap(I1))
+
+    def partials(self, I1, I2, I3):
+        self._extensibility_gap(I1)  # the check; the partials divide by Jm - (I1 - 3)
+        gap = self.jm - (I1 - 3.0)
+        c = 0.5 * self.mu * self.jm
+        return (c / gap, 0.0, 0.0), (c / gap**2, 0.0, 0.0)
+
 
 @dataclass(frozen=True)
-class NeoHookean(object):
+class NeoHookean(MaterialModel):
     mu: float
+
+    name, params, series_id = "neo_hookean", ("mu",), "neo_hookean_series"
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError("NeoHookean requires mu > 0")
 
+    def energy(self, I1, I2, I3):
+        return 0.5 * self.mu * (I1 - 3.0)
+
+    def partials(self, I1, I2, I3):
+        return (0.5 * self.mu, 0.0, 0.0), (0.0, 0.0, 0.0)
+
 
 @dataclass(frozen=True)
-class MooneyRivlin(object):
+class MooneyRivlin(MaterialModel):
     mu: float
     chi: float
+
+    name, params, series_id = "mooney_rivlin", ("mu", "chi"), "mooney_rivlin_series"
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -56,9 +122,16 @@ class MooneyRivlin(object):
         if not (0.0 < self.chi <= 1.0):
             raise ValueError("MooneyRivlin requires chi in (0, 1]")
 
+    def energy(self, I1, I2, I3):
+        return 0.5 * self.mu * (self.chi * (I1 - 3.0) + (1.0 - self.chi) * (I2 - 3.0))
+
+    def partials(self, I1, I2, I3):
+        return ((0.5 * self.mu * self.chi, 0.5 * self.mu * (1.0 - self.chi), 0.0),
+                (0.0, 0.0, 0.0))
+
 
 @dataclass(frozen=True)
-class CiarletGeymonat(object):
+class CiarletGeymonat(MaterialModel):
     """Compressible model a*I1 + b*I3 - (c/2) ln I3 + d.
 
     The pair (c, d) is locked to c = 2(a+b), d = -(3a+b) so the reference
@@ -70,6 +143,8 @@ class CiarletGeymonat(object):
     b: float
     c: float = None
     d: float = None
+
+    name, series_id = "ciarlet_geymonat", "cg_minimizing_profile"
 
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
@@ -91,27 +166,69 @@ class CiarletGeymonat(object):
             raise ValueError("Lame constants must be positive")
         return cls(a=mu / 2.0, b=lam / 4.0)
 
+    @classmethod
+    def from_config(cls, spec):
+        """From "lambda" and "mu", or from "a", "b" and optional "c", "d"."""
+        if "lambda" in spec or "mu" in spec:
+            return cls.from_lame(*_pop_numbers(spec, ("lambda", "mu")))
+        c, d = spec.pop("c", None), spec.pop("d", None)
+        return cls(*_pop_numbers(spec, ("a", "b")),
+                   c=None if c is None else finite_number(c, "c"),
+                   d=None if d is None else finite_number(d, "d"))
+
+    def energy(self, I1, I2, I3):
+        raise_first_failure((I3 <= 0.0, lambda i: MaterialDomainError(
+            f"I3 = {np.ravel(I3)[i]:.9g} must be positive")))
+        return self.a * I1 + self.b * I3 - 0.5 * self.c * np.log(I3) + self.d
+
+    def partials(self, I1, I2, I3):
+        s = self.a + self.b
+        return (self.a, 0.0, self.b - s / I3), (0.0, 0.0, s / I3**2)
+
+    def lame(self):
+        return 4.0 * self.b, 2.0 * self.a
+
+    def profile(self, jet, h=None, tol=None):
+        return cg_profile(jet, self)
+
 
 @dataclass(frozen=True)
-class SaintVenantKirchhoff(object):
+class SaintVenantKirchhoff(MaterialModel):
     lam: float
     mu: float
+
+    name, params, needs_C_f = "svk", ("lambda", "mu"), True
 
     def __post_init__(self):
         if self.mu <= 0 or self.lam <= 0:
             raise ValueError("SaintVenantKirchhoff requires lam > 0 and mu > 0")
 
+    def energy(self, C_f):
+        E = symmetric_sqrt(C_f) - np.eye(3)
+        tr = lambda M: np.trace(M, axis1=-2, axis2=-1)
+        return 0.5 * self.lam * tr(E) ** 2 + self.mu * tr(E @ E)
 
-MaterialModel = Union[Gent, NeoHookean, MooneyRivlin, CiarletGeymonat, SaintVenantKirchhoff]
+    def lame(self):
+        return self.lam, self.mu
+
+    def profile(self, jet, h=None, tol=None):
+        return svk_profile(jet.H, self.lam, self.mu, h)
+
+
+MODELS = {cls.name: cls for cls in
+          (Gent, NeoHookean, MooneyRivlin, CiarletGeymonat, SaintVenantKirchhoff)}
+
+
+def as_model(material):
+    """``material`` itself; TypeError unless it is one of the models here."""
+    if not isinstance(material, MaterialModel):
+        raise TypeError(f"unknown material {type(material).__name__}")
+    return material
 
 
 def lame_constants(material):
     """Lame pair (lambda, mu) of a compressible model."""
-    if isinstance(material, CiarletGeymonat):
-        return 4.0 * material.b, 2.0 * material.a
-    if isinstance(material, SaintVenantKirchhoff):
-        return material.lam, material.mu
-    raise TypeError(f"no Lame constants for {type(material).__name__}")
+    return as_model(material).lame()
 
 
 def material_from_config(spec):
@@ -120,32 +237,11 @@ def material_from_config(spec):
         raise ValueError("material spec must be a mapping with a 'model' key")
     spec = dict(spec)
     model = spec.pop("model")
-
-    def num(key):
-        return finite_number(spec.pop(key), key)
-
+    cls = MODELS.get(model) if isinstance(model, str) else None
+    if cls is None:
+        raise ValueError(f"unknown material model '{model}'")
     try:
-        if model == "gent":
-            out = Gent(mu=num("mu"), jm=num("jm"))
-        elif model == "neo_hookean":
-            out = NeoHookean(mu=num("mu"))
-        elif model == "mooney_rivlin":
-            out = MooneyRivlin(mu=num("mu"), chi=num("chi"))
-        elif model == "ciarlet_geymonat":
-            if "lambda" in spec or "mu" in spec:
-                out = CiarletGeymonat.from_lame(num("lambda"), num("mu"))
-            else:
-                c = spec.pop("c", None)
-                d = spec.pop("d", None)
-                out = CiarletGeymonat(
-                    a=num("a"), b=num("b"),
-                    c=None if c is None else finite_number(c, "c"),
-                    d=None if d is None else finite_number(d, "d"),
-                )
-        elif model == "svk":
-            out = SaintVenantKirchhoff(lam=num("lambda"), mu=num("mu"))
-        else:
-            raise ValueError(f"unknown material model '{model}'")
+        out = cls.from_config(spec)
     except KeyError as e:
         raise ValueError(f"material '{model}' is missing parameter {e}") from e
     if spec:
@@ -182,29 +278,11 @@ def volumetric_energy(material, I1=None, I2=None, I3=None, C_f=None):
     ``C_f``, one 3x3 or a stack of shape (..., 3, 3), and returns a float
     or an array of the stack's leading shape.
     """
-    if isinstance(material, SaintVenantKirchhoff):
+    if as_model(material).needs_C_f:
         if C_f is None:
-            raise ValueError("SaintVenantKirchhoff energy needs C_f")
-        U = symmetric_sqrt(C_f)
-        E = U - np.eye(3)
-        tr = lambda M: np.trace(M, axis1=-2, axis2=-1)
-        return 0.5 * material.lam * tr(E) ** 2 + material.mu * tr(E @ E)
-    if isinstance(material, Gent):
-        gap = 1.0 - (I1 - 3.0) / material.jm
-        raise_first_failure((gap <= 0.0, lambda i: StiffeningLimitError(
-            f"I1 = {np.ravel(I1)[i]:.9g} reached the extensibility limit "
-            f"Jm + 3 = {material.jm + 3.0:.9g}")))
-        return -0.5 * material.mu * material.jm * np.log(gap)
-    if isinstance(material, NeoHookean):
-        return 0.5 * material.mu * (I1 - 3.0)
-    if isinstance(material, MooneyRivlin):
-        return 0.5 * material.mu * (
-            material.chi * (I1 - 3.0) + (1.0 - material.chi) * (I2 - 3.0))
-    if isinstance(material, CiarletGeymonat):
-        raise_first_failure((I3 <= 0.0, lambda i: MaterialDomainError(
-            f"I3 = {np.ravel(I3)[i]:.9g} must be positive")))
-        return material.a * I1 + material.b * I3 - 0.5 * material.c * np.log(I3) + material.d
-    raise TypeError(f"unknown material {type(material).__name__}")
+            raise ValueError(f"{type(material).__name__} energy needs C_f")
+        return material.energy(C_f)
+    return material.energy(I1, I2, I3)
 
 
 def small_strain_energy(material, E_f):
@@ -303,13 +381,19 @@ def invariant_series(jet, profile):
           d1 + p0 * t1 + p1 * t0,
           d2 + p0 * t2 + p1 * t1 + p2 * t0)
 
-    def _exact(x3):
-        phi = profile.phi(x3)
-        dphi = profile.dphi(x3)
-        tr_cphi = trC + 2.0 * phi * b1 + phi * phi * (2.0 * H * b1 - K * trC)
-        area = 1.0 + 2.0 * H * phi + K * phi * phi
-        det_cphi = detC * area * area
-        pp = dphi * dphi
-        return tr_cphi + pp, det_cphi + pp * tr_cphi, pp * det_cphi
+    return InvariantSeries(i1=i1, i2=i2, i3=i3,
+                           exact=lambda x3: fiber_invariants(jet, profile, x3))
 
-    return InvariantSeries(i1=i1, i2=i2, i3=i3, exact=_exact)
+
+def fiber_invariants(jet, profile, x3):
+    """Principal invariants of C_f at offset x3 from the jet's scalar
+    fields trC, detC, H, K, b1 and the profile's phi and dphi; exact for
+    any profile, and independent of the matrix route."""
+    trC, detC, H, K, b1 = jet.trC, jet.detC, jet.H, jet.K, jet.b1
+    phi = profile.phi(x3)
+    dphi = profile.dphi(x3)
+    tr_cphi = trC + 2.0 * phi * b1 + phi * phi * (2.0 * H * b1 - K * trC)
+    area = 1.0 + 2.0 * H * phi + K * phi * phi
+    det_cphi = detC * area * area
+    pp = dphi * dphi
+    return tr_cphi + pp, det_cphi + pp * tr_cphi, pp * det_cphi

@@ -62,42 +62,22 @@ def through_thickness_energy_from_jet(jet, material, profile, h, quad_order=8):
     if quad_order < 2:
         raise ValueError("quad_order must be at least 2")
     nodes, weights = np.polynomial.legendre.leggauss(quad_order)
-    svk = isinstance(material, _materials.SaintVenantKirchhoff)
-    if not svk:
-        series = _materials.invariant_series(jet, _as_cubic(profile))
+    needs_C_f = _materials.as_model(material).needs_C_f
     total = 0.0
     for t, wt in zip(nodes, weights):
         x3 = h * t
         try:
-            if svk:
+            if needs_C_f:
                 F = _materials.fiber_deformation_gradient(jet, profile, x3)
                 w = _materials.volumetric_energy(material, C_f=F.T @ F)
             else:
-                i1, i2, i3 = series.exact(x3)
+                i1, i2, i3 = _materials.fiber_invariants(jet, profile, x3)
                 w = _materials.volumetric_energy(material, i1, i2, i3)
         except _materials.StiffeningLimitError as e:
             raise _materials.StiffeningLimitError(
                 f"inadmissible fiber point x3 = {x3:.9g}: {e}") from e
         total += wt * w
     return h * total
-
-
-class _CubicView(object):
-    # adapter so general profiles expose alpha/beta/gamma for the series path
-    def __init__(self, profile):
-        self.phi = profile.phi
-        self.dphi = profile.dphi
-        d = 1e-5
-        self.alpha = profile.dphi(0.0)
-        self.beta = (profile.phi(d) + profile.phi(-d)) / (2.0 * d * d)
-        self.gamma = (profile.phi(2 * d) - 2 * profile.phi(d)
-                      + 2 * profile.phi(-d) - profile.phi(-2 * d)) / (12.0 * d ** 3)
-
-
-def _as_cubic(profile):
-    if hasattr(profile, "alpha") and hasattr(profile, "gamma"):
-        return profile
-    return _CubicView(profile)
 
 
 def fit_h_powers(h_samples, energies=None):

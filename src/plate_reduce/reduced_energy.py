@@ -12,25 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import (
-    CiarletGeymonat,
-    Gent,
-    MaterialDomainError,
-    MooneyRivlin,
-    NeoHookean,
-    SaintVenantKirchhoff,
-    StiffeningLimitError,
-    invariant_series,
-    volumetric_energy,
-)
+from .materials import (MaterialDomainError, StiffeningLimitError, as_model,
+                        invariant_series, volumetric_energy)
 from .surface_geometry import (DegenerateImmersionError, DomainError, JetBatch,
                                evaluate_jets, float_if_scalar,
                                raise_first_failure, unimodular_tolerance)
-from .thickness_profile import (
-    cg_profile,
-    incompressible_profile,
-    incompressible_profile_general,
-)
 
 __all__ = [
     "EnergyContents",
@@ -112,39 +98,6 @@ def _split(jet, mask, on_true, on_false):
 # generic quadratic expansion of the fiber energy
 
 
-def _invariant_partials(material, I1, I2, I3):
-    """Gradient and Hessian of the stored energy in the invariants.
-
-    Returned as nested lists, elementwise over arrays of invariants.  Only
-    invariant-based models are supported; entries the model does not
-    depend on stay zero.
-    """
-    g = [0.0] * 3
-    h = [[0.0] * 3 for _ in range(3)]
-    if isinstance(material, Gent):
-        gap = material.jm - (I1 - 3.0)
-        raise_first_failure((gap <= 0.0, lambda i: StiffeningLimitError(
-            f"I1 = {np.ravel(I1)[i]:.9g} reached the extensibility limit "
-            f"Jm + 3 = {material.jm + 3.0:.9g}")))
-        g[0] = 0.5 * material.mu * material.jm / gap
-        h[0][0] = 0.5 * material.mu * material.jm / gap**2
-    elif isinstance(material, NeoHookean):
-        g[0] = 0.5 * material.mu
-    elif isinstance(material, MooneyRivlin):
-        g[0] = 0.5 * material.mu * material.chi
-        g[1] = 0.5 * material.mu * (1.0 - material.chi)
-    elif isinstance(material, CiarletGeymonat):
-        s = material.a + material.b
-        g[0] = material.a
-        g[2] = material.b - s / I3
-        h[2][2] = s / I3**2
-    else:
-        raise TypeError(
-            f"{type(material).__name__} has no invariant representation; "
-            "its fiber energy cannot be expanded this way")
-    return g, h
-
-
 def energy_series_coefficients(material, series):
     """Constant and quadratic x3-coefficients of the fiber energy density.
 
@@ -162,12 +115,12 @@ def energy_series_coefficients(material, series):
         ``2 h w0 + (2/3) h^3 w2 + O(h^5)``.
     """
     I1, I2, I3 = series.i1[0], series.i2[0], series.i3[0]
-    g, h = _invariant_partials(material, I1, I2, I3)
+    g, h = as_model(material).partials(I1, I2, I3)
     w0 = volumetric_energy(material, I1, I2, I3)
     v1 = (series.i1[1], series.i2[1], series.i3[1])
     v2 = (series.i1[2], series.i2[2], series.i3[2])
     w2 = (sum(g[k] * v2[k] for k in range(3))
-          + 0.5 * sum(v1[j] * h[j][k] * v1[k] for j in range(3) for k in range(3)))
+          + 0.5 * sum(v1[k] * h[k] * v1[k] for k in range(3)))
     return float_if_scalar(w0), float_if_scalar(w2)
 
 
@@ -248,8 +201,7 @@ def cg_contents(jet, material):
     rearrangements `cg_bending_closed` and `cg_bending_lame` are kept as
     cross-checks.
     """
-    profile = cg_profile(jet, material)
-    return series_contents(jet, material, profile, "cg_minimizing_profile")
+    return series_contents(jet, material, material.profile(jet), material.series_id)
 
 
 def cg_stretching_closed(jet, material):
@@ -301,7 +253,8 @@ def cg_small_strain_contents(E, H, K, lam, mu):
     E = np.asarray(E, dtype=float)
     tr_e = np.trace(E)
     w1 = 2.0 * lam * mu / (lam + 2.0 * mu) * tr_e * tr_e + 2.0 * mu * np.trace(E @ E)
-    w3 = 16.0 / 3.0 * mu * (lam + mu) / (2.0 * mu + lam) * H * H - 4.0 / 3.0 * mu * K
+    # the bending content of an isometry
+    w3 = svk_content(H, K, lam, mu).bending
     return EnergyContents(float(w1), float(w3), "cg_small_strain")
 
 
@@ -373,6 +326,23 @@ def coupling_stationary_angles(kappa1, kappa2, lambda1):
 # per-point dispatch and area integration
 
 
+def _svk_closed_form(jet, material, tol):
+    eye = np.eye(2).reshape((2, 2) + (1,) * (np.ndim(jet.C) - 2))
+    strain = np.max(np.abs(jet.C - eye), axis=(0, 1))
+    raise_first_failure((strain > unimodular_tolerance(jet, tol), lambda i: MaterialDomainError(
+        f"Saint Venant-Kirchhoff content needs an unstretched "
+        f"mid-surface; max |C - I| = {np.ravel(strain)[i]:.6g}")))
+    return svk_content(jet.H, jet.K, material.lam, material.mu)
+
+
+# models whose contents have their own closed form, by config name; the
+# others take the invariant series along their profile rule
+_CLOSED_FORMS = {
+    "gent": lambda jet, material, tol: gent_contents(jet, material.mu, material.jm, tol=tol),
+    "svk": _svk_closed_form,
+}
+
+
 def point_contents(jet, material, tol=None):
     """Contents of the reduced energy at a surface point for any model.
 
@@ -382,12 +352,16 @@ def point_contents(jet, material, tol=None):
     would raise on its own, with that point's position as the error's
     ``index``.
 
-    Gent and Ciarlet-Geymonat use their closed forms; the other
-    incompressible models go through the series expansion along the
-    volume-preserving profile; Saint Venant-Kirchhoff requires an
-    unstretched mid-surface.
+    Gent and Saint Venant-Kirchhoff use their closed forms, the latter on
+    an unstretched mid-surface only; the other models go through the
+    series expansion along their profile rule (``material.profile``).
     """
-    contents = _model_contents(jet, material, tol)
+    closed_form = _CLOSED_FORMS.get(as_model(material).name)
+    if closed_form is not None:
+        contents = closed_form(jet, material, tol)
+    else:
+        contents = series_contents(jet, material, material.profile(jet, tol=tol),
+                                   material.series_id)
     if isinstance(jet, JetBatch):
         n = len(jet)
         return EnergyContents(
@@ -395,30 +369,6 @@ def point_contents(jet, material, tol=None):
             np.broadcast_to(contents.bending, (n,)).astype(float),
             np.broadcast_to(np.asarray(contents.formula_id, dtype=object), (n,)).copy())
     return contents
-
-
-def _model_contents(jet, material, tol):
-    if isinstance(material, Gent):
-        return gent_contents(jet, material.mu, material.jm, tol=tol)
-    if isinstance(material, CiarletGeymonat):
-        return cg_contents(jet, material)
-    if isinstance(material, (NeoHookean, MooneyRivlin)):
-        name = ("neo_hookean" if isinstance(material, NeoHookean)
-                else "mooney_rivlin")
-        return _split(
-            jet, np.abs(jet.detC - 1.0) <= unimodular_tolerance(jet, tol),
-            lambda part: series_contents(part, material, incompressible_profile(part, tol=tol),
-                                         f"{name}_series"),
-            lambda part: series_contents(part, material, incompressible_profile_general(part),
-                                         f"{name}_series"))
-    if isinstance(material, SaintVenantKirchhoff):
-        eye = np.eye(2).reshape((2, 2) + (1,) * (np.ndim(jet.C) - 2))
-        strain = np.max(np.abs(jet.C - eye), axis=(0, 1))
-        raise_first_failure((strain > unimodular_tolerance(jet, tol), lambda i: MaterialDomainError(
-            f"Saint Venant-Kirchhoff content needs an unstretched "
-            f"mid-surface; max |C - I| = {np.ravel(strain)[i]:.6g}")))
-        return svk_content(jet.H, jet.K, material.lam, material.mu)
-    raise TypeError(f"unknown material {type(material).__name__}")
 
 
 def grid_contents(surface, material, points):

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.optimize import brentq
 
-from .surface_geometry import (float_if_scalar, raise_first_failure,
+from .surface_geometry import (_where, float_if_scalar, raise_first_failure,
                                unimodular_tolerance)
 
 SHC_SERIES_CUTOFF = 1e-4
@@ -41,6 +40,8 @@ class PolyProfile:
     beta: float = 0.0
     gamma: float = 0.0
 
+    kind = "cubic"
+
     def __post_init__(self):
         if not np.all(np.greater(self.alpha, 0)):
             raise ValueError("profile slope alpha at the mid-plane must be positive")
@@ -67,6 +68,8 @@ class HyperbolicProfile:
     h: float
     xi: float
     alpha_bar: float = None
+
+    kind = "hyperbolic"
 
     def __post_init__(self):
         if self.mu <= 0 or self.lam <= 0:
@@ -133,8 +136,19 @@ class ExactIncompressibleProfile(object):
                 raise ProfileConstraintError(
                     f"fiber offset x3 = {x3:.6g} leaves the orientation-preserving range")
             hi *= 2.0
-        p = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-        return sign * p
+        # safeguarded Newton: f' is the area factor, each iterate shrinks
+        # the bracket (lo, hi] of the root, and a step leaving it bisects
+        p = hi
+        while True:
+            value = f(p)
+            lo, hi = (p, hi) if value < 0.0 else (lo, p)
+            area = self._area_factor(sign * p)
+            p_next = p - value / area if area > 0.0 else lo
+            if not lo < p_next <= hi:
+                p_next = 0.5 * (lo + hi)
+            if abs(p_next - p) <= 1e-15 + 8.9e-16 * abs(p):
+                return sign * p_next
+            p = p_next
 
     def dphi(self, x3):
         p = self.phi(x3)
@@ -157,15 +171,19 @@ def incompressible_profile(jet, tol=None):
     raise_first_failure((np.abs(jet.detC - 1.0) > tol, lambda i: ProfileConstraintError(
         f"det C = {np.ravel(jet.detC)[i]:.12g} is not 1 within {tol:g}; "
         "use incompressible_profile_general for area-changing stretches")))
-    return PolyProfile(alpha=1.0, beta=-jet.H,
-                       gamma=(6.0 * jet.H * jet.H - jet.K) / 3.0)
+    return incompressible_profile_general(jet, tol)
 
 
-def incompressible_profile_general(jet):
+def incompressible_profile_general(jet, tol=0.0):
     """Cubic profile keeping det C_f = 1 through quadratic order for any
-    mid-surface stretch."""
+    mid-surface stretch.
+
+    det C within ``tol`` of 1 is taken as 1, which gives the coefficients
+    of ``incompressible_profile``; over a batch, point by point.
+    """
     d = jet.detC
     raise_first_failure((d <= 0, lambda i: ProfileConstraintError("det C must be positive")))
+    d = _where(np.abs(d - 1.0) <= tol, 1.0, d)
     return PolyProfile(alpha=1.0 / np.sqrt(d),
                        beta=-jet.H / d,
                        gamma=(6.0 * jet.H * jet.H - jet.K) / (3.0 * d ** 1.5))

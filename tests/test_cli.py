@@ -16,6 +16,7 @@ from plate_reduce.cli_io import (
     CSV_COLUMNS,
     ConfigError,
     VerifyContext,
+    _write_json,
     load_config,
     main,
     parse_config,
@@ -240,6 +241,32 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize("changes,message", [
+    ({"surface": {"name": "saddle", "a": 1e9}},
+     "stretch tensor not positive definite"),
+    ({"derivative_mode": "finite-difference", "fd_step": 1.0},
+     "outside domain of 'cylinder'"),
+], ids=["saddle_a_1e9", "fd_step_1"])
+def test_degenerate_or_outside_surfaces_are_config_errors(
+        tmp_path, capsys, command, changes, message):
+    if command == "sweep":
+        changes = dict(changes, options={"sweep": {"param": "h", "values": [1e-3]}})
+    code, out = run_cli(tmp_path, _patched(**changes), command=command)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_write_json_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "summary.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _write_json(str(path), {"energy": math.nan})
+    assert not path.exists()
+
+
 def test_material_parameters_must_be_numbers():
     with pytest.raises(ConfigError, match="material: 'mu' must be a number"):
         parse_config(_patched(material={"model": "neo_hookean", "mu": "10"}))
@@ -449,6 +476,20 @@ def test_console_script(tmp_path):
     assert proc.returncode == 0
     assert (out / "summary.json").exists()
     assert "evaluated 9 points" in proc.stdout
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the only runtime dependency; a fresh process shows what the
+    # CLI module pulls in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plate_reduce.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import plate_reduce.cli_io, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_uniform_stretch_cone_surface():

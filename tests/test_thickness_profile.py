@@ -113,6 +113,19 @@ def test_exact_profile_has_unit_fiber_determinant(name, x):
             pytest.approx(1.0 / (np.sqrt(jet.detC) * area), rel=1e-12)
 
 
+def test_exact_profile_solves_its_cubic_to_rounding():
+    # tiny offsets included: the root is resolved relative to its size
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        jet = SimpleNamespace(H=rng.uniform(-2.0, 2.0), K=rng.uniform(-3.0, 3.0),
+                              detC=rng.uniform(0.5, 2.0))
+        profile = ExactIncompressibleProfile(jet)
+        for x3 in (1e-9, -1e-6, 0.05, -0.1):
+            phi = profile.phi(x3)
+            anti = phi + jet.H * phi ** 2 + jet.K * phi ** 3 / 3.0
+            assert anti == pytest.approx(x3 / np.sqrt(jet.detC), rel=1e-14, abs=0.0)
+
+
 def test_exact_profile_detects_orientation_loss():
     profile = ExactIncompressibleProfile(jet_of("cylinder", (0.05, -0.3)))
     with pytest.raises(ProfileConstraintError, match="orientation"):
