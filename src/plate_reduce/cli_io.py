@@ -40,7 +40,7 @@ from .reduced_energy import (cg_contents, cg_small_strain_contents,
 from .surface_geometry import (DegenerateImmersionError, DomainError,
                                ParametricSurface, appendix_H_K,
                                catalog_surface, evaluate_jet,
-                               verify_orientation)
+                               uniform_stretch_cone, verify_orientation)
 from .thickness_profile import (ExactIncompressibleProfile, PolyProfile,
                                 ProfileConstraintError, cg_profile,
                                 deformed_thickness, incompressible_profile,
@@ -419,45 +419,6 @@ def _check_gent_stretching(ctx):
                     float(target), rel_tol, detail)
 
 
-def uniform_stretch_cone(lambda1, bounds=((0.55, 1.45), (-0.45, 0.45))):
-    """Developable cone whose principal stretches are (lambda1, 1/lambda1)
-    at every point of the (apex-free) parameter box.
-
-    The image of x is (s x1, s x2, k |x|) with s = 1/lambda1 and
-    k^2 = lambda1^2 - s^2, so the radial direction stretches by lambda1
-    and the angular one by 1/lambda1 while the Gauss curvature vanishes.
-    Requires lambda1 > 1.
-    """
-    lambda1 = float(lambda1)
-    if lambda1 <= 1.0:
-        raise ValueError("cone construction needs lambda1 > 1")
-    s = 1.0 / lambda1
-    k = np.sqrt(lambda1 ** 2 - s ** 2)
-    if bounds[0][0] <= 0.0:
-        raise ValueError("parameter box must exclude the apex (x1 > 0)")
-
-    def _map(x):
-        return np.array([s * x[0], s * x[1], k * np.hypot(x[0], x[1])])
-
-    def _grad(x):
-        rho = np.hypot(x[0], x[1])
-        return np.array([[s, 0.0], [0.0, s],
-                         [k * x[0] / rho, k * x[1] / rho]])
-
-    def _hess(x):
-        rho = np.hypot(x[0], x[1])
-        hh = np.zeros((3, 2, 2))
-        for i in range(2):
-            for j in range(2):
-                hh[2, i, j] = k * ((1.0 if i == j else 0.0) / rho
-                                   - x[i] * x[j] / rho ** 3)
-        return hh
-
-    return ParametricSurface(map=_map, grad=_grad, hess=_hess,
-                             derivative_mode="analytic", step=1e-4,
-                             domain=bounds, name="uniform_stretch_cone")
-
-
 def _check_theorema_egregium(ctx):
     # Gauss curvature recovered from connector fields alone: the curl
     # route on a dense patch, and the reduced uniform-stretch identity
@@ -782,16 +743,11 @@ def _check_cross_path_curvatures(ctx):
 def _check_orientation(ctx):
     # Fiber Jacobian positivity at working thickness on all catalog
     # surfaces, and loss of orientation at an excessive thickness.
-    reports = {}
-    for name, _ in _CODAZZI_CENTERS:
-        surface = catalog_surface(name)
-        profile = lambda x, s=surface: incompressible_profile_general(
-            evaluate_jet(s, x))
-        reports[name] = verify_orientation(surface, profile, 0.01)
-    cylinder = catalog_surface("cylinder")
-    profile = lambda x, s=cylinder: incompressible_profile_general(
-        evaluate_jet(s, x))
-    thick = verify_orientation(cylinder, profile, 0.9)
+    reports = {name: verify_orientation(catalog_surface(name),
+                                        incompressible_profile_general, 0.01)
+               for name, _ in _CODAZZI_CENTERS}
+    thick = verify_orientation(catalog_surface("cylinder"),
+                               incompressible_profile_general, 0.9)
 
     passed = all(r.passed for r in reports.values()) and not thick.passed
     min_det = min(r.min_det_F for r in reports.values())

@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .surface_geometry import DomainError, evaluate_jet
+from .surface_geometry import DomainError, _dot, _eigen_gap, evaluate_jets
 
 __all__ = [
     "ConnectorFrame",
@@ -29,10 +29,6 @@ __all__ = [
     "gauss_uniform_stretch",
     "check_codazzi",
 ]
-
-# eigenvalue gap (in units of the metric scale) below which the stretch
-# frame is treated as umbilic and connector division is refused
-UMBILIC_GAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -93,25 +89,67 @@ class ConnectorFrame:
         )
 
 
-def _metric_gradient(jet):
-    """d_k C as a (2, 2, 2) array, first index the derivative direction."""
-    g, h = jet.grad_y, jet.hess_y
-    return (np.einsum("mik,mj->kij", h, g) + np.einsum("mi,mjk->kij", g, h))
+def _dot2(a, b):
+    return a[0] * b[0] + a[1] * b[1]
 
 
 def _c_vector(jet):
-    """Rotation rate of the stretch frame, with an ill-conditioning flag."""
-    dC = _metric_gradient(jet)
-    num = np.array([jet.r2 @ dC[k] @ jet.r1 for k in range(2)])
-    gap = jet.lambda1**2 - jet.lambda2**2
-    scale = jet.lambda1**2 + jet.lambda2**2
-    if gap <= UMBILIC_GAP * scale:
-        # constant-metric umbilics (plane, cylinder) have zero numerator and
-        # a well-defined zero rotation rate; anything else is unresolvable
-        dscale = np.max(np.abs(dC)) + scale
-        c = np.where(np.abs(num) <= 1e-9 * dscale, 0.0, np.nan)
-        return c, True
-    return num / gap, False
+    """Rotation rate of the stretch frame at each point of a JetBatch,
+    (2, N), and the mask of umbilic points where it is ill-conditioned."""
+    g, h = jet.grad_y, jet.hess_y
+    # dC[k, i, j] = d_k C_ij = (d_k a_i) . a_j + a_i . (d_k a_j)
+    dC = np.array([[[_dot(h[:, i, k], g[:, j]) + _dot(g[:, i], h[:, j, k])
+                     for j in range(2)] for i in range(2)] for k in range(2)])
+    num = sum(jet.r2[i] * dC[:, i, j] * jet.r1[j]
+              for i in range(2) for j in range(2))
+    ill = _eigen_gap(jet.C)[2]
+    # constant-metric umbilics (plane, cylinder) have zero numerator and
+    # a well-defined zero rotation rate; anything else is unresolvable
+    dscale = np.abs(dC).max(axis=(0, 1, 2)) + jet.lambda1 ** 2 + jet.lambda2 ** 2
+    umbilic_c = np.where(np.abs(num) <= 1e-9 * dscale, 0.0, np.nan)
+    gap = np.where(ill, 1.0, jet.lambda1 ** 2 - jet.lambda2 ** 2)
+    return np.where(ill, umbilic_c, num / gap), ill
+
+
+def _frame_fields(surface, points, c12_step, with_c12):
+    """Every ConnectorFrame field at the points (N, 2), the point axis
+    trailing each field's own shape; warns once per umbilic point."""
+    jet = evaluate_jets(surface, points)
+    c, ill = _c_vector(jet)
+    for x in points[ill]:
+        warnings.warn(
+            f"umbilic stretch at ({x[0]:.6g}, {x[1]:.6g}): frame rotation "
+            "rate is ill-conditioned", RuntimeWarning)
+
+    r1, r2, h = jet.r1, jet.r2, jet.hess_y
+    c_star = np.array([(_dot(jet.l2, h[:, 0, k] * r1[0] + h[:, 1, k] * r1[1])
+                        + jet.lambda2 * c[k]) / jet.lambda1 for k in range(2)])
+    d1, d2 = (-np.array([_dot(jet.grad_nu[:, k], l) for k in range(2)])
+              for l in (jet.l1, jet.l2))
+
+    c12 = np.full(len(points), np.nan)
+    if with_c12:
+        grad_c = []  # d_k c, central differences of the c-field
+        for e in c12_step * np.eye(2):
+            minus, ill_minus = _c_vector(evaluate_jets(surface, points - e))
+            plus, ill_plus = _c_vector(evaluate_jets(surface, points + e))
+            ill = ill | ill_minus | ill_plus
+            grad_c.append((plus - minus) / (2.0 * c12_step))
+        c12 = _dot2(r1, grad_c[0] * r2[0] + grad_c[1] * r2[1])
+
+    return dict(x=points.T, lambda1=jet.lambda1, lambda2=jet.lambda2,
+                r1=r1, r2=r2, c=c, c_star=c_star, d1_star=d1, d2_star=d2,
+                dij=np.array([[_dot2(d, r1), _dot2(d, r2)] for d in (d1, d2)]),
+                c1=_dot2(c, r1), c2=_dot2(c, r2), c12=c12, ill_conditioned=ill)
+
+
+def _frame_at(fields, n):
+    """The ConnectorFrame of point ``n`` of ``_frame_fields``."""
+    frame = {name: value[..., n] for name, value in fields.items()}
+    for name in ("lambda1", "lambda2", "c1", "c2", "c12"):
+        frame[name] = float(frame[name])
+    frame["ill_conditioned"] = bool(frame["ill_conditioned"])
+    return ConnectorFrame(**frame)
 
 
 def compute_frame(surface, x, c12_step=1e-4, with_c12=True):
@@ -120,6 +158,8 @@ def compute_frame(surface, x, c12_step=1e-4, with_c12=True):
     Parameters
     ----------
     surface : ParametricSurface
+        Its callables must broadcast over point axes (see
+        ParametricSurface); the point is evaluated as a batch of one.
     x : (2,) array_like
         Evaluation point; must leave room for the c12 stencil.
     c12_step : float
@@ -134,42 +174,7 @@ def compute_frame(surface, x, c12_step=1e-4, with_c12=True):
         rate is ill-conditioned; the output is flagged.
     """
     x = np.asarray(x, dtype=float)
-    jet = evaluate_jet(surface, x)
-    c, ill = _c_vector(jet)
-    if ill:
-        warnings.warn(
-            f"umbilic stretch at ({x[0]:.6g}, {x[1]:.6g}): frame rotation "
-            "rate is ill-conditioned", RuntimeWarning)
-
-    lam1, lam2 = jet.lambda1, jet.lambda2
-    r1, r2, l1, l2 = jet.r1, jet.r2, jet.l1, jet.l2
-    h = jet.hess_y
-    c_star = np.array([
-        (l2 @ (h[:, :, k] @ r1) + lam2 * c[k]) / lam1 for k in range(2)])
-    d1 = -jet.grad_nu.T @ l1
-    d2 = -jet.grad_nu.T @ l2
-    dij = np.array([[d1 @ r1, d1 @ r2], [d2 @ r1, d2 @ r2]])
-
-    c12 = np.nan
-    if with_c12:
-        cs = []
-        for k in range(2):
-            for sgn in (-1.0, 1.0):
-                xn = x.copy()
-                xn[k] += sgn * c12_step
-                cn, illn = _c_vector(evaluate_jet(surface, xn))
-                ill = ill or illn
-                cs.append(cn)
-        grad_c = np.column_stack([
-            (cs[1] - cs[0]) / (2.0 * c12_step),
-            (cs[3] - cs[2]) / (2.0 * c12_step)])
-        c12 = float(r1 @ grad_c @ r2)
-
-    return ConnectorFrame(
-        x=x, lambda1=lam1, lambda2=lam2, r1=r1, r2=r2,
-        c=c, c_star=c_star, d1_star=d1, d2_star=d2, dij=dij,
-        c1=float(c @ r1), c2=float(c @ r2), c12=c12,
-        ill_conditioned=bool(ill))
+    return _frame_at(_frame_fields(surface, x[None, :], c12_step, with_c12), 0)
 
 
 def c_star_from_metric(frame, jet, grad_lambdas):
@@ -254,19 +259,20 @@ def sample_frame_grid(surface, grid=(9, 9), bounds=None, inset=0.08,
     xs = np.linspace(u0, u1, nx)
     ys = np.linspace(v0, v1, ny)
 
-    frames = [[compute_frame(surface, np.array([x, y]), c12_step, with_c12)
-               for y in ys] for x in xs]
+    points = np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)])
+    fields = _frame_fields(surface, points, c12_step, with_c12)
 
-    sign = np.ones((nx, ny))
-    for i in range(1, nx):
-        d = frames[i][0].r1 @ frames[i - 1][0].r1
-        sign[i, 0] = sign[i - 1, 0] * (1.0 if d >= 0.0 else -1.0)
-    for i in range(nx):
-        for j in range(1, ny):
-            d = frames[i][j].r1 @ frames[i][j - 1].r1
-            sign[i, j] = sign[i, j - 1] * (1.0 if d >= 0.0 else -1.0)
-    frames = [[frames[i][j] if sign[i, j] > 0 else frames[i][j].flipped()
-               for j in range(ny)] for i in range(nx)]
+    # -1 where r1 opposes its predecessor's; the running products of these
+    # down the first column, then along each row, are the gauge signs
+    r1 = fields["r1"].reshape(2, nx, ny)
+    keeps = lambda a, b: np.where(_dot2(a, b) >= 0.0, 1.0, -1.0)
+    first = np.cumprod(np.append(1.0, keeps(r1[:, 1:, 0], r1[:, :-1, 0])))
+    sign = np.cumprod(np.column_stack(
+        [first, keeps(r1[:, :, 1:], r1[:, :, :-1])]), axis=1).ravel()
+    for name in ("r1", "r2", "d1_star", "d2_star", "c1", "c2"):
+        fields[name] = fields[name] * sign
+    frames = [[_frame_at(fields, i * ny + j) for j in range(ny)]
+              for i in range(nx)]
     return FrameGrid(xs=xs, ys=ys, frames=frames)
 
 
@@ -283,12 +289,13 @@ def _interior(grid, i, j):
     return i, j
 
 
-def _curl_at(grid, name, i, j):
+def _curl(grid, name):
+    """Central-difference planar curl d1 v2 - d2 v1 of a frame field at
+    the interior nodes, (nx - 2, ny - 2)."""
+    v = grid.field(name)
     dx, dy = grid.spacing
-    f = grid.frames
-    d1v2 = (getattr(f[i + 1][j], name)[1] - getattr(f[i - 1][j], name)[1]) / (2 * dx)
-    d2v1 = (getattr(f[i][j + 1], name)[0] - getattr(f[i][j - 1], name)[0]) / (2 * dy)
-    return d1v2 - d2v1
+    return ((v[2:, 1:-1, 1] - v[:-2, 1:-1, 1]) / (2 * dx)
+            - (v[1:-1, 2:, 0] - v[1:-1, :-2, 0]) / (2 * dy))
 
 
 def gauss_from_connectors(grid, jet=None, i=None, j=None):
@@ -307,7 +314,7 @@ def gauss_from_connectors(grid, jet=None, i=None, j=None):
     node = grid.frames[i][j]
     lam1 = jet.lambda1 if jet is not None else node.lambda1
     lam2 = jet.lambda2 if jet is not None else node.lambda2
-    return float(-_curl_at(grid, "c_star", i, j) / (lam1 * lam2))
+    return float(-_curl(grid, "c_star")[i - 1, j - 1] / (lam1 * lam2))
 
 
 def gauss_uniform_stretch(frame, lambda1):
@@ -322,7 +329,7 @@ def gauss_uniform_stretch(frame, lambda1):
 
 
 def _cross2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 @dataclass(frozen=True)
@@ -337,7 +344,9 @@ class CodazziReport:
     spacing: Tuple[float, float]
 
     def max_residual(self):
-        return max(self.curl_c_star, self.curl_d1_star, self.curl_d2_star)
+        """The largest curl residual; NaN when any of them is NaN."""
+        return float(np.max([self.curl_c_star, self.curl_d1_star,
+                             self.curl_d2_star]))
 
 
 def check_codazzi(grid):
@@ -345,23 +354,15 @@ def check_codazzi(grid):
 
     Checks curl c* = d2* x d1*, curl d1* = c* x d2*, curl d2* = d1* x c*
     (planar curls, scalar crosses), and the symmetry of grad c, at every
-    interior node; reports the max absolute residual of each.
+    interior node; reports the max absolute residual of each, NaN when
+    any of its residuals is NaN.
     """
-    nx, ny = grid.shape
-    r = np.zeros(4)
-    n = 0
-    for i in range(1, nx - 1):
-        for j in range(1, ny - 1):
-            f = grid.frames[i][j]
-            r[0] = max(r[0], abs(_curl_at(grid, "c_star", i, j)
-                                 - _cross2(f.d2_star, f.d1_star)))
-            r[1] = max(r[1], abs(_curl_at(grid, "d1_star", i, j)
-                                 - _cross2(f.c_star, f.d2_star)))
-            r[2] = max(r[2], abs(_curl_at(grid, "d2_star", i, j)
-                                 - _cross2(f.d1_star, f.c_star)))
-            r[3] = max(r[3], abs(_curl_at(grid, "c", i, j)))
-            n += 1
+    c_star, d1, d2 = (grid.field(name)[1:-1, 1:-1]
+                      for name in ("c_star", "d1_star", "d2_star"))
+    residuals = (_curl(grid, "c_star") - _cross2(d2, d1),
+                 _curl(grid, "d1_star") - _cross2(c_star, d2),
+                 _curl(grid, "d2_star") - _cross2(d1, c_star),
+                 _curl(grid, "c"))
     return CodazziReport(
-        curl_c_star=float(r[0]), curl_d1_star=float(r[1]),
-        curl_d2_star=float(r[2]), c_compatibility=float(r[3]),
-        n_interior=n, spacing=grid.spacing)
+        *(float(np.max(np.abs(r), initial=0.0)) for r in residuals),
+        n_interior=residuals[0].size, spacing=grid.spacing)

@@ -245,6 +245,14 @@ def _fd_hess(surface, x, step):
     return 0.5 * (h + h.swapaxes(1, 2))
 
 
+def _eigen_gap(C):
+    """Mean and half gap of the eigenvalues of 2x2 symmetric ``C`` (2, 2,
+    ...), and the umbilic mask of the stretch frame and its connectors."""
+    mean = 0.5 * (C[0, 0] + C[1, 1])
+    gap = np.hypot(0.5 * (C[0, 0] - C[1, 1]), C[0, 1])
+    return mean, gap, gap <= UMBILIC_GAP * np.abs(mean)
+
+
 def _stretch_frame(C):
     """Eigenvalues and deterministic eigenframe of 2x2 SPD matrices.
 
@@ -253,12 +261,9 @@ def _stretch_frame(C):
     the +x1 half plane (+x2 on its edge).
     """
     c11, c12, c22 = C[0, 0], C[0, 1], C[1, 1]
-    mean = 0.5 * (c11 + c22)
-    diff = 0.5 * (c11 - c22)
-    gap = np.hypot(diff, c12)
+    mean, gap, tie = _eigen_gap(C)
     mu1 = mean + gap
     mu2 = mean - gap
-    tie = gap <= UMBILIC_GAP * np.abs(mean)
     # eigenvector of mu1 from the longer of the two rows of C - mu1 I
     v1x, v1y = c12, mu1 - c11
     v2x, v2y = mu1 - c22, c12
@@ -424,58 +429,47 @@ def verify_orientation(surface, profile, h, grid=(5, 5), n_x3=9):
     """Check that the thickened deformation preserves orientation.
 
     ``profile`` is either a fixed through-thickness profile (methods
-    ``phi``/``dphi``) or a callable x -> profile; in the callable case the
+    ``phi``/``dphi``) or a profile rule jet -> profile such as
+    ``incompressible_profile_general``, applied to the jets of the grid
+    and of its neighbors one ``surface.step`` away; in the rule case the
     in-plane profile gradient is estimated by central differences and
-    included in the fiber deformation gradient.  Diagnostic only: negative
-    Jacobians are reported, not raised.
+    included in the fiber deformation gradient.  Diagnostic only:
+    negative Jacobians are reported, not raised.
     """
-    per_point = callable(profile) and not hasattr(profile, "phi")
+    rule = callable(profile) and not hasattr(profile, "phi")
     step = surface.step
     margin = 2.0 * step + (2.0 * step if surface.derivative_mode == "finite-difference" else 0.0)
     (lo1, hi1), (lo2, hi2) = surface.domain
     xs = np.linspace(lo1 + margin, hi1 - margin, grid[0])
     ys = np.linspace(lo2 + margin, hi2 - margin, grid[1])
     x3s = np.linspace(-h, h, n_x3)
+    points = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
+    jet = evaluate_jets(surface, points)
 
-    best = np.inf
-    arg_x = (xs[0], ys[0])
-    arg_x3 = x3s[0]
-    bad = 0
-    for x1 in xs:
-        for x2 in ys:
-            x = np.array([x1, x2])
-            jet = evaluate_jet(surface, x)
-            if per_point:
-                prof = profile(x)
-                neighbors = []
-                for k in range(2):
-                    e = np.zeros(2)
-                    e[k] = step
-                    neighbors.append((profile(x + e), profile(x - e)))
-            else:
-                prof = profile
-            for x3 in x3s:
-                phi = prof.phi(x3)
-                dphi = prof.dphi(x3)
-                F = np.empty((3, 3))
-                F[:, :2] = jet.grad_y + phi * jet.grad_nu
-                if per_point:
-                    for k in range(2):
-                        pp, pm = neighbors[k]
-                        gphi_k = (pp.phi(x3) - pm.phi(x3)) / (2.0 * step)
-                        F[:, k] += gphi_k * jet.normal
-                F[:, 2] = dphi * jet.normal
-                det = np.linalg.det(F)
-                if det < best:
-                    best = det
-                    arg_x = (float(x1), float(x2))
-                    arg_x3 = float(x3)
-                if det <= 0.0:
-                    bad += 1
-    n_total = grid[0] * grid[1] * n_x3
+    def along(prof, what):  # (n_x3, points or 1)
+        return np.reshape([getattr(prof, what)(x3) for x3 in x3s], (n_x3, -1))
+
+    # F over (3, 3, x3, point), as materials.fiber_deformation_gradient
+    prof = profile(jet) if rule else profile
+    F = np.empty((3, 3, n_x3, len(points)))
+    F[:, :2] = jet.grad_y[:, :, None] + along(prof, "phi") * jet.grad_nu[:, :, None]
+    if rule:
+        for k, e in enumerate(step * np.eye(2)):
+            plus = along(profile(evaluate_jets(surface, points + e)), "phi")
+            minus = along(profile(evaluate_jets(surface, points - e)), "phi")
+            F[:, k] += (plus - minus) / (2.0 * step) * jet.normal[:, None]
+    F[:, 2] = along(prof, "dphi") * jet.normal[:, None]
+    det = np.linalg.det(np.moveaxis(F, (0, 1), (-2, -1))).T.ravel()
+
+    # the first minimum in (x1, x2, x3) loop order; a NaN Jacobian is
+    # the minimum and fails the check
+    n = int(np.argmin(det))
+    point, x3 = divmod(n, n_x3)
     return OrientationReport(
-        min_det_F=float(best), argmin_x=arg_x, argmin_x3=arg_x3,
-        n_points=n_total, n_nonpositive=bad, passed=bool(best > 0.0),
+        min_det_F=float(det[n]),
+        argmin_x=(float(points[point, 0]), float(points[point, 1])),
+        argmin_x3=float(x3s[x3]), n_points=det.size,
+        n_nonpositive=int(np.sum(det <= 0.0)), passed=bool(det[n] > 0.0),
     )
 
 
@@ -704,6 +698,48 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
         map=_map, grad=_grad, hess=_hess,
         derivative_mode=derivative_mode, step=step, domain=box, name=name,
     )
+
+
+def uniform_stretch_cone(lambda1, bounds=((0.55, 1.45), (-0.45, 0.45))):
+    """Developable cone whose principal stretches are (lambda1, 1/lambda1)
+    at every point of the (apex-free) parameter box.
+
+    The image of x is (s x1, s x2, k |x|) with s = 1/lambda1 and
+    k^2 = lambda1^2 - s^2, so the radial direction stretches by lambda1
+    and the angular one by 1/lambda1 while the Gauss curvature vanishes.
+    Requires lambda1 > 1.  Not a config surface name; its callables
+    broadcast like the catalog's.
+    """
+    lambda1 = float(lambda1)
+    if lambda1 <= 1.0:
+        raise ValueError("cone construction needs lambda1 > 1")
+    s = 1.0 / lambda1
+    k = np.sqrt(lambda1 ** 2 - s ** 2)
+    if bounds[0][0] <= 0.0:
+        raise ValueError("parameter box must exclude the apex (x1 > 0)")
+
+    def _map(x):
+        return np.array([s * x[0], s * x[1], k * np.hypot(x[0], x[1])])
+
+    def _grad(x):
+        rho = np.hypot(x[0], x[1])
+        g = _constant(((s, 0.0), (0.0, s), (0.0, 0.0)), x)
+        g[2, 0] = k * x[0] / rho
+        g[2, 1] = k * x[1] / rho
+        return g
+
+    def _hess(x):
+        rho = np.hypot(x[0], x[1])
+        hh = _zero_hess(x)
+        for i in range(2):
+            for j in range(2):
+                hh[2, i, j] = k * ((1.0 if i == j else 0.0) / rho
+                                   - x[i] * x[j] / _pow(rho, 3))
+        return hh
+
+    return ParametricSurface(map=_map, grad=_grad, hess=_hess,
+                             derivative_mode="analytic", step=1e-4,
+                             domain=bounds, name="uniform_stretch_cone")
 
 
 def _reject_unknown(params, allowed, name):

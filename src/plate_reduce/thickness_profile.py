@@ -131,11 +131,16 @@ class ExactIncompressibleProfile(object):
         target = abs(t)
         lo, hi = 0.0, abs(t)
         f = lambda p: sign * self._antiderivative(sign * p) - target
+        # the monotone branch ends where the area factor first vanishes in
+        # p > 0: at 1/q for the larger root q of q^2 + 2 H sign q + K > 0
+        disc = self.H * self.H - self.K
+        q = -sign * self.H + np.sqrt(disc) if disc >= 0.0 else 0.0
+        p_end = 1.0 / q if q > 0.0 else np.inf
         while f(hi) < 0.0:
-            if self._area_factor(sign * hi) <= 0.0:
+            if hi >= p_end:
                 raise ProfileConstraintError(
                     f"fiber offset x3 = {x3:.6g} leaves the orientation-preserving range")
-            hi *= 2.0
+            hi = min(2.0 * hi, p_end)
         # safeguarded Newton: f' is the area factor, each iterate shrinks
         # the bracket (lo, hi] of the root, and a step leaving it bisects
         p = hi

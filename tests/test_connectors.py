@@ -1,6 +1,7 @@
 """Tests for the stretch-eigenframe connector fields."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from plate_reduce import (
     CodazziReport,
     ConnectorFrame,
     DomainError,
+    FrameGrid,
     c_star_from_metric,
     catalog_surface,
     check_codazzi,
@@ -20,6 +22,7 @@ from plate_reduce import (
     sample_frame_grid,
 )
 from plate_reduce.cli_io import uniform_stretch_cone
+from plate_reduce.surface_geometry import UMBILIC_GAP
 
 BUMP_X = np.array([0.3, 0.2])
 
@@ -115,6 +118,18 @@ def test_umbilic_frames_warn_and_flag():
         assert frame.ill_conditioned
         assert np.array_equal(frame.c, np.zeros(2))
         assert frame.c12 == 0.0
+
+
+def test_frame_near_the_sphere_center_is_resolved():
+    # the relative stretch gap here is about 2.5e-11: not a tie of the
+    # stretch frame, so the rotation rate 1/rho is resolved, unflagged
+    surface = catalog_surface("sphere_cap")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        frame = compute_frame(surface, np.array([1e-5, 0.0]))
+    assert caught == []
+    assert not frame.ill_conditioned
+    assert np.hypot(*frame.c) == pytest.approx(1e5, rel=1e-6)
 
 
 def test_bump_frame_emits_no_warning():
@@ -242,3 +257,108 @@ def test_max_residual_excludes_c_compatibility():
                            curl_d2_star=3e-6, c_compatibility=99.0,
                            n_interior=1, spacing=(0.1, 0.1))
     assert report.max_residual() == 3e-6
+
+
+# ---------------------------------------------------------------------------
+# batched frames against the per-point matrix route
+
+
+def matrix_route_frame(surface, x, c12_step):
+    """The frame fields at x by per-point jets and matrix products."""
+    def c_vector(jet):
+        g, h = jet.grad_y, jet.hess_y
+        dC = np.einsum("mik,mj->kij", h, g) + np.einsum("mi,mjk->kij", g, h)
+        num = np.array([jet.r2 @ dC[k] @ jet.r1 for k in range(2)])
+        gap = jet.lambda1**2 - jet.lambda2**2
+        scale = jet.lambda1**2 + jet.lambda2**2
+        if gap <= UMBILIC_GAP * scale:
+            dscale = np.max(np.abs(dC)) + scale
+            return np.where(np.abs(num) <= 1e-9 * dscale, 0.0, np.nan)
+        return num / gap
+
+    jet = evaluate_jet(surface, x)
+    c = c_vector(jet)
+    r1, r2, l1, l2 = jet.r1, jet.r2, jet.l1, jet.l2
+    c_star = np.array([(l2 @ (jet.hess_y[:, :, k] @ r1) + jet.lambda2 * c[k])
+                       / jet.lambda1 for k in range(2)])
+    d1 = -jet.grad_nu.T @ l1
+    d2 = -jet.grad_nu.T @ l2
+    cs = []
+    for k in range(2):
+        for sgn in (-1.0, 1.0):
+            xn = x.copy()
+            xn[k] += sgn * c12_step
+            cs.append(c_vector(evaluate_jet(surface, xn)))
+    grad_c = np.column_stack([(cs[1] - cs[0]) / (2.0 * c12_step),
+                              (cs[3] - cs[2]) / (2.0 * c12_step)])
+    return dict(lambda1=jet.lambda1, lambda2=jet.lambda2, r1=r1, r2=r2, c=c,
+                c_star=c_star, d1_star=d1, d2_star=d2,
+                dij=np.array([[d1 @ r1, d1 @ r2], [d2 @ r1, d2 @ r2]]),
+                c1=c @ r1, c2=c @ r2, c12=r1 @ grad_c @ r2)
+
+
+ODD_FIELDS = ("r1", "r2", "d1_star", "d2_star", "c1", "c2")
+# fields compared against a common scale: components of one vector field
+# (c1, c2 of c; dij of the d-fields) may vanish up to its rounding
+SCALE_GROUPS = (("c", "c1", "c2"), ("c_star",), ("d1_star", "d2_star", "dij"),
+                ("c12",))
+
+
+@pytest.mark.parametrize("name", ["plane", "uniform_stretch", "cylinder",
+                                  "sphere_cap", "saddle", "gaussian_bump",
+                                  "uniform_stretch_cone"])
+def test_frame_grid_matches_matrix_route(name):
+    surface = (uniform_stretch_cone(2.0) if name == "uniform_stretch_cone"
+               else catalog_surface(name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        grid = sample_frame_grid(surface, grid=(11, 11), with_c12=True)
+        ref = [[matrix_route_frame(surface, np.array([x, y]), 1e-4)
+                for y in grid.ys] for x in grid.xs]
+    # gauge: propagate r1 signs down the first column, then along rows
+    sign = np.ones((11, 11))
+    for i in range(1, 11):
+        d = ref[i][0]["r1"] @ ref[i - 1][0]["r1"]
+        sign[i, 0] = sign[i - 1, 0] * (1.0 if d >= 0.0 else -1.0)
+    for i in range(11):
+        for j in range(1, 11):
+            d = ref[i][j]["r1"] @ ref[i][j - 1]["r1"]
+            sign[i, j] = sign[i, j - 1] * (1.0 if d >= 0.0 else -1.0)
+    def reference(field):
+        want = np.array([[f[field] for f in row] for row in ref])
+        if field in ODD_FIELDS:
+            want = want * sign.reshape(sign.shape + (1,) * (want.ndim - 2))
+        return want
+
+    for field in ("lambda1", "lambda2", "r1", "r2"):
+        assert np.array_equal(grid.field(field), reference(field)), field
+    for group in SCALE_GROUPS:
+        scale = max(np.nanmax(np.abs(reference(field)), initial=0.0)
+                    for field in group)
+        for field in group:
+            got, want = grid.field(field), reference(field)
+            assert np.array_equal(np.isnan(got), np.isnan(want)), field
+            gap = np.nanmax(np.abs(got - want), initial=0.0)
+            assert gap <= 1e-12 * scale, f"{field}: gap {gap:.3g} of {scale:.3g}"
+
+
+def test_check_codazzi_keeps_nan_residuals():
+    grid = sample_frame_grid(catalog_surface("saddle"), grid=(5, 5),
+                             bounds=((0.1, 0.3), (0.05, 0.25)))
+    frames = [list(row) for row in grid.frames]
+    frames[2][2] = replace(frames[2][2], c_star=np.full(2, np.nan))
+    report = check_codazzi(FrameGrid(xs=grid.xs, ys=grid.ys, frames=frames))
+    assert np.isnan(report.curl_c_star)
+    assert np.isnan(report.curl_d1_star)
+    assert np.isnan(report.curl_d2_star)
+    assert np.isfinite(report.c_compatibility)
+    assert np.isnan(report.max_residual())
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_max_residual_keeps_nan_in_any_position(position):
+    residuals = [1e-6, 2e-6, 3e-6]
+    residuals[position] = np.nan
+    report = CodazziReport(*residuals, c_compatibility=0.0, n_interior=1,
+                           spacing=(0.1, 0.1))
+    assert np.isnan(report.max_residual())

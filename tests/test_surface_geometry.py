@@ -11,6 +11,8 @@ from plate_reduce import (
     appendix_H_K,
     catalog_surface,
     evaluate_jet,
+    fiber_deformation_gradient,
+    incompressible_profile_general,
     sampled_injectivity,
     verify_orientation,
     PolyProfile,
@@ -219,6 +221,44 @@ def test_verify_orientation_flags_excessive_thickness():
     assert report.n_nonpositive > 0
     assert report.min_det_F <= 0.0
     assert abs(report.argmin_x3) <= 0.9
+
+
+def test_verify_orientation_fails_on_nan_jacobians():
+    with np.errstate(invalid="ignore"):
+        report = verify_orientation(catalog_surface("cylinder"),
+                                    PolyProfile(1.0, np.nan), 0.01)
+    assert np.isnan(report.min_det_F)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("h", [0.01, 0.9])
+def test_verify_orientation_rule_matches_a_per_node_loop(h):
+    surface = catalog_surface("cylinder")
+    report = verify_orientation(surface, incompressible_profile_general, h)
+    step = surface.step
+    (lo1, hi1), (lo2, hi2) = surface.domain
+    dets = []
+    for x1 in np.linspace(lo1 + 2.0 * step, hi1 - 2.0 * step, 5):
+        for x2 in np.linspace(lo2 + 2.0 * step, hi2 - 2.0 * step, 5):
+            x = np.array([x1, x2])
+            jet = evaluate_jet(surface, x)
+            profile = incompressible_profile_general(jet)
+            near = [[incompressible_profile_general(
+                        evaluate_jet(surface, x + sgn * step * np.eye(2)[k]))
+                     for sgn in (1.0, -1.0)] for k in range(2)]
+            for x3 in np.linspace(-h, h, 9):
+                grad_phi = [(plus.phi(x3) - minus.phi(x3)) / (2.0 * step)
+                            for plus, minus in near]
+                F = fiber_deformation_gradient(jet, profile, x3,
+                                               grad_phi=grad_phi)
+                dets.append((np.linalg.det(F), (x1, x2), x3))
+    best = min(dets, key=lambda d: d[0])  # the first minimum in loop order
+    assert report.min_det_F == pytest.approx(best[0], rel=1e-14, abs=0.0)
+    assert report.argmin_x == best[1]
+    assert report.argmin_x3 == best[2]
+    assert report.n_nonpositive == sum(d <= 0.0 for d, _, _ in dets)
+    assert report.n_points == len(dets)
+    assert report.passed == (h == 0.01)
 
 
 @pytest.mark.parametrize("name", ["plane", "cylinder", "gaussian_bump"])

@@ -126,6 +126,19 @@ def test_exact_profile_solves_its_cubic_to_rounding():
             assert anti == pytest.approx(x3 / np.sqrt(jet.detC), rel=1e-14, abs=0.0)
 
 
+def test_exact_profile_brackets_up_to_the_area_zero():
+    # the area factor 1 + 2 H p + K p^2 vanishes at p = 0.4 and 0.7, and
+    # A(p) = p + H p^2 + K p^3 / 3 peaks at A(0.4) = 0.16190 before it
+    jet = SimpleNamespace(H=-1.9643, K=3.5714, detC=1.0)
+    profile = ExactIncompressibleProfile(jet)
+    phi = profile.phi(0.161)
+    anti = phi + jet.H * phi ** 2 + jet.K * phi ** 3 / 3.0
+    assert anti == pytest.approx(0.161, rel=1e-14, abs=0.0)
+    assert 0.0 < phi < 0.4
+    with pytest.raises(ProfileConstraintError, match="orientation"):
+        profile.phi(0.17)
+
+
 def test_exact_profile_detects_orientation_loss():
     profile = ExactIncompressibleProfile(jet_of("cylinder", (0.05, -0.3)))
     with pytest.raises(ProfileConstraintError, match="orientation"):
