@@ -65,30 +65,30 @@ def assert_close(batched, per_point, what):
     assert gap <= 1e-14 * scale, f"{what}: gap {gap:.3g} of {scale:.3g}"
 
 
-def assert_jets_match_per_point(surface):
+def assert_jets_match_per_point(surface, mode):
     points = grid_points(surface)
     batch = evaluate_jets(surface, points)
     jets = [evaluate_jet(surface, x) for x in points]
     assert isinstance(batch, JetBatch) and len(batch) == len(points)
-    assert batch.derivative_mode == surface.derivative_mode
+    assert batch.derivative_mode == mode
     np.testing.assert_array_equal(batch.x, points.T)
     for field in ARRAY_FIELDS + SCALAR_FIELDS:
         per_point = np.stack([np.asarray(getattr(j, field)) for j in jets], axis=-1)
         assert getattr(batch, field).shape == per_point.shape, field
         assert_close(getattr(batch, field), per_point,
-                     f"{surface.name} {surface.derivative_mode} {field}")
+                     f"{surface.name} {mode} {field}")
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", SURFACES)
 def test_batched_jets_match_per_point_jets(name, mode):
-    assert_jets_match_per_point(catalog_surface(name, derivative_mode=mode))
+    assert_jets_match_per_point(catalog_surface(name, derivative_mode=mode), mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_batched_cone_jets_match_per_point_jets(mode):
     cone = replace(uniform_stretch_cone(1.5), derivative_mode=mode)
-    assert_jets_match_per_point(cone)
+    assert_jets_match_per_point(cone, mode)
 
 
 @pytest.mark.parametrize("name", SURFACES)
