@@ -136,7 +136,8 @@ class CiarletGeymonat(MaterialModel):
 
     The pair (c, d) is locked to c = 2(a+b), d = -(3a+b) so the reference
     state is stress free with energy zero; supplying inconsistent values
-    is rejected.
+    is rejected.  Array parameters are lanes, one model each, that
+    ``energy``, ``partials`` and ``cg_profile`` broadcast over.
     """
 
     a: float
@@ -147,17 +148,17 @@ class CiarletGeymonat(MaterialModel):
     name, series_id = "ciarlet_geymonat", "cg_minimizing_profile"
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+        if np.any(self.a <= 0) or np.any(self.b <= 0):
             raise ValueError("CiarletGeymonat requires a > 0 and b > 0")
         c_ref = 2.0 * (self.a + self.b)
         d_ref = -(3.0 * self.a + self.b)
         if self.c is None:
             object.__setattr__(self, "c", c_ref)
-        elif abs(self.c - c_ref) > 1e-12 * c_ref:
+        elif np.any(abs(self.c - c_ref) > 1e-12 * c_ref):
             raise ValueError("c must equal 2(a+b) for a stress-free reference state")
         if self.d is None:
             object.__setattr__(self, "d", d_ref)
-        elif abs(self.d - d_ref) > 1e-12 * abs(d_ref):
+        elif np.any(abs(self.d - d_ref) > 1e-12 * abs(d_ref)):
             raise ValueError("d must equal -(3a+b) for zero reference energy")
 
     @classmethod

@@ -11,12 +11,12 @@ import warnings
 
 import numpy as np
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Tuple
 
 from . import materials as _materials
 from .surface_geometry import evaluate_jet
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 
 
 class BracketError(ValueError):
@@ -118,45 +118,62 @@ def fit_h_powers(h_samples, energies=None):
                 residual_norm=float(np.linalg.norm(resid)))
 
 
-def minimize_scalar(f, bracket, tol=1e-12):
-    """Golden-section minimization on a bracket.
+def _lanes(f, *values):
+    # (scalar call?, f on lane arrays, lane arrays of values); scalar
+    # values make one lane whose f is still called with a Python float
+    scalar = all(np.ndim(v) == 0 for v in values)
+    lane_f = (lambda x: np.array([f(float(x[0]))])) if scalar else f
+    return (scalar, lane_f, *np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in values)))
 
-    Returns (argmin, fmin).  Raises BracketError when the midpoint sits
-    above both ends (no unimodal descent to follow).
+
+def minimize_scalar(f, bracket, tol=1e-12):
+    """Golden-section minimization on a bracket, or on lanes of brackets.
+
+    Scalar ends: ``f`` gets and the result holds Python floats.  Array
+    ends: one search per element, run as lanes in lockstep (``f`` maps an
+    array of probes to their values); a lane freezes once its width is
+    <= tol.  Returns (argmin, fmin).  BracketError if any lane has
+    lo >= hi or its midpoint above both ends (no descent to follow).
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not hi > lo:
+    scalar, f, a, b = _lanes(f, *bracket)
+    if not np.all(b > a):
         raise BracketError("bracket must satisfy lo < hi")
-    f_lo, f_hi = f(lo), f(hi)
-    f_mid = f(0.5 * (lo + hi))
-    if f_mid > f_lo and f_mid > f_hi:
+    fa, fb = f(a), f(b)
+    f_mid = f(0.5 * (a + b))
+    if np.any((f_mid > fa) & (f_mid > fb)):
         raise BracketError("midpoint above both bracket ends; no descent found")
-    a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    xs = [a, c, d, b]
-    fs = [f(a), fc, fd, f_hi if b == hi else f(b)]
-    k = int(np.argmin(fs))
-    return xs[k], fs[k]
+    while np.any(b - a > tol):
+        # a left lane keeps [a, d], a right lane [c, b]; each probes once
+        left = (b - a > tol) & (fc <= fd)
+        right = (b - a > tol) & ~(fc <= fd)
+        a, fa, b, fb = (np.where(right, c, a), np.where(right, fc, fa),
+                        np.where(left, d, b), np.where(left, fd, fb))
+        c, fc, d, fd = (np.where(right, d, c), np.where(right, fd, fc),
+                        np.where(left, c, d), np.where(left, fc, fd))
+        x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        fx = f(x)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+    xs, fs = np.stack([a, c, d, b]), np.stack([fa, fc, fd, fb])
+    k, lane = np.argmin(fs, axis=0), np.arange(fs.shape[1])
+    x, fx = xs[k, lane], fs[k, lane]
+    return (float(x[0]), float(fx[0])) if scalar else (x, fx)
 
 
 def parabolic_refine(f, x0, delta):
-    """One exact-for-quadratics refinement of a minimizer estimate."""
+    """One exact-for-quadratics refinement of a minimizer estimate, or of
+    lanes of them as in ``minimize_scalar``; an estimate whose three
+    values do not curve upward is kept."""
+    scalar, f, x0, delta = _lanes(f, x0, delta)
     fm, f0, fp = f(x0 - delta), f(x0), f(x0 + delta)
     denom = fm - 2.0 * f0 + fp
-    if denom <= 0.0:
-        return x0
-    return x0 + 0.5 * delta * (fm - fp) / denom
+    keep = denom <= 0.0
+    x = np.where(keep, x0, x0 + 0.5 * delta * (fm - fp) / np.where(keep, 1.0, denom))
+    return float(x[0]) if scalar else x
 
 
 @dataclass(frozen=True)
@@ -191,28 +208,24 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400, slope_bracket=(0.5, 1.5)):
     forcing = -2.0 * lam * H / (2.0 * mu + lam)
     dt = h / n_steps
 
-    def rhs(phi):
-        return coef * phi + forcing
-
     def profile_for(s):
-        # RK4 on the first-order system (phi, psi) from the mid-plane out
-        x3 = np.linspace(-h, h, 2 * n_steps + 1)
-        phi = np.empty(2 * n_steps + 1)
-        psi = np.empty(2 * n_steps + 1)
-        phi[n_steps], psi[n_steps] = 0.0, s
-        for sgn in (1.0, -1.0):
+        # RK4 on the first-order system (phi, psi) from the mid-plane out,
+        # in Python floats: phi' = psi, psi' = coef phi + forcing
+        phi, psi = [], []
+        for step in (-dt, dt):
             p, q = 0.0, s
-            step = sgn * dt
-            idx = range(n_steps + 1, 2 * n_steps + 1) if sgn > 0 else range(n_steps - 1, -1, -1)
-            for i in idx:
-                k1p, k1q = q, rhs(p)
-                k2p, k2q = q + 0.5 * step * k1q, rhs(p + 0.5 * step * k1p)
-                k3p, k3q = q + 0.5 * step * k2q, rhs(p + 0.5 * step * k2p)
-                k4p, k4q = q + step * k3q, rhs(p + step * k3p)
+            for _ in range(n_steps):
+                k1p, k1q = q, coef * p + forcing
+                k2p, k2q = q + 0.5 * step * k1q, coef * (p + 0.5 * step * k1p) + forcing
+                k3p, k3q = q + 0.5 * step * k2q, coef * (p + 0.5 * step * k2p) + forcing
+                k4p, k4q = q + step * k3q, coef * (p + step * k3p) + forcing
                 p += step * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
                 q += step * (k1q + 2 * k2q + 2 * k3q + k4q) / 6.0
-                phi[i], psi[i] = p, q
-        return x3, phi, psi
+                phi.append(p)
+                psi.append(q)
+            if step < 0.0:
+                phi, psi = phi[::-1] + [0.0], psi[::-1] + [s]
+        return np.linspace(-h, h, 2 * n_steps + 1), np.array(phi), np.array(psi)
 
     def fiber_energy(s):
         x3, phi, psi = profile_for(s)
@@ -229,9 +242,8 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400, slope_bracket=(0.5, 1.5)):
     slope = parabolic_refine(fiber_energy, slope, 1e-5)
     energy = fiber_energy(slope)
     x3, phi, psi = profile_for(slope)
-    inner = slice(1, -1)
     second = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt ** 2
-    residual = float(np.max(np.abs(second - rhs(phi[inner]))))
+    residual = float(np.max(np.abs(second - (coef * phi[1:-1] + forcing))))
     return SvkProfileSolution(x3=x3, phi=phi, dphi=psi, slope=float(slope),
                               energy=float(energy), ode_residual=residual)
 

@@ -32,3 +32,13 @@ def test_acceptance(check_id, check, capsys):
         print(f"[{status}] {check_id}: {verdict['detail']}")
     assert verdict["check_id"] == check_id
     assert verdict["passed"], f"{check_id}: {verdict['detail']}"
+
+
+def test_oracle_check_values_are_frozen():
+    # the golden-section checks' numbers, pinned bit for bit
+    ctx = cli_io.VerifyContext()
+    cg = cli_io._check_cg_profile_minimality(ctx)["observed"]
+    assert cg["alpha_gap"] == 2.598350978821884e-09
+    assert cg["beta_gap"] == 5.025821980808587e-10
+    svk = cli_io._check_svk_profile(ctx)["observed"]
+    assert svk["fit_c3"] == 0.88888755687369

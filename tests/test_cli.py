@@ -16,6 +16,7 @@ from plate_reduce.cli_io import (
     CSV_COLUMNS,
     ConfigError,
     VerifyContext,
+    _verdict,
     _write_json,
     load_config,
     main,
@@ -330,6 +331,32 @@ def test_verify_perturbation_is_caught(tmp_path, capsys):
     assert "0/1 checks passed" in stdout
     report = json.loads((out / "verdicts.json").read_text())
     assert report["all_passed"] is False
+
+
+def test_verify_writes_non_finite_observations_as_failed_nulls(tmp_path,
+                                                             capsys):
+    # a perturbation this large overflows the residuals to nan slopes
+    cfg = dict(BASE, options={"perturb_beta": 1e200,
+                              "checks": ["incompressibility_order"]})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(tmp_path, cfg, command="verify")
+    assert code == 1
+    assert "FAIL incompressibility_order:" in capsys.readouterr().out
+    report = json.loads((out / "verdicts.json").read_text(),
+                        parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
+    assert report["all_passed"] is False
+    verdict, = report["checks"]
+    assert verdict["passed"] is False
+    assert verdict["observed"] == {"cylinder": None, "gaussian_bump": None}
+
+
+def test_verdict_fails_any_non_finite_observation():
+    verdict = _verdict("x", True, {"ok": 1.0, "bad": math.inf}, 0.0, 1.0, "")
+    assert verdict["passed"] is False
+    assert verdict["observed"] == {"ok": 1.0, "bad": None}
+    verdict = _verdict("x", True, math.nan, 0.0, 1.0, "")
+    assert verdict["passed"] is False and verdict["observed"] is None
+    assert _verdict("x", True, 2.0, 0.0, 1.0, "")["passed"] is True
 
 
 def test_verify_tolerance_override(tmp_path, capsys):

@@ -14,6 +14,7 @@ from plate_reduce import (
     SaintVenantKirchhoff,
     StiffeningLimitError,
     catalog_surface,
+    cg_profile,
     evaluate_jet,
     exact_invariants,
     exact_invariants_from_jet,
@@ -134,6 +135,48 @@ def test_cg_constants_are_locked():
         CiarletGeymonat(a=0.5, b=0.25, d=-2.0)
     with pytest.raises(ValueError, match="Lame"):
         CiarletGeymonat.from_lame(-1.0, 1.0)
+
+
+def test_array_parameter_cg_matches_scalar_models():
+    a = np.array([0.3, 1.0, 2.5])
+    b = np.array([0.7, 0.2, 1.9])
+    I1, I2, I3 = np.array([3.2, 4.1, 2.9]), 0.0, np.array([0.8, 1.3, 2.2])
+    lanes = CiarletGeymonat(a=a, b=b)
+    w = volumetric_energy(lanes, I1, I2, I3)
+    grad, hess = lanes.partials(I1, I2, I3)
+    jet = SimpleNamespace(trC=I1, detC=I3, H=np.array([0.4, -1.0, 0.0]),
+                          K=0.0, b1=np.array([1.5, 0.2, -0.9]))
+    profile = cg_profile(jet, lanes)
+    for i in range(len(a)):
+        model = CiarletGeymonat(a=float(a[i]), b=float(b[i]))
+        assert w[i] == volumetric_energy(model, I1[i], I2, I3[i])
+        g, h = model.partials(I1[i], I2, I3[i])
+        assert [np.broadcast_to(v, 3)[i] for v in grad + hess] == list(g + h)
+        one = cg_profile(SimpleNamespace(trC=I1[i], detC=I3[i], H=jet.H[i],
+                                         K=0.0, b1=jet.b1[i]), model)
+        assert (profile.alpha[i], profile.beta[i]) == (one.alpha, one.beta)
+
+
+def test_array_parameter_cg_rejects_any_bad_lane():
+    with pytest.raises(ValueError, match="a > 0"):
+        CiarletGeymonat(a=np.array([1.0, 0.0]), b=np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="a > 0"):
+        CiarletGeymonat(a=np.array([1.0, 1.0]), b=np.array([-1.0, 1.0]))
+    a, b = np.array([0.5, 1.0]), np.array([0.25, 0.5])
+    CiarletGeymonat(a=a, b=b, c=2.0 * (a + b), d=-(3.0 * a + b))
+    with pytest.raises(ValueError, match="c must equal"):
+        CiarletGeymonat(a=a, b=b, c=np.array([1.5, 2.0]))
+    with pytest.raises(ValueError, match="d must equal"):
+        CiarletGeymonat(a=a, b=b, d=np.array([-1.75, -2.0]))
+
+
+def test_cg_from_config_gives_scalars():
+    for spec in ({"model": "ciarlet_geymonat", "lambda": 1.0, "mu": 1.0},
+                 {"model": "ciarlet_geymonat", "a": 0.5, "b": 0.25,
+                  "c": 1.5, "d": -1.75}):
+        material = material_from_config(spec)
+        assert all(type(v) is float for v in
+                   (material.a, material.b, material.c, material.d))
 
 
 def test_lame_constants():

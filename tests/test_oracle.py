@@ -86,6 +86,66 @@ def test_parabolic_refine_is_exact_on_quadratics():
     assert parabolic_refine(lambda x: -x * x, 0.3, 0.1) == 0.3
 
 
+def _lane_quartic(centers, scales):
+    # one tilted quartic per lane; a scalar center gives the scalar function
+    def f(x):
+        u2 = (x - centers) * (x - centers)
+        return scales * u2 + 0.1 * u2 * u2
+    return f
+
+
+def test_minimize_scalar_lanes_match_scalar_calls_bit_for_bit():
+    centers = np.array([0.3, 1.1, -0.7, 2.0, 0.05])
+    scales = np.array([1.0, 0.5, 3.0, 2.0, 0.2])
+    # widths from 0.2 to 6: the lanes freeze at different iterations
+    lo = np.array([0.2, 0.0, -3.0, 1.5, -3.0])
+    hi = np.array([0.4, 2.0, 1.0, 3.0, 3.0])
+    x, fx = minimize_scalar(_lane_quartic(centers, scales), (lo, hi),
+                            tol=1e-10)
+    refined = parabolic_refine(_lane_quartic(centers, scales), x, 1e-4)
+    for i in range(len(lo)):
+        f = _lane_quartic(float(centers[i]), float(scales[i]))
+        xi, fi = minimize_scalar(f, (float(lo[i]), float(hi[i])), tol=1e-10)
+        assert (x[i], fx[i]) == (xi, fi)
+        assert refined[i] == parabolic_refine(f, xi, 1e-4)
+
+
+def test_parabolic_refine_lanes_keep_estimates_that_do_not_curve_up():
+    curvature = np.array([3.0, -1.0, 0.0])
+    refined = parabolic_refine(lambda x: curvature * (x - 0.7) ** 2,
+                               np.full(3, 0.5), 0.2)
+    assert refined[0] == pytest.approx(0.7, abs=1e-12)
+    assert list(refined[1:]) == [0.5, 0.5]
+
+
+def test_minimize_scalar_rejects_a_bad_lane():
+    f = lambda x: x * x
+    with pytest.raises(BracketError, match="lo < hi"):
+        minimize_scalar(f, (np.array([-1.0, 1.0, -2.0]),
+                            np.array([1.0, 1.0, 2.0])))
+    with pytest.raises(BracketError, match="no descent"):
+        # the second lane is a concave cap
+        minimize_scalar(_lane_quartic(np.array([0.0, 6.0]),
+                                      np.array([1.0, -1.0])),
+                        (np.array([-1.0, 5.0]), np.array([1.0, 7.0])))
+
+
+def test_scalar_search_hands_f_python_floats():
+    # numpy scalars would put every probe of an expensive f (the SVK
+    # shooting loop) into numpy-scalar arithmetic
+    seen = []
+
+    def f(x):
+        seen.append(type(x))
+        return (x - 1.3) ** 2
+
+    x, fx = minimize_scalar(f, (np.float64(0.0), 3.0), tol=1e-8)
+    refined = parabolic_refine(f, x, 1e-4)
+    assert set(seen) == {float}
+    assert type(x) is float and type(fx) is float and type(refined) is float
+    assert type(parabolic_refine(lambda x: -x * x, np.float64(0.3), 0.1)) is float
+
+
 # ---------------------------------------------------------------------------
 # through-thickness quadrature
 
