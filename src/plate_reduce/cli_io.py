@@ -679,12 +679,11 @@ def _check_eigenframe_coupling(ctx):
     angle_err = abs(interior[0] - phi_star) if interior else np.inf
     scan_err = abs(scan_argmin - phi_star)
 
-    flat_const = [eigenframe_coupling(1.3, 1.3, 1.7, p)
-                  for p in np.linspace(0.0, 0.5 * np.pi, 1001)]
-    flat_iso = [eigenframe_coupling(k1, k2, 1.0, p)
-                for p in np.linspace(0.0, 0.5 * np.pi, 1001)]
-    const_span = max(flat_const) - min(flat_const)
-    iso_span = max(flat_iso) - min(flat_iso)
+    flat_phis = np.linspace(0.0, 0.5 * np.pi, 1001)
+    flat_const = eigenframe_coupling(1.3, 1.3, 1.7, flat_phis)
+    flat_iso = eigenframe_coupling(k1, k2, 1.0, flat_phis)
+    const_span = np.max(flat_const) - np.min(flat_const)
+    iso_span = np.max(flat_iso) - np.min(flat_iso)
 
     passed = (tan2_err <= tol and w_star <= 1e-12 and angle_err <= 1e-9
               and scan_err <= 2.0 * (phis[1] - phis[0])

@@ -35,10 +35,11 @@ class MaterialModel(object):
 
     ``name`` and ``params`` are its config name and parameter keys (in
     field order).  ``energy`` is its density, elementwise over arrays, of
-    (I1, I2, I3), or of C_f when ``needs_C_f``; ``partials`` the gradient
-    and Hessian diagonal of that density in (I1, I2, I3); ``lame`` its
-    Lame pair; ``profile`` its through-thickness profile rule at a jet
-    (half thickness ``h`` for the hyperbolic one).  ``series_id`` is the
+    (I1, I2, I3), or of C_f when ``needs_C_f`` (then isotropic, from C_f's
+    principal values); ``partials`` the gradient and Hessian diagonal of
+    that density in (I1, I2, I3); ``lame`` its Lame pair; ``profile`` its
+    through-thickness profile rule at a jet (half thickness ``h`` for the
+    hyperbolic one).  ``series_id`` is the
     formula id of contents from the invariant series along that profile,
     None for a model whose contents have a closed form.
     """
@@ -205,9 +206,19 @@ class SaintVenantKirchhoff(MaterialModel):
             raise ValueError("SaintVenantKirchhoff requires lam > 0 and mu > 0")
 
     def energy(self, C_f):
-        E = symmetric_sqrt(C_f) - np.eye(3)
-        tr = lambda M: np.trace(M, axis1=-2, axis2=-1)
-        return 0.5 * self.lam * tr(E) ** 2 + self.mu * tr(E @ E)
+        """Density of C_f, one 3x3 or a stack (..., 3, 3), from its
+        principal values (eigvalsh)."""
+        return self.principal_energy(np.linalg.eigvalsh(np.asarray(C_f, dtype=float)))
+
+    def principal_energy(self, c):
+        """Density (lam/2) (sum e_i)^2 + mu sum e_i^2, e_i = sqrt(c_i) - 1,
+        of the principal values c (..., 3) of C_f: E = U - I in U's
+        eigenbasis."""
+        c = np.asarray(c, dtype=float)
+        if np.any(c <= 0.0):
+            raise MaterialDomainError("matrix is not positive definite")
+        e = np.sqrt(c) - 1.0
+        return 0.5 * self.lam * e.sum(axis=-1) ** 2 + self.mu * (e * e).sum(axis=-1)
 
     def lame(self):
         return self.lam, self.mu

@@ -195,7 +195,8 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400, slope_bracket=(0.5, 1.5)):
     by classical RK4 from the mid-plane outward in both directions, then
     minimizes the through-thickness SVK energy over the initial slope.
     The energy is evaluated from the bulk density on a developable fiber
-    (principal curvatures 2H and 0), Simpson-integrated on the RK4 grid.
+    (principal curvatures 2H and 0), whose C_f is diagonal, so from its
+    principal values, and Simpson-integrated on the RK4 grid.
     """
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100")
@@ -229,11 +230,9 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400, slope_bracket=(0.5, 1.5)):
 
     def fiber_energy(s):
         x3, phi, psi = profile_for(s)
-        C_f = np.zeros((len(x3), 3, 3))
-        C_f[:, 0, 0] = (1.0 + 2.0 * H * phi) ** 2
-        C_f[:, 1, 1] = 1.0
-        C_f[:, 2, 2] = psi ** 2
-        dens = _materials.volumetric_energy(material, C_f=C_f)
+        # C_f on this fiber is diag((1 + 2H phi)^2, 1, psi^2)
+        c = np.stack([(1.0 + 2.0 * H * phi) ** 2, np.ones_like(phi), psi ** 2], -1)
+        dens = material.principal_energy(c)
         # composite Simpson on the uniform grid
         total = dens[0] + dens[-1] + 4.0 * dens[1:-1:2].sum() + 2.0 * dens[2:-2:2].sum()
         return total * dt / 3.0

@@ -35,10 +35,16 @@ def test_acceptance(check_id, check, capsys):
 
 
 def test_oracle_check_values_are_frozen():
-    # the golden-section checks' numbers, pinned bit for bit
+    # the golden-section, SVK-shooting and eigenframe checks' numbers,
+    # pinned bit for bit
     ctx = cli_io.VerifyContext()
     cg = cli_io._check_cg_profile_minimality(ctx)["observed"]
     assert cg["alpha_gap"] == 2.598350978821884e-09
     assert cg["beta_gap"] == 5.025821980808587e-10
     svk = cli_io._check_svk_profile(ctx)["observed"]
     assert svk["fit_c3"] == 0.88888755687369
+    assert svk["profile_sup_err"] == 8.743006318923108e-16
+    assert svk["content_rel_err"] == 1.4985170986581142e-06
+    frame = cli_io._check_eigenframe_coupling(ctx)["observed"]
+    assert frame["constant_span"] == 3.1086244689504383e-15
+    assert frame["isotropic_span"] == 0.0

@@ -274,6 +274,46 @@ def test_stacked_svk_energy_matches_per_matrix_calls():
             assert energies[i] == single
 
 
+def _svk_energy_via_sqrt(material, C_f):
+    # E = U - I with U the principal square root of C_f
+    E = symmetric_sqrt(C_f) - np.eye(3)
+    tr = lambda M: np.trace(M, axis1=-2, axis2=-1)
+    return 0.5 * material.lam * tr(E) ** 2 + material.mu * tr(E @ E)
+
+
+def test_svk_energy_matches_the_square_root_route_on_spd_stacks():
+    material = SaintVenantKirchhoff(lam=1.3, mu=0.7)
+    values = np.random.default_rng(5).uniform(0.2, 3.0, size=(200, 3))
+    Q = np.linalg.qr(np.random.default_rng(6).normal(size=(200, 3, 3)))[0]
+    rotated = (Q * values[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    for C_f in (_spd_stack(200), rotated):
+        new, old = material.energy(C_f), _svk_energy_via_sqrt(material, C_f)
+        assert np.all(np.abs(new - old) <= 1e-12 * np.abs(old))
+
+
+def test_svk_energy_is_exact_on_diagonal_stacks_with_a_unit_value():
+    # the shooting oracle's fiber: C_f = diag(a, 1, b)
+    material = SaintVenantKirchhoff(lam=1.3, mu=0.7)
+    rng = np.random.default_rng(9)
+    diag = rng.uniform(0.3, 2.5, size=(300, 3))
+    diag[:, 1] = 1.0
+    for k in (1, 2):  # the unit value in every slot
+        diag[k::3] = np.roll(diag[k::3], k, axis=1)
+    stack = np.zeros((300, 3, 3))
+    stack[:, [0, 1, 2], [0, 1, 2]] = diag
+    energies = material.energy(stack)
+    assert np.array_equal(energies, _svk_energy_via_sqrt(material, stack))
+    assert np.array_equal(material.principal_energy(diag), energies)
+    assert isinstance(material.principal_energy(diag[0]), float)
+
+
+def test_svk_principal_energy_rejects_nonpositive_values():
+    material = SaintVenantKirchhoff(lam=1.0, mu=1.0)
+    for bad in ([1.0, 0.0, 2.0], [[1.0, 1.0, 1.0], [0.5, 1.0, -1e-3]]):
+        with pytest.raises(MaterialDomainError, match="not positive definite"):
+            material.principal_energy(bad)
+
+
 def test_stack_with_one_indefinite_member_is_rejected():
     stack = _spd_stack(4)
     stack[2] = np.diag([1.0, -1e-3, 1.0])
