@@ -60,6 +60,10 @@ H_BEND = (1e-3, 5e-4, 2e-4, 1e-4, 5e-5)
 CSV_COLUMNS = ("x1", "x2", "trC", "detC", "lambda1", "lambda2",
                "H", "K", "b1", "w_s", "w_b", "formula_id")
 
+# every float in points.csv and sweep.csv, after + 0.0 canonicalizes -0
+_FLOAT_FORMAT = "%.17g"
+_POINTS_ROW = ",".join([_FLOAT_FORMAT] * (len(CSV_COLUMNS) - 1) + ["%s"]) + "\n"
+
 _ADMISSIBILITY_ERRORS = (MaterialDomainError, StiffeningLimitError,
                          ProfileConstraintError)
 
@@ -243,7 +247,7 @@ def _write_json(path, payload):
 
 def _fmt(value):
     # + 0.0 canonicalizes negative zero
-    return f"{value + 0.0:.17g}"
+    return _FLOAT_FORMAT % (value + 0.0)
 
 
 def cmd_evaluate(config, out_dir):
@@ -266,7 +270,7 @@ def cmd_evaluate(config, out_dir):
     columns = (points[:, 0], points[:, 1], jets.trC, jets.detC, jets.lambda1,
                jets.lambda2, jets.H, jets.K, jets.b1, contents.stretching,
                contents.bending)
-    rows = list(zip(*(c.tolist() for c in columns), contents.formula_id))
+    rows = list(zip(*((c + 0.0).tolist() for c in columns), contents.formula_id))
     ids = set(contents.formula_id)
     try:
         total_s, total_b, energy = integrate_contents(
@@ -279,8 +283,7 @@ def cmd_evaluate(config, out_dir):
     csv_path = os.path.join(out_dir, "points.csv")
     with open(csv_path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join([_fmt(v) for v in row[:-1]] + [row[-1]]) + "\n")
+        fh.writelines(_POINTS_ROW % row for row in rows)
 
     (u0, u1), (v0, v1) = config.surface.domain
     center = np.array([0.5 * (u0 + u1), 0.5 * (v0 + v1)])

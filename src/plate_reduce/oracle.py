@@ -7,6 +7,7 @@ profiles or energy contents it is used to verify.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -228,8 +229,7 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400, slope_bracket=(0.5, 1.5)):
                 phi, psi = phi[::-1] + [0.0], psi[::-1] + [s]
         return np.linspace(-h, h, 2 * n_steps + 1), np.array(phi), np.array(psi)
 
-    def fiber_energy(s):
-        x3, phi, psi = profile_for(s)
+    def profile_energy(phi, psi):
         # C_f on this fiber is diag((1 + 2H phi)^2, 1, psi^2)
         c = np.stack([(1.0 + 2.0 * H * phi) ** 2, np.ones_like(phi), psi ** 2], -1)
         dens = material.principal_energy(c)
@@ -237,10 +237,14 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400, slope_bracket=(0.5, 1.5)):
         total = dens[0] + dens[-1] + 4.0 * dens[1:-1:2].sum() + 2.0 * dens[2:-2:2].sum()
         return total * dt / 3.0
 
-    slope, energy = minimize_scalar(fiber_energy, slope_bracket, tol=1e-10)
+    @functools.cache  # parabolic_refine probes the golden-section argmin again
+    def fiber_energy(s):
+        return profile_energy(*profile_for(s)[1:])
+
+    slope, _ = minimize_scalar(fiber_energy, slope_bracket, tol=1e-10)
     slope = parabolic_refine(fiber_energy, slope, 1e-5)
-    energy = fiber_energy(slope)
     x3, phi, psi = profile_for(slope)
+    energy = profile_energy(phi, psi)
     second = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt ** 2
     residual = float(np.max(np.abs(second - (coef * phi[1:-1] + forcing))))
     return SvkProfileSolution(x3=x3, phi=phi, dphi=psi, slope=float(slope),

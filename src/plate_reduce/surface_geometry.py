@@ -477,47 +477,60 @@ def verify_orientation(surface, profile, h, grid=(5, 5), n_x3=9):
 # catalog surfaces
 
 
-def _bump_scalars(v, amp, w):
+def _masked(cond, a, b):
+    # _where for an ``a`` given only where ``cond`` holds; overwrites ``b``
+    if np.ndim(cond) == 0:
+        return a if cond else b
+    b[cond] = a
+    return b
+
+
+def _bump_scalars(v, amp, w, derivatives=True):
     """Radial building blocks of the area-preserving bump at v = |x|^2 / 2.
 
     Returns (m, m', m'', zeta_v, zeta_vv) for the planar shrink factor m
     and the height zeta; primes are d/dv.  Elementwise over arrays of v.
+    ``surface.grad`` and ``surface.hess`` need all five; ``surface.map``
+    needs only (m, zeta_v), which ``derivatives=False`` computes alone.
     """
     q = v / w
     e = np.exp(-q * q)
     gp = 2.0 * amp * v * e / w ** 2
-    gpp = 2.0 * amp * (1.0 - 2.0 * q * q) * e / w ** 2
-    # series branches where the direct quotients lose digits as v -> 0;
-    # the direct ones are computed with v = 1 there and discarded
+    # series branches, on the elements u where the direct quotients lose
+    # digits as v -> 0; the direct ones are computed with v = 1 there
     series = q < 0.01
     vd = _where(series, 1.0, v)
-    nd = -amp * np.expm1(-q * q) / vd
-    n1d = (gp - nd) / vd
-    n = _where(series, amp * (v / w ** 2 - _pow(v, 3) / (2 * w ** 4)
-                                + _pow(v, 5) / (6 * w ** 6) - _pow(v, 7) / (24 * w ** 8)), nd)
-    n1 = _where(series, amp * (1.0 / w ** 2 - 3 * _pow(v, 2) / (2 * w ** 4)
-                                 + 5 * _pow(v, 4) / (6 * w ** 6) - 7 * _pow(v, 6) / (24 * w ** 8)), n1d)
-    n2 = _where(series, amp * (-3.0 * v / w ** 4 + 10 * _pow(v, 3) / (3 * w ** 6)
-                                 - 7 * _pow(v, 5) / (4 * w ** 8)), (gpp - 2.0 * n1d) / vd)
+    u = v[series] if np.ndim(series) else v
+    n = _masked(series, amp * (u / w ** 2 - _pow(u, 3) / (2 * w ** 4)
+                               + _pow(u, 5) / (6 * w ** 6) - _pow(u, 7) / (24 * w ** 8)),
+                -amp * np.expm1(-q * q) / vd)
     m = np.sqrt(1.0 - n)
+    G = 2.0 * amp * e / w ** 2
+    s = G * (2.0 - gp) / (2.0 * (1.0 - n))
+    zv = np.sqrt(s)
+    if not derivatives:
+        return m, zv
+    gpp = 2.0 * amp * (1.0 - 2.0 * q * q) * e / w ** 2
+    n1 = _masked(series, amp * (1.0 / w ** 2 - 3 * _pow(u, 2) / (2 * w ** 4)
+                                + 5 * _pow(u, 4) / (6 * w ** 6) - 7 * _pow(u, 6) / (24 * w ** 8)),
+                 (gp - n) / vd)
+    n2 = _masked(series, amp * (-3.0 * u / w ** 4 + 10 * _pow(u, 3) / (3 * w ** 6)
+                                - 7 * _pow(u, 5) / (4 * w ** 8)), (gpp - 2.0 * n1) / vd)
     m1 = -n1 / (2.0 * m)
     m2 = -n2 / (2.0 * m) - n1 * n1 / (4.0 * _pow(m, 3))
-    G = 2.0 * amp * e / w ** 2
     G1 = -4.0 * amp * v * e / w ** 4
-    s = G * (2.0 - gp) / (2.0 * (1.0 - n))
     s1 = (G1 * (2.0 - gp) - G * gpp) / (2.0 * (1.0 - n)) + G * (2.0 - gp) * n1 / (2.0 * _pow(1.0 - n, 2))
-    zv = np.sqrt(s)
     zvv = s1 / (2.0 * zv)
     return m, m1, m2, zv, zvv
 
 
 def _bump_height(v, amp, w):
-    # integrate zeta' = sqrt(s) from 0 to v with fixed-order quadrature,
-    # accumulated node by node: the finite-difference stencil divides by
-    # step^2, so the summation order must not change
+    # integrate zeta' = sqrt(s) (zeta_v, no derivative terms) from 0 to v
+    # with fixed-order quadrature, accumulated node by node: the finite-
+    # difference stencil divides by step^2, so the summation order must not change
     nodes, weights = _GL64
     t = 0.5 * v * np.reshape(nodes + 1.0, (-1,) + (1,) * np.ndim(v))
-    zv = _bump_scalars(t, amp, w)[3]
+    zv = _bump_scalars(t, amp, w, derivatives=False)[1]
     total = 0.0
     for wk, zk in zip(weights, zv):
         total = total + wk * zk
@@ -546,7 +559,7 @@ def _make_bump(amp, s):
         if amp == 0.0:
             return np.array([x[0], x[1], np.zeros_like(x[0])])
         v = _radius(x)
-        m = _bump_scalars(v, amp, w)[0]
+        m = _bump_scalars(v, amp, w, derivatives=False)[0]
         return np.array([x[0] * m, x[1] * m, _bump_height(v, amp, w)])
 
     def _grad(x):

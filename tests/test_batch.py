@@ -111,6 +111,27 @@ def test_bump_scalars_round_like_single_points():
     assert np.array_equal(np.array(_bump_scalars(v, 0.5, 1.0)), per_point)
 
 
+@pytest.mark.parametrize("v", [np.linspace(0.0, 0.02, 2001), 0.005, 0.015],
+                         ids=["switch", "scalar-series", "scalar-direct"])
+def test_bump_map_scalars_equal_the_full_ones(v):
+    # surface.map reads (m, zeta_v) without the derivative terms
+    m, zv = _bump_scalars(v, 0.5, 1.0, derivatives=False)
+    full = _bump_scalars(v, 0.5, 1.0)
+    assert type(m) is type(full[0]) and type(zv) is type(full[3])
+    assert np.all(m == full[0]) and np.all(zv == full[3])
+
+
+@pytest.mark.parametrize("v", [np.linspace(0.011, 0.5, 50),
+                               np.linspace(0.0, 0.0099, 50)],
+                         ids=["no-series", "series-only"])
+def test_bump_scalars_masked_edge_cases(v):
+    # the series branch (q < 0.01) is evaluated on its elements only
+    per_point = np.array([_bump_scalars(vi, 0.5, 1.0) for vi in v]).T
+    assert np.array_equal(np.array(_bump_scalars(v, 0.5, 1.0)), per_point)
+    m, zv = _bump_scalars(v, 0.5, 1.0, derivatives=False)
+    assert np.array_equal(m, per_point[0]) and np.array_equal(zv, per_point[3])
+
+
 def test_bump_height_sums_like_a_per_node_loop():
     # the vectorized height keeps the node order of this loop, and its
     # series branch (q < 0.01) the rounding of the per-point powers

@@ -16,6 +16,7 @@ from plate_reduce.cli_io import (
     CSV_COLUMNS,
     ConfigError,
     VerifyContext,
+    _evaluation_nodes,
     _verdict,
     _write_json,
     load_config,
@@ -23,6 +24,7 @@ from plate_reduce.cli_io import (
     parse_config,
     uniform_stretch_cone,
 )
+from plate_reduce.reduced_energy import grid_contents
 
 BASE = {
     "surface": {"name": "cylinder"},
@@ -93,6 +95,27 @@ def test_evaluate_is_deterministic(tmp_path):
     _, out_b = run_cli(tmp_path, BASE, name="b.json")
     for fname in ("points.csv", "summary.json"):
         assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes()
+
+
+def test_points_csv_round_trips_the_grid_values(tmp_path):
+    cfg = dict(BASE, surface={"name": "gaussian_bump"},
+               material={"model": "mooney_rivlin", "mu": 1.0, "chi": 0.7},
+               grid={"nx": 5, "ny": 4})
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    config = parse_config(cfg)
+    xs, ys = _evaluation_nodes(config.surface, 5, 4)
+    points = np.column_stack([np.repeat(xs, 4), np.tile(ys, 5)])
+    jets, contents = grid_contents(config.surface, config.material, points)
+    expected = {"x1": points[:, 0], "x2": points[:, 1], "w_s": contents.stretching,
+                "w_b": contents.bending}
+    expected.update((k, getattr(jets, k)) for k in CSV_COLUMNS[2:9])
+    _, rows = read_rows(out / "points.csv")
+    assert len(rows) == 20
+    for i, row in enumerate(rows):
+        assert row["formula_id"] == contents.formula_id[i]
+        for column, values in expected.items():
+            assert float(row[column]) == values[i], (i, column)
 
 
 def test_evaluate_flat_plane_is_zero(tmp_path):

@@ -67,6 +67,25 @@ def test_gaussian_bump_preserves_area_exactly():
                                                  rel=1e-9)
 
 
+@pytest.mark.parametrize("x,frozen_map,frozen", [
+    # every height node of the stencil in the series branch (q < 0.01)
+    ((0.05, 0.05),
+     (0.049968740325983856, 0.049968740325983856, 0.0024999973970576948), dict(
+        trC=2.000001559442906, detC=0.9999999949971164, H=-0.9999906274222641,
+        K=0.9999812548932868, b1=-1.9999827986332481)),
+    # height nodes on both sides of the switch
+    ((0.3, 0.2),
+     (0.2950951886586839, 0.19673012577245594, 0.0649548289882189), dict(
+        trC=2.0010870480028524, detC=0.9999999949835385, H=-0.9936737970285224,
+        K=0.9873695418721699, b1=-1.9881473962755274)),
+])
+def test_finite_difference_bump_values_are_frozen(x, frozen_map, frozen):
+    surface = catalog_surface("gaussian_bump", derivative_mode="finite-difference")
+    assert tuple(surface.map(np.array(x)).tolist()) == frozen_map
+    jet = evaluate_jet(surface, np.array(x))
+    assert {k: float(getattr(jet, k)) for k in frozen} == frozen
+
+
 def test_bump_apex_is_an_isometry_point():
     jet = jet_of("gaussian_bump", (0.0, 0.0))
     assert np.max(np.abs(jet.C - np.eye(2))) <= 1e-12
