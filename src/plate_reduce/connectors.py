@@ -10,7 +10,7 @@ numerically.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as _field, replace
 from typing import List, Tuple
 
 import numpy as np
@@ -217,13 +217,34 @@ def curvatures_from_frame(frame):
 # grid sampling and cross-derivative identities
 
 
+class _FramesOnDemand:
+    # FrameGrid.frames; a grid given only batched fields builds them on read
+    def __get__(self, grid, owner=None):
+        if grid is None:
+            return None  # the dataclass default
+        if grid.__dict__.get("frames") is None:
+            nx, ny = grid.shape
+            grid.__dict__["frames"] = [[_frame_at(grid._fields, i * ny + j)
+                                        for j in range(ny)] for i in range(nx)]
+        return grid.__dict__["frames"]
+
+    def __set__(self, grid, frames):
+        grid.__dict__["frames"] = frames
+
+
 @dataclass(frozen=True)
 class FrameGrid:
-    """Connector frames on a rectangular grid with gauge-continuous signs."""
+    """Connector frames on a rectangular grid with gauge-continuous signs.
+
+    A sampled grid keeps the frame fields batched for ``field``; its
+    ``frames`` are built from them on first read.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
-    frames: List[List[ConnectorFrame]]
+    frames: List[List[ConnectorFrame]] = _FramesOnDemand()
+    # the fields of _frame_fields, nodes (i, j) in row-major order
+    _fields: dict = _field(default=None, repr=False, compare=False)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -234,8 +255,12 @@ class FrameGrid:
         return float(self.xs[1] - self.xs[0]), float(self.ys[1] - self.ys[0])
 
     def field(self, name):
-        """Stack one frame attribute into an (nx, ny, ...) array."""
-        return np.array([[getattr(f, name) for f in row] for row in self.frames])
+        """One frame attribute over the grid, an (nx, ny, ...) array."""
+        if self._fields is None:
+            return np.array([[getattr(f, name) for f in row]
+                             for row in self.frames])
+        value = np.moveaxis(self._fields[name], -1, 0)
+        return value.reshape(self.shape + value.shape[1:]).copy()
 
 
 def sample_frame_grid(surface, grid=(9, 9), bounds=None, inset=0.08,
@@ -246,7 +271,9 @@ def sample_frame_grid(surface, grid=(9, 9), bounds=None, inset=0.08,
     shrunk by the fraction ``inset`` on each side (room for difference
     stencils).  Eigenvector signs are made continuous by propagating from
     the first node down the first column and then along rows, flipping
-    frames whose r1 opposes its predecessor's.
+    frames whose r1 opposes its predecessor's.  The fields are computed
+    in one batch and kept batched; the grid's ``frames`` are built from
+    them only when read.
     """
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 3 or ny < 3:
@@ -271,9 +298,7 @@ def sample_frame_grid(surface, grid=(9, 9), bounds=None, inset=0.08,
         [first, keeps(r1[:, :, 1:], r1[:, :, :-1])]), axis=1).ravel()
     for name in ("r1", "r2", "d1_star", "d2_star", "c1", "c2"):
         fields[name] = fields[name] * sign
-    frames = [[_frame_at(fields, i * ny + j) for j in range(ny)]
-              for i in range(nx)]
-    return FrameGrid(xs=xs, ys=ys, frames=frames)
+    return FrameGrid(xs=xs, ys=ys, _fields=fields)
 
 
 def _interior(grid, i, j):
@@ -311,10 +336,9 @@ def gauss_from_connectors(grid, jet=None, i=None, j=None):
         When (i, j) has no interior neighbors.
     """
     i, j = _interior(grid, i, j)
-    node = grid.frames[i][j]
-    lam1 = jet.lambda1 if jet is not None else node.lambda1
-    lam2 = jet.lambda2 if jet is not None else node.lambda2
-    return float(-_curl(grid, "c_star")[i - 1, j - 1] / (lam1 * lam2))
+    node = jet if jet is not None else grid.frames[i][j]
+    return float(-_curl(grid, "c_star")[i - 1, j - 1]
+                 / (node.lambda1 * node.lambda2))
 
 
 def gauss_uniform_stretch(frame, lambda1):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import materials as _materials
-from .surface_geometry import evaluate_jet
+from .surface_geometry import _gauss_legendre, evaluate_jet
 
 GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 
@@ -62,7 +62,7 @@ def through_thickness_energy_from_jet(jet, material, profile, h, quad_order=8):
     """
     if quad_order < 2:
         raise ValueError("quad_order must be at least 2")
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    nodes, weights = _gauss_legendre(quad_order)
     needs_C_f = _materials.as_model(material).needs_C_f
     total = 0.0
     for t, wt in zip(nodes, weights):
@@ -85,9 +85,9 @@ def fit_h_powers(h_samples, energies=None):
     """Fit E(h) = c1 h + c3 h^3 by least squares.
 
     Takes parallel arrays of thicknesses and energies, or a single
-    iterable of (h, energy) pairs.  Needs at least 4 distinct samples
-    spanning a decade; no higher-order term is included, so keep max(h)
-    small enough that h^5 leakage is below the tolerance of the
+    iterable of (h, energy) pairs.  Needs at least 4 distinct, finite
+    samples spanning a decade; no higher-order term is included, so keep
+    max(h) small enough that h^5 leakage is below the tolerance of the
     comparison at hand.
     """
     if energies is None:
@@ -101,7 +101,9 @@ def fit_h_powers(h_samples, energies=None):
         raise FitError("h_samples and energies must be 1-d and equally long")
     if len(hs) < 4:
         raise FitError("need at least 4 samples")
-    if len(np.unique(hs)) != len(hs):
+    if not (np.all(np.isfinite(hs)) and np.all(np.isfinite(es))):
+        raise FitError("h samples and energies must be finite")
+    if np.any(np.diff(np.sort(hs)) == 0.0):
         raise FitError("h samples must be distinct")
     if np.any(hs <= 0):
         raise FitError("h samples must be positive")
@@ -227,7 +229,7 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400, slope_bracket=(0.5, 1.5)):
                 psi.append(q)
             if step < 0.0:
                 phi, psi = phi[::-1] + [0.0], psi[::-1] + [s]
-        return np.linspace(-h, h, 2 * n_steps + 1), np.array(phi), np.array(psi)
+        return np.array(phi), np.array(psi)
 
     def profile_energy(phi, psi):
         # C_f on this fiber is diag((1 + 2H phi)^2, 1, psi^2)
@@ -239,15 +241,16 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400, slope_bracket=(0.5, 1.5)):
 
     @functools.cache  # parabolic_refine probes the golden-section argmin again
     def fiber_energy(s):
-        return profile_energy(*profile_for(s)[1:])
+        return profile_energy(*profile_for(s))
 
     slope, _ = minimize_scalar(fiber_energy, slope_bracket, tol=1e-10)
     slope = parabolic_refine(fiber_energy, slope, 1e-5)
-    x3, phi, psi = profile_for(slope)
+    phi, psi = profile_for(slope)
     energy = profile_energy(phi, psi)
     second = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt ** 2
     residual = float(np.max(np.abs(second - (coef * phi[1:-1] + forcing))))
-    return SvkProfileSolution(x3=x3, phi=phi, dphi=psi, slope=float(slope),
+    return SvkProfileSolution(x3=np.linspace(-h, h, 2 * n_steps + 1), phi=phi,
+                              dphi=psi, slope=float(slope),
                               energy=float(energy), ode_residual=residual)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .materials import (MaterialDomainError, StiffeningLimitError, as_model,
                         invariant_series, volumetric_energy)
 from .surface_geometry import (DegenerateImmersionError, DomainError, JetBatch,
-                               evaluate_jets, float_if_scalar,
+                               _gauss_legendre, evaluate_jets, float_if_scalar,
                                raise_first_failure, unimodular_tolerance)
 
 __all__ = [
@@ -415,8 +415,8 @@ def integrate_contents(surface, material, h, grid=(8, 8)):
         raise ValueError(f"half thickness h = {h:.9g} must be positive")
     nx, ny = int(grid[0]), int(grid[1])
     (u0, u1), (v0, v1) = surface.domain
-    xu, wu = np.polynomial.legendre.leggauss(nx)
-    xv, wv = np.polynomial.legendre.leggauss(ny)
+    xu, wu = _gauss_legendre(nx)
+    xv, wv = _gauss_legendre(ny)
     su, cu = 0.5 * (u1 - u0), 0.5 * (u1 + u0)
     sv, cv = 0.5 * (v1 - v0), 0.5 * (v1 + v0)
 

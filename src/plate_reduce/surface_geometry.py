@@ -11,6 +11,8 @@ runs it on one point (shape ``()``), ``evaluate_jets`` on N points at once
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Tuple
@@ -19,7 +21,13 @@ from typing import Callable, Optional, Tuple
 # exact tie and pinned to the coordinate axes.
 UMBILIC_GAP = 1e-12
 
-_GL64 = np.polynomial.legendre.leggauss(64)
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    # the n-point Gauss-Legendre rule on [-1, 1], built once, shared read-only
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _pow(a, k):
@@ -528,7 +536,7 @@ def _bump_height(v, amp, w):
     # integrate zeta' = sqrt(s) (zeta_v, no derivative terms) from 0 to v
     # with fixed-order quadrature, accumulated node by node: the finite-
     # difference stencil divides by step^2, so the summation order must not change
-    nodes, weights = _GL64
+    nodes, weights = _gauss_legendre(64)
     t = 0.5 * v * np.reshape(nodes + 1.0, (-1,) + (1,) * np.ndim(v))
     zv = _bump_scalars(t, amp, w, derivatives=False)[1]
     total = 0.0

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .surface_geometry import (_where, float_if_scalar, raise_first_failure,
-                               unimodular_tolerance)
+from .surface_geometry import (_gauss_legendre, _where, float_if_scalar,
+                               raise_first_failure, unimodular_tolerance)
 
 SHC_SERIES_CUTOFF = 1e-4
 
@@ -227,5 +227,5 @@ def deformed_thickness(profile, h, quad_order=16):
     """Thickness of the deformed sheet: quadrature of phi' over [-h, h]."""
     if h <= 0:
         raise ValueError("half thickness must be positive")
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    nodes, weights = _gauss_legendre(quad_order)
     return h * sum(w * profile.dphi(h * t) for t, w in zip(nodes, weights))

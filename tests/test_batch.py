@@ -24,9 +24,9 @@ from plate_reduce import (
     point_contents,
 )
 from plate_reduce.reduced_energy import grid_contents
-from plate_reduce.surface_geometry import (_GL64, JetBatch, _bump_height,
-                                           _bump_scalars, evaluate_jets,
-                                           uniform_stretch_cone)
+from plate_reduce.surface_geometry import (JetBatch, _bump_height,
+                                           _bump_scalars, _gauss_legendre,
+                                           evaluate_jets, uniform_stretch_cone)
 
 SURFACES = ("plane", "uniform_stretch", "cylinder", "sphere_cap", "saddle",
             "gaussian_bump")
@@ -136,7 +136,7 @@ def test_bump_height_sums_like_a_per_node_loop():
     # the vectorized height keeps the node order of this loop, and its
     # series branch (q < 0.01) the rounding of the per-point powers
     v = np.array([0.0, 1e-4, 3e-3, 9.9e-3, 0.02, 0.3, 0.5625])
-    nodes, weights = _GL64
+    nodes, weights = _gauss_legendre(64)
     heights = _bump_height(v, 0.5, 1.0)
     for vi, height in zip(v, heights):
         total = 0.0

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import plate_reduce
-from plate_reduce import Gent, evaluate_jet
+from plate_reduce import (DegenerateImmersionError, DomainError, Gent,
+                          StiffeningLimitError, cli_io, evaluate_jet)
 from plate_reduce.cli_io import (
     CHECK_IDS,
     CSV_COLUMNS,
@@ -371,6 +372,36 @@ def test_verify_writes_non_finite_observations_as_failed_nulls(tmp_path,
     verdict, = report["checks"]
     assert verdict["passed"] is False
     assert verdict["observed"] == {"cylinder": None, "gaussian_bump": None}
+
+
+@pytest.mark.parametrize("error", [DomainError, DegenerateImmersionError,
+                                   StiffeningLimitError])
+def test_verify_check_that_raises_fails_its_verdict(tmp_path, capsys,
+                                                    monkeypatch, error):
+    def crash(ctx):
+        raise error("no room for the stencil")
+
+    monkeypatch.setattr(cli_io, "CHECKS", tuple(
+        (cid, crash if cid == "eigenframe_coupling" else check)
+        for cid, check in cli_io.CHECKS))
+    cfg = dict(BASE, options={"checks": ["eigenframe_coupling",
+                                         "cross_path_curvatures"]})
+    code, out = run_cli(tmp_path, cfg, command="verify")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert (f"FAIL eigenframe_coupling: check raised {error.__name__}: "
+            "no room for the stencil") in captured.out
+    assert "PASS cross_path_curvatures:" in captured.out
+    assert "1/2 checks passed" in captured.out
+    report = json.loads((out / "verdicts.json").read_text(),
+                        parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
+    crashed, other = report["checks"]
+    assert crashed["check_id"] == "eigenframe_coupling"
+    assert crashed["passed"] is False and crashed["observed"] is None
+    assert error.__name__ in crashed["detail"]
+    assert other["passed"] is True
+    assert report["n_passed"] == 1 and report["all_passed"] is False
 
 
 def test_verdict_fails_any_non_finite_observation():

@@ -1,7 +1,7 @@
 """Tests for the stretch-eigenframe connector fields."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from plate_reduce import (
     gauss_uniform_stretch,
     sample_frame_grid,
 )
-from plate_reduce.cli_io import uniform_stretch_cone
+from plate_reduce.cli_io import CHECKS, VerifyContext, uniform_stretch_cone
 from plate_reduce.surface_geometry import UMBILIC_GAP
 
 BUMP_X = np.array([0.3, 0.2])
@@ -340,6 +340,40 @@ def test_frame_grid_matches_matrix_route(name):
             assert np.array_equal(np.isnan(got), np.isnan(want)), field
             gap = np.nanmax(np.abs(got - want), initial=0.0)
             assert gap <= 1e-12 * scale, f"{field}: gap {gap:.3g} of {scale:.3g}"
+
+
+@pytest.mark.parametrize("name", ["gaussian_bump", "sphere_cap", "cylinder",
+                                  "plane"])
+def test_sampled_fields_equal_stacked_frames(name):
+    # a sampled grid reads its fields from the batch and builds its frames
+    # on demand; both views must agree, nan and umbilic flags included
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        grid = sample_frame_grid(catalog_surface(name), grid=(7, 6),
+                                 with_c12=True)
+    stacked = FrameGrid(xs=grid.xs, ys=grid.ys, frames=grid.frames)
+    assert len(grid.frames) == 7 and all(len(row) == 6 for row in grid.frames)
+    for f in fields(ConnectorFrame):
+        got, want = grid.field(f.name), stacked.field(f.name)
+        assert got.shape == want.shape and got.dtype == want.dtype, f.name
+        assert np.array_equal(got, want, equal_nan=True), f.name
+
+
+def test_connector_checks_build_no_frames(monkeypatch):
+    # both checks read batched fields only; the two frames left are the
+    # cones' compute_frame calls in theorema_egregium
+    built = []
+    init = ConnectorFrame.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("x"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConnectorFrame, "__init__", counting_init)
+    checks = dict(CHECKS)
+    for cid in ("theorema_egregium", "codazzi_residuals"):
+        assert checks[cid](VerifyContext())["passed"], cid
+    assert len(built) == 2
 
 
 def test_check_codazzi_keeps_nan_residuals():

@@ -1,7 +1,13 @@
 """Numerical oracles: power fits, scalar minimization, quadrature, ODE."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import plate_reduce
 
 from plate_reduce import (
     BracketError,
@@ -22,6 +28,7 @@ from plate_reduce import (
     through_thickness_energy,
     through_thickness_energy_from_jet,
 )
+from plate_reduce.surface_geometry import _gauss_legendre
 
 HS = (1e-2, 5e-3, 2e-3, 1e-3, 5e-4)
 
@@ -57,6 +64,30 @@ def test_fit_rejects_bad_samples():
         fit_h_powers((1.0, 0.9, 0.8, 0.7), (1.0, 2.0, 3.0, 4.0))
     with pytest.raises(FitError, match="equally long"):
         fit_h_powers((1e-2, 1e-3, 1e-4, 1e-5), (1.0, 2.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["h", "energy"])
+def test_fit_rejects_non_finite_samples(bad, where):
+    hs, energies = list(HS), [2.0 * h + 5.0 * h ** 3 for h in HS]
+    (hs if where == "h" else energies)[2] = bad
+    with pytest.raises(FitError, match="finite"):
+        fit_h_powers(hs, energies)
+
+
+def test_fit_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, about 19 ms of a fresh
+    # process; the distinctness test must not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plate_reduce.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from plate_reduce import fit_h_powers; "
+         f"fit_h_powers({HS!r}, [2.0 * h for h in {HS!r}]); "
+         "print('numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -256,3 +287,19 @@ def test_order_of_residual_excludes_the_roundoff_floor():
     with pytest.raises(ValueError, match="usable"):
         with pytest.warns(RuntimeWarning):
             order_of_residual(lambda h: 0.0, hs)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rule
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 64])
+def test_cached_gauss_rule_is_leggauss_and_read_only(n):
+    nodes, weights = _gauss_legendre(n)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(nodes, want_nodes)
+    assert np.array_equal(weights, want_weights)
+    assert _gauss_legendre(n)[0] is nodes
+    for a in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
