@@ -63,7 +63,6 @@ CSV_COLUMNS = ("x1", "x2", "trC", "detC", "lambda1", "lambda2",
 
 # every float in points.csv and sweep.csv, after + 0.0 canonicalizes -0
 _FLOAT_FORMAT = "%.17g"
-_POINTS_ROW = ",".join([_FLOAT_FORMAT] * (len(CSV_COLUMNS) - 1) + ["%s"]) + "\n"
 
 _ADMISSIBILITY_ERRORS = (MaterialDomainError, StiffeningLimitError,
                          ProfileConstraintError)
@@ -248,9 +247,27 @@ def _write_json(path, payload):
         fh.write(text + "\n")
 
 
+def _require_finite(name, values):
+    # outputs hold finite numbers only; called before any file is opened
+    values = np.asarray(values)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ConfigError(f"{name} is {bad[0]}, not a finite number: the "
+                          "config leaves the range of double precision")
+
+
 def _fmt(value):
     # + 0.0 canonicalizes negative zero
     return _FLOAT_FORMAT % (value + 0.0)
+
+
+def _format_column(name, values):
+    """The ``_fmt`` text of each value, formatting each distinct one once;
+    a non-finite value is a ConfigError naming the column."""
+    distinct, index = np.unique(values + 0.0, return_inverse=True)
+    _require_finite(name, distinct)
+    text = [_FLOAT_FORMAT % v for v in distinct.tolist()]
+    return list(map(text.__getitem__, index.tolist()))
 
 
 def cmd_evaluate(config, out_dir):
@@ -258,7 +275,8 @@ def cmd_evaluate(config, out_dir):
 
     Emits ``points.csv`` (one row per grid node) and ``summary.json``
     with the integrated totals, the profile coefficients at the domain
-    center, and the set of formula ids used.
+    center, and the set of formula ids used.  A non-finite result writes
+    no file and is a configuration error.
     """
     xs, ys = _evaluation_nodes(config.surface, *config.grid)
     # x1 outer, x2 inner, as the rows of points.csv
@@ -273,8 +291,11 @@ def cmd_evaluate(config, out_dir):
     columns = (points[:, 0], points[:, 1], jets.trC, jets.detC, jets.lambda1,
                jets.lambda2, jets.H, jets.K, jets.b1, contents.stretching,
                contents.bending)
-    rows = list(zip(*((c + 0.0).tolist() for c in columns), contents.formula_id))
-    ids = set(contents.formula_id)
+    text = [_format_column(*c) for c in zip(CSV_COLUMNS, columns)]
+    text.append(contents.formula_id)
+    n_points, ids = len(points), sorted(set(contents.formula_id))
+    # the integration below builds its own grid: hold only the text
+    del points, jets, contents, columns
     try:
         total_s, total_b, energy = integrate_contents(
             config.surface, config.material, config.h, grid=config.grid)
@@ -282,32 +303,35 @@ def cmd_evaluate(config, out_dir):
         print(f"admissibility failure: {err}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
 
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "points.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(_POINTS_ROW % row for row in rows)
-
     (u0, u1), (v0, v1) = config.surface.domain
     center = np.array([0.5 * (u0 + u1), 0.5 * (v0 + v1)])
     profile = config.material.profile(evaluate_jet(config.surface, center),
                                       h=config.h)
+    totals = {"stretching_content": float(total_s),
+              "bending_content": float(total_b), "energy": float(energy)}
+    coefficients = {"alpha": float(profile.alpha),
+                    "beta": float(profile.beta), "gamma": float(profile.gamma)}
+    for name, value in {**totals, **coefficients}.items():
+        _require_finite(name, value)
     summary = {
         "config": config.raw,
         "results": {
-            "n_points": len(rows),
-            "totals": {"stretching_content": float(total_s),
-                       "bending_content": float(total_b),
-                       "energy": float(energy)},
-            "profile_at_center": {
-                "kind": profile.kind, "alpha": float(profile.alpha),
-                "beta": float(profile.beta), "gamma": float(profile.gamma),
-                "x1": float(center[0]), "x2": float(center[1])},
-            "formula_ids": sorted(ids),
+            "n_points": n_points,
+            "totals": totals,
+            "profile_at_center": dict(
+                coefficients, kind=profile.kind,
+                x1=float(center[0]), x2=float(center[1])),
+            "formula_ids": ids,
         },
     }
+
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, "points.csv")
+    with open(csv_path, "w") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*text))
     _write_json(os.path.join(out_dir, "summary.json"), summary)
-    print(f"evaluated {len(rows)} points on {config.surface.name}; "
+    print(f"evaluated {n_points} points on {config.surface.name}; "
           f"energy(h={config.h:g}) = {energy:.17g}")
     print(f"wrote {csv_path} and {os.path.join(out_dir, 'summary.json')}")
     return EXIT_OK
@@ -650,6 +674,22 @@ def _check_thickness_formula(ctx):
                     {k: float(v) for k, v in slopes.items()}, 5.0, tol, detail)
 
 
+def _linspace_argmin(f, stop, num, block=8192):
+    """The first point of np.linspace(0, stop, num) where ``f`` is least;
+    ``f`` sees the grid as bit-identical blocks of at most ``block`` points."""
+    step = stop / (num - 1)
+    best, arg = np.inf, 0.0
+    for i0 in range(0, num, block):
+        phis = np.arange(i0, min(i0 + block, num), dtype=float) * step
+        if i0 + block >= num:
+            phis[-1] = stop
+        values = f(phis)
+        i = int(np.argmin(values))
+        if values[i] < best:  # strict: the first minimum wins, as in np.argmin
+            best, arg = values[i], phis[i]
+    return arg
+
+
 def _check_eigenframe_coupling(ctx):
     # The quartic angular coupling must vanish exactly at the interior
     # stationary angle when the quadratic factor changes sign, and be
@@ -658,9 +698,10 @@ def _check_eigenframe_coupling(ctx):
     k1, k2 = 1.0, 2.0
     lambda1 = np.sqrt(1.5)
 
-    phis = np.linspace(0.0, 0.5 * np.pi, 200001)
-    values = eigenframe_coupling(k1, k2, lambda1, phis)
-    scan_argmin = phis[int(np.argmin(values))]
+    n_scan = 200001
+    scan_argmin = _linspace_argmin(
+        lambda phis: eigenframe_coupling(k1, k2, lambda1, phis),
+        0.5 * np.pi, n_scan)
 
     # the quadratic factor A cos^2 + B sin^2 is monotone in sin^2, so its
     # sign change brackets the zero of the quartic
@@ -692,7 +733,7 @@ def _check_eigenframe_coupling(ctx):
     iso_span = np.max(flat_iso) - np.min(flat_iso)
 
     passed = (tan2_err <= tol and w_star <= 1e-12 and angle_err <= 1e-9
-              and scan_err <= 2.0 * (phis[1] - phis[0])
+              and scan_err <= 2.0 * (0.5 * np.pi / (n_scan - 1))
               and const_span <= 1e-12 and iso_span <= 1e-12)
     detail = (f"tan^2 gap {tan2_err:.2e} (tol {tol:g}); coupling at the "
               f"zero {w_star:.2e}; constant-case span {max(const_span, iso_span):.2e}")
@@ -822,7 +863,10 @@ def _sweep_point(surface):
 
 
 def cmd_sweep(config, out_dir):
-    """Emit long-format sweep data for one parameter; write sweep.csv."""
+    """Emit long-format sweep data for one parameter; write sweep.csv.
+
+    A non-finite result writes no file and is a configuration error.
+    """
     sweep = config.options.get("sweep")
     if sweep is None:
         print("sweep command needs options.sweep = {param, values} in the "
@@ -896,6 +940,8 @@ def cmd_sweep(config, out_dir):
               f"{', '.join(SWEEP_PARAMS)}", file=sys.stderr)
         return EXIT_CONFIG
 
+    for name, value, observable, result in rows:
+        _require_finite(f"{observable} at {name} = {value:g}", result)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w") as fh:
@@ -950,6 +996,11 @@ def main(argv=None):
             return cmd_sweep(load_config(args.config), args.out)
     except (ConfigError, DomainError, DegenerateImmersionError) as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OverflowError as err:
+        # a float power such as the energy's h**3 raises instead of giving inf
+        print(f"config error: a result overflows double precision: {err}",
+              file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_CONFIG
 

@@ -232,12 +232,13 @@ class _FramesOnDemand:
         grid.__dict__["frames"] = frames
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameGrid:
     """Connector frames on a rectangular grid with gauge-continuous signs.
 
     A sampled grid keeps the frame fields batched for ``field``; its
-    ``frames`` are built from them on first read.
+    ``frames`` are built from them on first read.  Grids compare by
+    identity: their fields are arrays.
     """
 
     xs: np.ndarray

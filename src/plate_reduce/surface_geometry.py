@@ -337,7 +337,9 @@ def _jet_fields(surface, x):
             f"(margin {margin:g})")),
         (flat, lambda i: DegenerateImmersionError(
             f"surface gradient is rank deficient at {point(i)}")),
-        (mu2 <= 0.0, lambda i: DegenerateImmersionError(
+        # not > rather than <=, so a NaN stretch (a surface evaluated off
+        # its real range, such as a sphere cap smaller than the domain) fails
+        (~(mu2 > 0.0), lambda i: DegenerateImmersionError(
             f"stretch tensor not positive definite at {point(i)}")),
     )
     lam1 = np.sqrt(mu1)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,11 @@ from plate_reduce.cli_io import (
     CSV_COLUMNS,
     ConfigError,
     VerifyContext,
+    _check_eigenframe_coupling,
     _evaluation_nodes,
+    _fmt,
+    _format_column,
+    _linspace_argmin,
     _verdict,
     _write_json,
     load_config,
@@ -117,6 +122,59 @@ def test_points_csv_round_trips_the_grid_values(tmp_path):
         assert row["formula_id"] == contents.formula_id[i]
         for column, values in expected.items():
             assert float(row[column]) == values[i], (i, column)
+
+
+@pytest.mark.parametrize("changes", [
+    {"surface": {"name": "gaussian_bump"},
+     "material": {"model": "mooney_rivlin", "mu": 1.0, "chi": 0.7}},
+    {"surface": {"name": "cylinder"}},
+], ids=["bump", "cylinder"])
+def test_points_csv_text_equals_per_row_formatting(tmp_path, changes):
+    # the bump's symmetric grid repeats values across rows; the cylinder's
+    # columns are mostly ties, and its K is -0.0 at every node
+    cfg = dict(BASE, grid={"nx": 5, "ny": 5}, **changes)
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    config = parse_config(cfg)
+    xs, ys = _evaluation_nodes(config.surface, 5, 5)
+    points = np.column_stack([np.repeat(xs, 5), np.tile(ys, 5)])
+    jets, contents = grid_contents(config.surface, config.material, points)
+    columns = [points[:, 0], points[:, 1]] + [getattr(jets, k) for k in
+                                              CSV_COLUMNS[2:9]]
+    columns += [contents.stretching, contents.bending]
+    lines = [",".join([_fmt(c[i]) for c in columns] + [contents.formula_id[i]])
+             for i in range(len(points))]
+    text = (out / "points.csv").read_text()
+    assert text == "\n".join([",".join(CSV_COLUMNS)] + lines) + "\n"
+
+
+def test_format_column_formats_each_value_like_fmt():
+    values = np.array([0.1, -0.0, 0.0, 0.1, 1 / 3, -2.5, 1 / 3, 5e-324,
+                       -0.0, 1e300, 0.1 + 2 ** -56, 0.1])
+    assert _format_column("x", values) == [_fmt(v) for v in values.tolist()]
+    assert _format_column("x", values)[1] == "0"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_format_column_rejects_non_finite_values(bad):
+    with pytest.raises(ConfigError, match="w_b is .*not a finite number"):
+        _format_column("w_b", np.array([1.0, bad, 1.0]))
+
+
+def test_evaluate_holds_less_than_5_mib(tmp_path):
+    # holding the float columns, jets and row tuples of a 64 x 64 grid
+    # through the integration peaked near 6.5 MiB
+    cfg = dict(BASE, surface={"name": "gaussian_bump", "A": 0.5, "s": 1.0},
+               grid={"nx": 64, "ny": 64})
+    config = load_config(write_config(tmp_path, cfg))
+    assert cli_io.cmd_evaluate(config, str(tmp_path / "warm")) == 0
+    tracemalloc.start()
+    try:
+        assert cli_io.cmd_evaluate(config, str(tmp_path / "out")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 def test_evaluate_flat_plane_is_zero(tmp_path):
@@ -285,6 +343,34 @@ def test_degenerate_or_outside_surfaces_are_config_errors(
     assert not out.exists()
 
 
+def _bump_4x4(**changes):
+    return _patched(**dict({"surface": {"name": "gaussian_bump", "A": 0.5},
+                            "material": {"model": "neo_hookean", "mu": 1.0},
+                            "grid": {"nx": 4, "ny": 4},
+                            "options": {"sweep": {"param": "h",
+                                                  "values": [1e-3, 2e-3]}}},
+                           **changes))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize("changes,message", [
+    ({"material": {"model": "neo_hookean", "mu": 1e308}},
+     "is inf, not a finite number"),
+    ({"h": 1e200, "options": {"sweep": {"param": "h", "values": [1e200]}}},
+     "a result overflows double precision"),
+    ({"surface": {"name": "sphere_cap", "R": 1e-300}},
+     "stretch tensor not positive definite"),
+], ids=["mu_1e308", "h_1e200", "sphere_R_1e-300"])
+def test_non_finite_results_are_config_errors(tmp_path, capsys, command,
+                                              changes, message):
+    code, out = run_cli(tmp_path, _bump_4x4(**changes), command=command)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "config error: " in err and message in err
+    assert not out.exists()
+
+
 def test_write_json_rejects_non_finite_values(tmp_path):
     path = tmp_path / "summary.json"
     with pytest.raises(ValueError, match="JSON compliant"):
@@ -411,6 +497,48 @@ def test_verdict_fails_any_non_finite_observation():
     verdict = _verdict("x", True, math.nan, 0.0, 1.0, "")
     assert verdict["passed"] is False and verdict["observed"] is None
     assert _verdict("x", True, 2.0, 0.0, 1.0, "")["passed"] is True
+
+
+def test_blocked_scan_matches_a_one_shot_argmin():
+    stop, num = 0.5 * np.pi, 200001
+    k1, k2, lambda1 = 1.0, 2.0, np.sqrt(1.5)
+    grid = np.linspace(0.0, stop, num)
+    values = cli_io.eigenframe_coupling(k1, k2, lambda1, grid)
+    blocks = []
+
+    def coupling(phis):
+        blocks.append(phis.copy())
+        return cli_io.eigenframe_coupling(k1, k2, lambda1, phis)
+
+    got = _linspace_argmin(coupling, stop, num)
+    assert got == grid[int(np.argmin(values))]
+    assert max(len(b) for b in blocks) == 8192 and len(blocks) == 25
+    joined = np.concatenate(blocks)
+    assert np.array_equal(joined.view(np.int64), grid.view(np.int64))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 8])
+def test_blocked_argmin_keeps_the_first_minimum(block):
+    # ties inside a block and across blocks: np.argmin takes the first
+    values = np.array([3.0, 1.0, 2.0, 1.0, 0.5, 4.0, 0.5, 0.5])
+    grid = np.linspace(0.0, 1.0, len(values))
+    lookup = dict(zip(grid.tolist(), values))
+    got = _linspace_argmin(lambda p: np.array([lookup[x] for x in p.tolist()]),
+                           1.0, len(values), block=block)
+    assert got == grid[int(np.argmin(values))]
+
+
+def test_eigenframe_check_holds_less_than_1_mib():
+    # the full 200,001-angle scan and its temporaries peaked near 7.6 MiB
+    ctx = VerifyContext()
+    assert _check_eigenframe_coupling(ctx)["passed"]
+    tracemalloc.start()
+    try:
+        verdict = _check_eigenframe_coupling(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict["passed"] and peak < 2 ** 20
 
 
 def test_verify_tolerance_override(tmp_path, capsys):

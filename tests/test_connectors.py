@@ -359,6 +359,13 @@ def test_sampled_fields_equal_stacked_frames(name):
         assert np.array_equal(got, want, equal_nan=True), f.name
 
 
+def test_frame_grids_compare_by_identity():
+    a = sample_frame_grid(catalog_surface("saddle"), grid=(3, 3))
+    b = sample_frame_grid(catalog_surface("saddle"), grid=(3, 3))
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert len({a, b, a}) == 2
+
+
 def test_connector_checks_build_no_frames(monkeypatch):
     # both checks read batched fields only; the two frames left are the
     # cones' compute_frame calls in theorema_egregium
