@@ -10,7 +10,7 @@ byte-identical ``points.csv``, ``summary.json``, ``verdicts.json``, and
 ``sweep.csv``.
 
 Exit codes: 0 success, 1 at least one verification check failed (a
-check that raises a domain or admissibility error fails),
+check that raises a domain, admissibility or oracle error fails),
 2 usage or configuration error, 3 material admissibility failure.
 """
 
@@ -25,19 +25,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .connectors import (check_codazzi, compute_frame, gauss_from_connectors,
-                         gauss_uniform_stretch, sample_frame_grid)
+from . import connectors, oracle
 from .materials import (CiarletGeymonat, Gent, MaterialDomainError,
                         NeoHookean, StiffeningLimitError, fiber_invariants,
                         finite_number, lame_constants, material_from_config,
                         volumetric_energy)
-from .oracle import (fit_h_powers, minimize_scalar, parabolic_refine,
-                     solve_svk_profile_ode, through_thickness_energy_from_jet)
 from .reduced_energy import (cg_contents, cg_small_strain_contents,
                              cg_stretching_closed, coupling_stationary_angles,
                              eigenframe_coupling, gent_contents,
-                             grid_contents, integrate_contents,
-                             point_contents)
+                             GRID_BLOCK, grid_columns, integrate_contents,
+                             plate_energy, point_contents)
 from .surface_geometry import (DegenerateImmersionError, DomainError,
                                ParametricSurface, appendix_H_K,
                                catalog_surface, evaluate_jet,
@@ -66,7 +63,8 @@ _FLOAT_FORMAT = "%.17g"
 
 _ADMISSIBILITY_ERRORS = (MaterialDomainError, StiffeningLimitError,
                          ProfileConstraintError)
-# errors that fail a built-in check instead of stopping verify
+# errors that fail a built-in check instead of stopping verify; cmd_verify
+# adds oracle's own when a check raises, so that evaluate never runs oracle
 _CHECK_ERRORS = (DomainError, DegenerateImmersionError) + _ADMISSIBILITY_ERRORS
 
 
@@ -250,7 +248,8 @@ def _write_json(path, payload):
 def _require_finite(name, values):
     # outputs hold finite numbers only; called before any file is opened
     values = np.asarray(values)
-    bad = values[~np.isfinite(values)]
+    # sorted, so that the value named does not depend on the row order
+    bad = np.sort(values[~np.isfinite(values)])
     if bad.size:
         raise ConfigError(f"{name} is {bad[0]}, not a finite number: the "
                           "config leaves the range of double precision")
@@ -282,20 +281,20 @@ def cmd_evaluate(config, out_dir):
     # x1 outer, x2 inner, as the rows of points.csv
     points = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
     try:
-        jets, contents = grid_contents(config.surface, config.material, points)
+        *columns, formula_id = grid_columns(
+            config.surface, config.material, points, lambda jets, contents: (
+                jets.trC, jets.detC, jets.lambda1, jets.lambda2, jets.H,
+                jets.K, jets.b1, contents.stretching, contents.bending,
+                contents.formula_id))
     except _ADMISSIBILITY_ERRORS as err:
         x1, x2 = points[err.index]
         print(f"admissibility failure at point ({x1:.6g}, {x2:.6g}): {err}",
               file=sys.stderr)
         return EXIT_ADMISSIBILITY
-    columns = (points[:, 0], points[:, 1], jets.trC, jets.detC, jets.lambda1,
-               jets.lambda2, jets.H, jets.K, jets.b1, contents.stretching,
-               contents.bending)
-    text = [_format_column(*c) for c in zip(CSV_COLUMNS, columns)]
-    text.append(contents.formula_id)
-    n_points, ids = len(points), sorted(set(contents.formula_id))
-    # the integration below builds its own grid: hold only the text
-    del points, jets, contents, columns
+    columns = [points[:, 0], points[:, 1]] + columns
+    for name, values in zip(CSV_COLUMNS, columns):
+        _require_finite(name, values)
+    n_points, ids = len(points), sorted(set(formula_id))
     try:
         total_s, total_b, energy = integrate_contents(
             config.surface, config.material, config.h, grid=config.grid)
@@ -329,7 +328,12 @@ def cmd_evaluate(config, out_dir):
     csv_path = os.path.join(out_dir, "points.csv")
     with open(csv_path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*text))
+        for start in range(0, n_points, GRID_BLOCK):
+            rows = slice(start, start + GRID_BLOCK)
+            text = [_format_column(name, values[rows])
+                    for name, values in zip(CSV_COLUMNS, columns)]
+            fh.writelines(",".join(row) + "\n"
+                          for row in zip(*text, formula_id[rows]))
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     print(f"evaluated {n_points} points on {config.surface.name}; "
           f"energy(h={config.h:g}) = {energy:.17g}")
@@ -404,10 +408,9 @@ def _check_gent_bending(ctx):
     target = 4.0 / 3.0
 
     closed = gent_contents(jet, 1.0, 10.0)
-    energies = [through_thickness_energy_from_jet(jet, Gent(mu=1.0, jm=10.0),
-                                                  profile, h)
-                for h in H_BEND]
-    fit = fit_h_powers(H_BEND, energies)
+    energies = [oracle.through_thickness_energy_from_jet(
+        jet, Gent(mu=1.0, jm=10.0), profile, h) for h in H_BEND]
+    fit = oracle.fit_h_powers(H_BEND, energies)
     errs = {
         "oracle_vs_closed_jm10": abs(fit.c3 - closed.bending) / target,
         "closed_jm10_vs_4_3": abs(closed.bending - target) / target,
@@ -438,10 +441,10 @@ def _check_gent_stretching(ctx):
                        np.array([0.1, 0.2]))
     closed = gent_contents(jet, 1.0, 10.0)
     target = -10.0 * np.log(0.775)
-    energies = [through_thickness_energy_from_jet(jet, Gent(mu=1.0, jm=10.0),
-                                                  incompressible_profile(jet), h)
-                for h in H_STRETCH]
-    fit = fit_h_powers(H_STRETCH, energies)
+    energies = [oracle.through_thickness_energy_from_jet(
+        jet, Gent(mu=1.0, jm=10.0), incompressible_profile(jet), h)
+        for h in H_STRETCH]
+    fit = oracle.fit_h_powers(H_STRETCH, energies)
     errs = {
         "oracle_vs_closed": abs(fit.c1 - closed.stretching) / target,
         "closed_vs_log_form": abs(closed.stretching - target) / target,
@@ -463,19 +466,19 @@ def _check_theorema_egregium(ctx):
     surface = catalog_surface("gaussian_bump")
     point = (0.3, 0.2)
     half = 0.04
-    grid = sample_frame_grid(surface, grid=(41, 41),
-                             bounds=((point[0] - half, point[0] + half),
-                                     (point[1] - half, point[1] + half)))
+    grid = connectors.sample_frame_grid(
+        surface, grid=(41, 41), bounds=((point[0] - half, point[0] + half),
+                                        (point[1] - half, point[1] + half)))
     jet = evaluate_jet(surface, np.array(point))
-    k_curl = gauss_from_connectors(grid, jet=jet)
+    k_curl = connectors.gauss_from_connectors(grid, jet=jet)
     rel_err = abs(k_curl - jet.K) / abs(jet.K)
 
     cone_errs = {}
     for lam1 in (2.0, 1.5):
         cone = uniform_stretch_cone(lam1)
         x = np.array([1.0, 0.0])
-        frame = compute_frame(cone, x, c12_step=5e-5)
-        k_red = gauss_uniform_stretch(frame, lam1)
+        frame = connectors.compute_frame(cone, x, c12_step=5e-5)
+        k_red = connectors.gauss_uniform_stretch(frame, lam1)
         cone_errs[f"lambda1_{lam1:g}"] = abs(k_red - evaluate_jet(cone, x).K)
 
     passed = rel_err <= rel_tol and max(cone_errs.values()) <= cone_tol
@@ -505,10 +508,10 @@ def _check_codazzi_residuals(ctx):
         surface = catalog_surface(name)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            grid = sample_frame_grid(surface, grid=(11, 11),
-                                     bounds=((cx - half, cx + half),
-                                             (cy - half, cy + half)))
-            report = check_codazzi(grid)
+            grid = connectors.sample_frame_grid(
+                surface, grid=(11, 11), bounds=((cx - half, cx + half),
+                                                (cy - half, cy + half)))
+            report = connectors.check_codazzi(grid)
         worst[name] = float(report.max_residual())
     passed = max(worst.values()) <= tol
     detail = (f"max compatibility residual {max(worst.values()):.2e} "
@@ -546,14 +549,14 @@ def _check_cg_profile_minimality(ctx):
             acc += w * row
         return acc / (180.0 * delta * delta) / 2.0
 
-    alpha_hat, _ = minimize_scalar(f_alpha, (np.full(100, 0.3), 1.8), tol=1e-10)
-    alpha_hat = parabolic_refine(f_alpha, alpha_hat, 1e-4)
+    alpha_hat, _ = oracle.minimize_scalar(f_alpha, (np.full(100, 0.3), 1.8), tol=1e-10)
+    alpha_hat = oracle.parabolic_refine(f_alpha, alpha_hat, 1e-4)
     worst_alpha = np.max(np.abs(alpha_hat - profile.alpha))
 
-    beta_hat = parabolic_refine(f_beta, np.zeros(100), 1.0)
-    beta_hat, _ = minimize_scalar(f_beta, (beta_hat - 0.5, beta_hat + 0.5),
-                                  tol=1e-10)
-    beta_hat = parabolic_refine(f_beta, beta_hat, 1e-2)
+    beta_hat = oracle.parabolic_refine(f_beta, np.zeros(100), 1.0)
+    beta_hat, _ = oracle.minimize_scalar(
+        f_beta, (beta_hat - 0.5, beta_hat + 0.5), tol=1e-10)
+    beta_hat = oracle.parabolic_refine(f_beta, beta_hat, 1e-2)
     worst_beta = np.max(np.abs(beta_hat - profile.beta))
 
     material = CiarletGeymonat.from_lame(1.0, 1.0)
@@ -562,9 +565,9 @@ def _check_cg_profile_minimality(ctx):
                         ("gaussian_bump", (0.3, 0.2))):
         jet = evaluate_jet(catalog_surface(name), np.array(point))
         closed = cg_contents(jet, material)
-        energies = [through_thickness_energy_from_jet(
+        energies = [oracle.through_thickness_energy_from_jet(
             jet, material, cg_profile(jet, material), h) for h in H_BEND]
-        fit = fit_h_powers(H_BEND, energies)
+        fit = oracle.fit_h_powers(H_BEND, energies)
         rel_errs[name] = abs(fit.c3 - closed.bending) / abs(closed.bending)
 
     passed = (max(worst_alpha, worst_beta) <= tol
@@ -625,15 +628,15 @@ def _check_svk_profile(ctx):
     lam = mu = 1.0
     curvature = -0.5
 
-    solution = solve_svk_profile_ode(curvature, lam, mu, 0.05, n_steps=400)
+    solution = oracle.solve_svk_profile_ode(curvature, lam, mu, 0.05, n_steps=400)
     closed = svk_profile(curvature, lam, mu, 0.05)
     sup_err = float(np.max(np.abs(
         solution.phi - np.array([closed.phi(t) for t in solution.x3]))))
 
     hs = (2e-3, 1e-3, 5e-4, 2e-4, 1e-4)
-    energies = [solve_svk_profile_ode(curvature, lam, mu, h, n_steps=200).energy
-                for h in hs]
-    fit = fit_h_powers(hs, energies)
+    energies = [oracle.solve_svk_profile_ode(curvature, lam, mu, h,
+                                             n_steps=200).energy for h in hs]
+    fit = oracle.fit_h_powers(hs, energies)
     target = 8.0 / 9.0
     content_rel = abs(fit.c3 - target) / target
 
@@ -812,9 +815,9 @@ def cmd_verify(config, out_dir, run_all=False):
     """Run verification checks; write verdicts.json.
 
     With ``run_all`` (or no check selection in the config) every
-    built-in check runs.  A check that raises a domain or admissibility
-    error fails, with the error as its detail and null values.  Returns 0
-    only if all selected checks pass.
+    built-in check runs.  A check that raises a domain, admissibility or
+    oracle error fails, with the error as its detail and null values.
+    Returns 0 only if all selected checks pass.
     """
     ctx = VerifyContext()
     selection = CHECK_IDS
@@ -834,7 +837,8 @@ def cmd_verify(config, out_dir, run_all=False):
     for cid in selection:
         try:
             verdict = table[cid](ctx)
-        except _CHECK_ERRORS as err:
+        except (*_CHECK_ERRORS, oracle.FitError, oracle.BracketError,
+                oracle.ResolutionError) as err:
             verdict = _verdict(cid, False, np.nan, None, None,
                                f"check raised {type(err).__name__}: {err}")
         verdicts.append(verdict)
@@ -885,8 +889,8 @@ def cmd_sweep(config, out_dir):
         for h in values:
             rows.append((param, h, "detcf_residual",
                          abs(fiber_invariants(jet, profile, h)[2] - 1.0)))
-            # the expression integrate_contents returns
-            rows.append((param, h, "total_energy", h * total_s + h**3 * total_b))
+            rows.append((param, h, "total_energy",
+                         plate_energy(h, total_s, total_b)))
     elif param == "Jm":
         if not isinstance(config.material, Gent):
             print("Jm sweep requires a gent material in the config",
@@ -911,7 +915,10 @@ def cmd_sweep(config, out_dir):
                 print(f"lambda1 sweep values must be positive, got {l1:g}",
                       file=sys.stderr)
                 return EXIT_CONFIG
-            C = np.diag([l1 ** 2, 1.0 / l1 ** 2])
+            try:
+                C = np.diag([l1 ** 2, 1.0 / l1 ** 2])
+            except (OverflowError, ZeroDivisionError):  # l1**2 out of range
+                raise OverflowError(f"the swept lambda1 = {l1:g}") from None
             strain = 0.5 * (C - np.eye(2))
             synthetic = SimpleNamespace(trC=float(np.trace(C)), detC=1.0)
             w1 = cg_stretching_closed(synthetic, config.material)
@@ -977,32 +984,36 @@ def main(argv=None):
                              help="run every built-in check")
     args = parser.parse_args(argv)
 
-    try:
-        if args.command == "evaluate":
-            if args.config is None:
-                print("evaluate needs --config", file=sys.stderr)
-                return EXIT_CONFIG
-            return cmd_evaluate(load_config(args.config), args.out)
-        if args.command == "verify":
-            config = load_config(args.config) if args.config else None
-            if config is None and not args.all:
-                print("verify needs --config or --all", file=sys.stderr)
-                return EXIT_CONFIG
-            return cmd_verify(config, args.out, run_all=args.all)
-        if args.command == "sweep":
-            if args.config is None:
-                print("sweep needs --config", file=sys.stderr)
-                return EXIT_CONFIG
-            return cmd_sweep(load_config(args.config), args.out)
-    except (ConfigError, DomainError, DegenerateImmersionError) as err:
-        print(f"config error: {err}", file=sys.stderr)
+    # warnings are shown once the run is over, unless a config error ends
+    # it: its line is then the only line on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = _run(args)
+        except (ConfigError, DomainError, DegenerateImmersionError) as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OverflowError as err:
+            # a float power (the energy's h**3) raises instead of giving inf
+            print(f"config error: a result overflows double precision: {err}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
+
+
+def _run(args):
+    if args.command == "verify":
+        if args.config is None and not args.all:
+            print("verify needs --config or --all", file=sys.stderr)
+            return EXIT_CONFIG
+        config = load_config(args.config) if args.config else None
+        return cmd_verify(config, args.out, run_all=args.all)
+    if args.config is None:
+        print(f"{args.command} needs --config", file=sys.stderr)
         return EXIT_CONFIG
-    except OverflowError as err:
-        # a float power such as the energy's h**3 raises instead of giving inf
-        print(f"config error: a result overflows double precision: {err}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_CONFIG
+    command = cmd_evaluate if args.command == "evaluate" else cmd_sweep
+    return command(load_config(args.config), args.out)
 
 
 if __name__ == "__main__":

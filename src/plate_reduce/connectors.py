@@ -17,19 +17,6 @@ import numpy as np
 
 from .surface_geometry import DomainError, _dot, _eigen_gap, evaluate_jets
 
-__all__ = [
-    "ConnectorFrame",
-    "FrameGrid",
-    "CodazziReport",
-    "compute_frame",
-    "c_star_from_metric",
-    "curvatures_from_frame",
-    "sample_frame_grid",
-    "gauss_from_connectors",
-    "gauss_uniform_stretch",
-    "check_codazzi",
-]
-
 
 @dataclass(frozen=True)
 class ConnectorFrame:

@@ -18,26 +18,6 @@ from .surface_geometry import (DegenerateImmersionError, DomainError, JetBatch,
                                _gauss_legendre, evaluate_jets, float_if_scalar,
                                raise_first_failure, unimodular_tolerance)
 
-__all__ = [
-    "EnergyContents",
-    "energy_series_coefficients",
-    "series_contents",
-    "gent_contents",
-    "gent_contents_unimodular",
-    "gent_contents_general",
-    "cg_contents",
-    "cg_stretching_closed",
-    "cg_bending_closed",
-    "cg_bending_lame",
-    "cg_small_strain_contents",
-    "svk_content",
-    "eigenframe_coupling",
-    "coupling_stationary_angles",
-    "point_contents",
-    "grid_contents",
-    "integrate_contents",
-]
-
 
 @dataclass(frozen=True)
 class EnergyContents:
@@ -390,14 +370,35 @@ def grid_contents(surface, material, points):
     return jets, point_contents(jets, material)
 
 
+# rows per grid_contents pass: a grid's temporaries are one block's
+GRID_BLOCK = 512
+
+
+def grid_columns(surface, material, points, keep):
+    """The (N,) arrays ``keep(jets, contents)`` of ``grid_contents`` over
+    all rows of ``points``, run on GRID_BLOCK rows at a time.  The error
+    of the first failing row is raised with that row as its ``index``."""
+    blocks = []
+    for start in range(0, len(points), GRID_BLOCK):
+        try:
+            blocks.append(keep(*grid_contents(
+                surface, material, points[start:start + GRID_BLOCK])))
+        except ValueError as err:
+            if hasattr(err, "index"):  # raise_first_failure's row
+                err.index += start
+            raise
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
 def integrate_contents(surface, material, h, grid=(8, 8)):
     """Integrate the reduced energy over the surface's reference domain.
 
     Tensor-product Gauss-Legendre quadrature with ``grid`` nodes per axis
     on the flat reference area element.  The surface callables are called
-    once with all nodes, so they must broadcast over trailing point axes
-    (see ParametricSurface).  Accumulation is a fixed-order pairwise
-    reduction, so totals are reproducible bit-for-bit.
+    once per block of GRID_BLOCK nodes, so they must broadcast over
+    trailing point axes (see ParametricSurface).  Accumulation is a
+    fixed-order pairwise reduction over the whole grid, so totals are
+    reproducible bit-for-bit.
 
     Returns
     -------
@@ -422,13 +423,22 @@ def integrate_contents(surface, material, h, grid=(8, 8)):
 
     points = np.column_stack([np.repeat(su * xu + cu, ny), np.tile(sv * xv + cv, nx)])
     try:
-        _, contents = grid_contents(surface, material, points)
+        stretching, bending = grid_columns(
+            surface, material, points, lambda _, c: (c.stretching, c.bending))
     except (StiffeningLimitError, MaterialDomainError) as err:
         x = points[err.index]
         raise type(err)(
             f"at grid node ({x[0]:.6g}, {x[1]:.6g}): {err}") from err
 
     weights = np.outer(wu * su, wv * sv)
-    total_stretch = float(np.sum(weights * contents.stretching.reshape(nx, ny)))
-    total_bend = float(np.sum(weights * contents.bending.reshape(nx, ny)))
-    return total_stretch, total_bend, h * total_stretch + h**3 * total_bend
+    total_stretch = float(np.sum(weights * stretching.reshape(nx, ny)))
+    total_bend = float(np.sum(weights * bending.reshape(nx, ny)))
+    return total_stretch, total_bend, plate_energy(h, total_stretch, total_bend)
+
+
+def plate_energy(h, stretching, bending):
+    """h w_s + h^3 w_b; a float power that overflows raises naming ``h``."""
+    try:
+        return h * stretching + h**3 * bending
+    except OverflowError:
+        raise OverflowError(f"the energy at h = {h:g}") from None

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import plate_reduce.cli_io as cli_io
+import plate_reduce.reduced_energy as reduced_energy
 from plate_reduce import (
     CiarletGeymonat,
     DegenerateImmersionError,
@@ -290,3 +291,138 @@ def test_h_sweep_totals_equal_per_h_integration(tmp_path):
     expected = [cli_io._fmt(integrate_contents(surface, NeoHookean(mu=1.0), h,
                                                grid=(4, 4))[2]) for h in values]
     assert totals == expected
+
+
+# ---------------------------------------------------------------------------
+# grids run in blocks of GRID_BLOCK rows
+
+# 37 x 29 = 1073 rows: two full blocks and a partial one
+BLOCKED_GRID = (37, 29)
+
+
+BLOCK = reduced_energy.GRID_BLOCK
+
+
+def test_blocked_grid_spans_several_blocks_and_a_partial_one():
+    n = BLOCKED_GRID[0] * BLOCKED_GRID[1]
+    assert n > 2 * BLOCK and n % BLOCK
+
+
+def evaluate_blocked(tmp_path, surface, material):
+    path = tmp_path / "config.json"
+    nx, ny = BLOCKED_GRID
+    path.write_text(json.dumps({"surface": surface, "material": material,
+                                "h": 1e-3, "grid": {"nx": nx, "ny": ny}}))
+    out = tmp_path / "out"
+    code = cli_io.main(["evaluate", "--config", str(path), "--out", str(out)])
+    return code, out
+
+
+def evaluation_points(surface):
+    xs, ys = cli_io._evaluation_nodes(surface, *BLOCKED_GRID)
+    return np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
+
+
+def test_blocked_points_csv_equals_one_shot_grid_contents(tmp_path):
+    surface = catalog_surface("gaussian_bump")
+    material = MooneyRivlin(mu=1.0, chi=0.7)
+    code, out = evaluate_blocked(
+        tmp_path, {"name": "gaussian_bump"},
+        {"model": "mooney_rivlin", "mu": 1.0, "chi": 0.7})
+    assert code == 0
+    points = evaluation_points(surface)
+    jets, contents = grid_contents(surface, material, points)
+    columns = [points[:, 0], points[:, 1]] + [getattr(jets, k) for k in
+                                              cli_io.CSV_COLUMNS[2:9]]
+    columns += [contents.stretching, contents.bending]
+    lines = [",".join([cli_io._fmt(c[i]) for c in columns]
+                      + [contents.formula_id[i]]) for i in range(len(points))]
+    assert (out / "points.csv").read_text() == "\n".join(
+        [",".join(cli_io.CSV_COLUMNS)] + lines) + "\n"
+
+
+@pytest.mark.parametrize("material", [Gent(mu=1.0, jm=10.0),
+                                      CiarletGeymonat.from_lame(1.0, 1.0)])
+def test_blocked_totals_equal_the_full_grid_weighted_sum(material):
+    surface = catalog_surface("gaussian_bump")
+    nx, ny = BLOCKED_GRID
+    (u0, u1), (v0, v1) = surface.domain
+    xu, wu = _gauss_legendre(nx)
+    xv, wv = _gauss_legendre(ny)
+    su, cu = 0.5 * (u1 - u0), 0.5 * (u1 + u0)
+    sv, cv = 0.5 * (v1 - v0), 0.5 * (v1 + v0)
+    points = np.column_stack([np.repeat(su * xu + cu, ny),
+                              np.tile(sv * xv + cv, nx)])
+    _, contents = grid_contents(surface, material, points)
+    weights = np.outer(wu * su, wv * sv)
+    total_s = float(np.sum(weights * contents.stretching.reshape(nx, ny)))
+    total_b = float(np.sum(weights * contents.bending.reshape(nx, ny)))
+    assert integrate_contents(surface, material, 1e-3, grid=BLOCKED_GRID) == (
+        total_s, total_b, 1e-3 * total_s + 1e-3 ** 3 * total_b)
+
+
+def test_grid_columns_index_the_first_failing_row_of_the_whole_grid():
+    # ramp(-1) with Jm = 1 fails for x1 >= 0.382: x1 row 32 of 37, row 928
+    surface, material = ramp(-1.0), Gent(mu=1.0, jm=1.0)
+    points = evaluation_points(surface)
+    expected = first_error_per_point(surface, material, points)
+    assert expected[0] == 32 * 29 and expected[0] >= BLOCK
+    with pytest.raises(StiffeningLimitError) as info:
+        reduced_energy.grid_columns(surface, material, points,
+                                    lambda jets, c: (c.bending,))
+    assert (info.value.index, type(info.value), str(info.value)) == expected
+
+
+def test_blocked_evaluate_names_a_later_blocks_first_failing_point(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli_io, "catalog_surface",
+                        lambda name, **kwargs: ramp(-1.0))
+    code, out = evaluate_blocked(tmp_path, {"name": "ramp"},
+                                 {"model": "gent", "mu": 1.0, "jm": 1.0})
+    assert code == 3
+    points = evaluation_points(ramp(-1.0))
+    index, _, message = first_error_per_point(ramp(-1.0), Gent(mu=1.0, jm=1.0),
+                                              points)
+    assert index >= BLOCK
+    x1, x2 = points[index]
+    assert capsys.readouterr().err == (
+        f"admissibility failure at point ({x1:.6g}, {x2:.6g}): {message}\n")
+    assert not out.exists()
+
+
+def test_blocked_integration_names_a_later_blocks_first_failing_node():
+    surface, material = ramp(-1.0), Gent(mu=1.0, jm=1.0)
+    nx, ny = BLOCKED_GRID
+    xu, _ = _gauss_legendre(nx)
+    xv, _ = _gauss_legendre(ny)
+    nodes = 0.5 * np.column_stack([np.repeat(xu, ny), np.tile(xv, nx)])
+    index, _, message = first_error_per_point(surface, material, nodes)
+    assert index >= BLOCK
+    x1, x2 = nodes[index]
+    with pytest.raises(StiffeningLimitError) as info:
+        integrate_contents(surface, material, 1e-3, grid=BLOCKED_GRID)
+    assert str(info.value) == f"at grid node ({x1:.6g}, {x2:.6g}): {message}"
+
+
+def test_blocked_evaluate_names_a_non_finite_value_as_one_pass_did(
+        tmp_path, capsys, monkeypatch):
+    # one pass named the least non-finite value of the whole column in
+    # sort order (-inf, inf, nan), wherever it sat
+    original = reduced_energy.point_contents
+    calls = []
+
+    def patched(jets, material, tol=None):
+        contents = original(jets, material, tol)
+        contents.bending[5] = (np.nan, np.inf, -np.inf)[len(calls)]
+        calls.append(len(jets))
+        return contents
+
+    monkeypatch.setattr(reduced_energy, "point_contents", patched)
+    code, out = evaluate_blocked(tmp_path, {"name": "gaussian_bump"},
+                                 {"model": "neo_hookean", "mu": 1.0})
+    assert code == 2
+    assert calls == [BLOCK, BLOCK, BLOCKED_GRID[0] * BLOCKED_GRID[1] - 2 * BLOCK]
+    assert capsys.readouterr().err == (
+        "config error: w_b is -inf, not a finite number: the config leaves "
+        "the range of double precision\n")
+    assert not out.exists()

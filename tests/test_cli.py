@@ -10,8 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import warnings
+
 import plate_reduce
-from plate_reduce import (DegenerateImmersionError, DomainError, Gent,
+from plate_reduce import (BracketError, DegenerateImmersionError, DomainError,
+                          FitError, Gent, ResolutionError,
                           StiffeningLimitError, cli_io, evaluate_jet)
 from plate_reduce.cli_io import (
     CHECK_IDS,
@@ -57,6 +60,13 @@ def run_cli(tmp_path, cfg, command="evaluate", extra=(), name="config.json"):
     code = main([command, "--config", write_config(tmp_path, cfg, name),
                  "--out", str(out), *extra])
     return code, out
+
+
+def _src_env():
+    # the environment of a fresh process that imports this checkout's src
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plate_reduce.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +171,8 @@ def test_format_column_rejects_non_finite_values(bad):
         _format_column("w_b", np.array([1.0, bad, 1.0]))
 
 
-def test_evaluate_holds_less_than_5_mib(tmp_path):
-    # holding the float columns, jets and row tuples of a 64 x 64 grid
-    # through the integration peaked near 6.5 MiB
+def _evaluate_peak_bytes(tmp_path):
+    # the traced peak of a warm evaluate on a 64 x 64 grid
     cfg = dict(BASE, surface={"name": "gaussian_bump", "A": 0.5, "s": 1.0},
                grid={"nx": 64, "ny": 64})
     config = load_config(write_config(tmp_path, cfg))
@@ -171,10 +180,22 @@ def test_evaluate_holds_less_than_5_mib(tmp_path):
     tracemalloc.start()
     try:
         assert cli_io.cmd_evaluate(config, str(tmp_path / "out")) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2 ** 20
+
+
+def test_evaluate_holds_less_than_5_mib(tmp_path):
+    # holding the float columns, jets and row tuples of a 64 x 64 grid
+    # through the integration peaked near 6.5 MiB
+    assert _evaluate_peak_bytes(tmp_path) < 5 * 2 ** 20
+
+
+def test_evaluate_holds_one_block_of_jets_and_text(tmp_path):
+    # holding the whole grid's jets, then its points.csv text, through the
+    # integration peaked near 3.8 MiB; the 11 float columns and the ids of
+    # 4096 rows are about 0.4 MiB of what is left
+    assert _evaluate_peak_bytes(tmp_path) < 1.5 * 2 ** 20
 
 
 def test_evaluate_flat_plane_is_zero(tmp_path):
@@ -357,17 +378,76 @@ def _bump_4x4(**changes):
     ({"material": {"model": "neo_hookean", "mu": 1e308}},
      "is inf, not a finite number"),
     ({"h": 1e200, "options": {"sweep": {"param": "h", "values": [1e200]}}},
-     "a result overflows double precision"),
+     "a result overflows double precision: the energy at h = 1e+200"),
     ({"surface": {"name": "sphere_cap", "R": 1e-300}},
      "stretch tensor not positive definite"),
 ], ids=["mu_1e308", "h_1e200", "sphere_R_1e-300"])
 def test_non_finite_results_are_config_errors(tmp_path, capsys, command,
                                               changes, message):
-    code, out = run_cli(tmp_path, _bump_4x4(**changes), command=command)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, _bump_4x4(**changes), command=command)
     assert code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "config error: " in err and message in err
+    # the error line is the only output: the run's RuntimeWarnings are dropped
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert caught == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("changes", [
+    {"material": {"model": "neo_hookean", "mu": 1e308}},
+    {"surface": {"name": "sphere_cap", "R": 1e-300}},
+], ids=["mu_1e308", "sphere_R_1e-300"])
+def test_non_finite_config_error_is_the_only_stderr_line(tmp_path, changes):
+    proc = subprocess.run(
+        [sys.executable, "-m", "plate_reduce.cli_io", "evaluate", "--config",
+         write_config(tmp_path, _bump_4x4(**changes)),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_run_that_succeeds_still_shows_its_warnings(tmp_path, monkeypatch):
+    def noisy(ctx):
+        warnings.warn("a noisy check", RuntimeWarning)
+        return _verdict("eigenframe_coupling", True, 0.0, 0.0, 1.0, "ok")
+
+    monkeypatch.setattr(cli_io, "CHECKS", (("eigenframe_coupling", noisy),))
+    cfg = dict(BASE, options={"checks": ["eigenframe_coupling"]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(tmp_path, cfg, command="verify")
+    assert code == 0
+    assert [str(w.message) for w in caught] == ["a noisy check"]
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"surface": {"name": "cylinder"},
+      "material": {"model": "ciarlet_geymonat", "lambda": 1.0, "mu": 1.0},
+      "options": {"sweep": {"param": "lambda1", "values": [2.0, 1e200]}}},
+     "the swept lambda1 = 1e+200"),
+    # 1e-200 squared is 0.0, and 1 / 0.0 raised ZeroDivisionError
+    ({"surface": {"name": "cylinder"},
+      "material": {"model": "ciarlet_geymonat", "lambda": 1.0, "mu": 1.0},
+      "options": {"sweep": {"param": "lambda1", "values": [1e-200]}}},
+     "the swept lambda1 = 1e-200"),
+    ({"h": 1e200, "options": {"sweep": {"param": "h",
+                                        "values": [1e-3, 1e200]}}},
+     "the energy at h = 1e+200"),
+    ({"h": 1e200, "options": {"sweep": {"param": "quad_order",
+                                        "values": [2, 3]}}},
+     "the energy at h = 1e+200"),
+], ids=["lambda1_1e200", "lambda1_1e-200", "h_sweep_1e200", "quad_order_h_1e200"])
+def test_overflow_names_the_quantity(tmp_path, capsys, changes, message):
+    code, out = run_cli(tmp_path, _bump_4x4(**changes), command="sweep")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: a result overflows double precision: {message}\n")
     assert not out.exists()
 
 
@@ -461,7 +541,8 @@ def test_verify_writes_non_finite_observations_as_failed_nulls(tmp_path,
 
 
 @pytest.mark.parametrize("error", [DomainError, DegenerateImmersionError,
-                                   StiffeningLimitError])
+                                   StiffeningLimitError, FitError,
+                                   BracketError, ResolutionError])
 def test_verify_check_that_raises_fails_its_verdict(tmp_path, capsys,
                                                     monkeypatch, error):
     def crash(ctx):
@@ -674,9 +755,7 @@ def test_sweep_is_deterministic(tmp_path):
 def test_console_script(tmp_path):
     # the module entry point behind the plate-reduce script, run from this
     # checkout whether or not the package is installed
-    src = os.path.dirname(os.path.dirname(os.path.abspath(plate_reduce.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _src_env()
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "plate_reduce.cli_io", "evaluate", "--config",
@@ -690,9 +769,7 @@ def test_console_script(tmp_path):
 def test_import_does_not_load_scipy():
     # numpy is the only runtime dependency; a fresh process shows what the
     # CLI module pulls in
-    src = os.path.dirname(os.path.dirname(os.path.abspath(plate_reduce.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _src_env()
     proc = subprocess.run(
         [sys.executable, "-c", "import plate_reduce.cli_io, sys; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
