@@ -13,27 +13,30 @@ import pytest
 import warnings
 
 import plate_reduce
-from plate_reduce import (BracketError, DegenerateImmersionError, DomainError,
-                          FitError, Gent, ResolutionError,
-                          StiffeningLimitError, cli_io, evaluate_jet)
-from plate_reduce.cli_io import (
+from plate_reduce import (AreaDistortionError, BracketError,
+                          DegenerateImmersionError, DomainError, FitError,
+                          Gent, ResolutionError, StiffeningLimitError, checks,
+                          cli_io, eigenframe_coupling, evaluate_jet)
+from plate_reduce.checks import (
     CHECK_IDS,
-    CSV_COLUMNS,
-    ConfigError,
     VerifyContext,
     _check_eigenframe_coupling,
+    _linspace_argmin,
+    _verdict,
+)
+from plate_reduce.cli_io import (
+    CSV_COLUMNS,
+    ConfigError,
     _evaluation_nodes,
     _fmt,
     _format_column,
-    _linspace_argmin,
-    _verdict,
     _write_json,
     load_config,
     main,
     parse_config,
-    uniform_stretch_cone,
 )
 from plate_reduce.reduced_energy import grid_contents
+from plate_reduce.surface_geometry import uniform_stretch_cone
 
 BASE = {
     "surface": {"name": "cylinder"},
@@ -541,8 +544,8 @@ def test_verify_writes_non_finite_observations_as_failed_nulls(tmp_path,
 
 
 @pytest.mark.parametrize("error", [DomainError, DegenerateImmersionError,
-                                   StiffeningLimitError, FitError,
-                                   BracketError, ResolutionError])
+                                   AreaDistortionError, StiffeningLimitError,
+                                   FitError, BracketError, ResolutionError])
 def test_verify_check_that_raises_fails_its_verdict(tmp_path, capsys,
                                                     monkeypatch, error):
     def crash(ctx):
@@ -580,16 +583,25 @@ def test_verdict_fails_any_non_finite_observation():
     assert _verdict("x", True, 2.0, 0.0, 1.0, "")["passed"] is True
 
 
+def test_minimality_probes_are_the_seeded_draw():
+    drawn = np.random.default_rng(170831).uniform(
+        (0.2, 0.2, 1.5, 0.4, -1.5, -2.0, -3.0),
+        (3.0, 3.0, 5.0, 3.0, 1.5, 2.0, 3.0), size=(100, 7))
+    stored = checks._MINIMALITY_PROBES
+    assert stored.shape == drawn.shape and stored.dtype == drawn.dtype
+    assert stored.tobytes() == drawn.tobytes()
+
+
 def test_blocked_scan_matches_a_one_shot_argmin():
     stop, num = 0.5 * np.pi, 200001
     k1, k2, lambda1 = 1.0, 2.0, np.sqrt(1.5)
     grid = np.linspace(0.0, stop, num)
-    values = cli_io.eigenframe_coupling(k1, k2, lambda1, grid)
+    values = eigenframe_coupling(k1, k2, lambda1, grid)
     blocks = []
 
     def coupling(phis):
         blocks.append(phis.copy())
-        return cli_io.eigenframe_coupling(k1, k2, lambda1, phis)
+        return eigenframe_coupling(k1, k2, lambda1, phis)
 
     got = _linspace_argmin(coupling, stop, num)
     assert got == grid[int(np.argmin(values))]
@@ -646,6 +658,14 @@ def test_verify_context_tolerances():
 
 def test_check_ids_are_unique():
     assert len(set(CHECK_IDS)) == len(CHECK_IDS) == 12
+
+
+def test_cli_io_still_names_the_check_table():
+    assert cli_io.CHECKS is checks.CHECKS
+    assert cli_io.CHECK_IDS is checks.CHECK_IDS
+    assert cli_io.VerifyContext is checks.VerifyContext
+    with pytest.raises(AttributeError, match="_check_orientation"):
+        cli_io._check_orientation
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """What a fresh process loads: ``evaluate`` and ``sweep`` never run the
-verify-only layers, and every public name still resolves."""
+verify-only layers or load the checks, ``verify`` never imports
+``numpy.random``, and every public name still resolves."""
 
 import json
 import os
@@ -38,7 +39,7 @@ PUBLIC_NAMES = """
 """.split()
 
 SCRIPT = """
-import json, sys, types
+import contextlib, io, json, sys, types
 
 import plate_reduce.cli_io as cli
 
@@ -52,6 +53,13 @@ report = {{"loaded": [m for m in {layers!r}
 for command, config in (("evaluate", {evaluate!r}), ("sweep", {sweep!r})):
     assert cli.main([command, "--config", config, "--out", {out!r}]) == 0
 report["unrun_after_runs"] = unrun()
+report["absent_after_runs"] = [m for m in ("plate_reduce.checks", "numpy.random")
+                               if m not in sys.modules]
+# a config that names a check id loads the check table to validate it
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    report["bad_tolerance_code"] = cli.main(
+        ["evaluate", "--config", {bad_tolerance!r}, "--out", {out!r}])
+report["bad_tolerance_err"] = err.getvalue()
 
 import plate_reduce
 report["all"] = plate_reduce.__all__
@@ -65,6 +73,39 @@ exec("from plate_reduce import *", namespace)
 report["star"] = sorted(n for n in namespace if n != "__builtins__")
 print(json.dumps(report))
 """
+
+
+CHECK_IDS = ("incompressibility_order", "gent_bending", "gent_stretching",
+             "theorema_egregium", "codazzi_residuals", "cg_profile_minimality",
+             "cg_small_strain", "svk_profile", "thickness_formula",
+             "eigenframe_coupling", "cross_path_curvatures", "orientation")
+
+# verify run as ``python -m plate_reduce.cli_io``: the running module is
+# __main__, and an import of plate_reduce.cli_io would run it a second time
+VERIFY_SCRIPT = """
+import json, runpy, sys
+
+sys.argv = ["plate-reduce", "verify", "--all", "--out", {out!r}]
+try:
+    runpy.run_module("plate_reduce.cli_io", run_name="__main__")
+except SystemExit as done:
+    code = done.code
+print(json.dumps({{"code": code, "modules": sorted(
+    m for m in sys.modules if m.startswith(("plate_reduce", "numpy.random")))}}))
+"""
+
+
+def _src_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plate_reduce.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def _run_script(script):
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def write(tmp_path, name, cfg):
@@ -81,18 +122,27 @@ def test_evaluate_and_sweep_never_run_the_verify_only_layers(tmp_path):
         layers=LAYERS, out=str(tmp_path / "out"),
         evaluate=write(tmp_path, "evaluate.json", base),
         sweep=write(tmp_path, "sweep.json", dict(
-            base, options={"sweep": {"param": "h", "values": [1e-3, 2e-3]}})))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(plate_reduce.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+            base, options={"sweep": {"param": "h", "values": [1e-3, 2e-3]}})),
+        bad_tolerance=write(tmp_path, "bad_tolerance.json",
+                            dict(base, tolerances={"bogus": 1e-3})))
+    report = _run_script(script)
     # the tracer finds every layer module in sys.modules after this import
     assert report["loaded"] == list(LAYERS)
     assert report["unrun_at_import"] == ["connectors", "oracle"]
     assert report["unrun_after_runs"] == ["connectors", "oracle"]
+    assert report["absent_after_runs"] == ["plate_reduce.checks", "numpy.random"]
+    assert report["bad_tolerance_code"] == 2
+    assert report["bad_tolerance_err"] == (
+        "config error: unknown tolerance key 'bogus'; known checks: "
+        + ", ".join(CHECK_IDS) + "\n")
     assert sorted(report["all"]) == sorted(PUBLIC_NAMES)
     assert report["resolved"] == report["all"]
     assert report["star"] == sorted(PUBLIC_NAMES)
+
+
+def test_verify_as_a_module_loads_cli_io_once_and_no_numpy_random(tmp_path):
+    report = _run_script(VERIFY_SCRIPT.format(out=str(tmp_path / "out")))
+    assert report["code"] == 0
+    assert "plate_reduce.checks" in report["modules"]
+    assert "plate_reduce.cli_io" not in report["modules"]
+    assert not any(m.startswith("numpy.random") for m in report["modules"])
