@@ -21,8 +21,8 @@ _MODULES = {
         gauss_from_connectors gauss_uniform_stretch sample_frame_grid""",
     "materials": """CiarletGeymonat Gent InvariantSeries MaterialDomainError
         MooneyRivlin NeoHookean SaintVenantKirchhoff StiffeningLimitError
-        exact_invariants exact_invariants_from_jet
-        fiber_deformation_gradient invariant_series lame_constants
+        exact_invariants exact_invariants_from_jet invariant_series
+        lame_constants
         material_from_config molecular_params small_strain_energy
         symmetric_sqrt volumetric_energy""",
     "oracle": """BracketError FitError HFit ResolutionError
@@ -38,7 +38,7 @@ _MODULES = {
     "surface_geometry": """AreaDistortionError DegenerateImmersionError
         DomainError JetBatch OrientationReport ParametricSurface SurfaceJet
         appendix_H_K catalog_surface evaluate_jet evaluate_jets
-        sampled_injectivity verify_orientation""",
+        fiber_deformation_gradient sampled_injectivity verify_orientation""",
     "thickness_profile": """ExactIncompressibleProfile HyperbolicProfile
         PolyProfile ProfileConstraintError cg_profile deformed_thickness
         incompressible_profile incompressible_profile_general svk_profile""",

@@ -79,14 +79,13 @@ class RunConfig:
     h: float
     grid: tuple
     derivative_mode: str
-    quad_order: int
     fd_step: float
     tolerances: dict
     options: dict
 
 
 _TOP_KEYS = ("surface", "material", "h", "grid", "derivative_mode",
-             "quad_order", "fd_step", "tolerances", "options")
+             "fd_step", "tolerances", "options")
 _OPTION_KEYS = ("perturb_beta", "checks", "sweep")
 SWEEP_PARAMS = ("h", "Jm", "lambda1", "quad_order")
 
@@ -167,8 +166,6 @@ def parse_config(data):
     nx = _as_int(gspec.get("nx", 8), "grid.nx", 2)
     ny = _as_int(gspec.get("ny", 8), "grid.ny", 2)
 
-    quad_order = _as_int(data.get("quad_order", 16), "quad_order", 2)
-
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("'tolerances' must be a mapping of check id to number")
@@ -206,8 +203,8 @@ def parse_config(data):
 
     return RunConfig(
         raw=copy.deepcopy(data), surface=surface, material=material, h=h,
-        grid=(nx, ny), derivative_mode=mode, quad_order=quad_order,
-        fd_step=fd_step, tolerances=dict(tolerances), options=copy.deepcopy(options),
+        grid=(nx, ny), derivative_mode=mode, fd_step=fd_step,
+        tolerances=dict(tolerances), options=copy.deepcopy(options),
     )
 
 
@@ -291,12 +288,8 @@ def cmd_evaluate(config, out_dir):
     for name, values in zip(CSV_COLUMNS, columns):
         _require_finite(name, values)
     n_points, ids = len(points), sorted(set(formula_id))
-    try:
-        total_s, total_b, energy = integrate_contents(
-            config.surface, config.material, config.h, grid=config.grid)
-    except _ADMISSIBILITY_ERRORS as err:
-        print(f"admissibility failure: {err}", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
+    total_s, total_b, energy = integrate_contents(
+        config.surface, config.material, config.h, grid=config.grid)
 
     (u0, u1), (v0, v1) = config.surface.domain
     center = np.array([0.5 * (u0 + u1), 0.5 * (v0 + v1)])
@@ -539,6 +532,10 @@ def main(argv=None):
             print(f"config error: a result overflows double precision: {err}",
                   file=sys.stderr)
             return EXIT_CONFIG
+        except _ADMISSIBILITY_ERRORS as err:
+            # evaluate names a failing grid point itself; the rest end here
+            print(f"admissibility failure: {err}", file=sys.stderr)
+            code = EXIT_ADMISSIBILITY
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     return code

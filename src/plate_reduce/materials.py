@@ -12,7 +12,8 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from .surface_geometry import (evaluate_jet, finite_number,
+from .surface_geometry import (evaluate_jet, fiber_deformation_gradient,
+                               finite_number, float_if_scalar,
                                raise_first_failure, unimodular_tolerance)
 from .thickness_profile import (cg_profile, incompressible_profile_general,
                                 svk_profile)
@@ -36,7 +37,8 @@ class MaterialModel(object):
     ``name`` and ``params`` are its config name and parameter keys (in
     field order).  ``energy`` is its density, elementwise over arrays, of
     (I1, I2, I3), or of C_f when ``needs_C_f`` (then isotropic, from C_f's
-    principal values); ``partials`` the gradient and Hessian diagonal of
+    principal values); ``density`` its density of C_f, one 3x3 or a stack
+    (..., 3, 3), for every model; ``partials`` the gradient and Hessian diagonal of
     that density in (I1, I2, I3); ``lame`` its Lame pair; ``profile`` its
     through-thickness profile rule at a jet (half thickness ``h`` for the
     hyperbolic one).  ``series_id`` is the
@@ -50,6 +52,9 @@ class MaterialModel(object):
     def from_config(cls, spec):
         """The model of config parameters, popping each key it reads."""
         return cls(*_pop_numbers(spec, cls.params))
+
+    def density(self, C_f):
+        return self.energy(*matrix_invariants(C_f))
 
     def partials(self, I1, I2, I3):
         raise TypeError(
@@ -210,6 +215,8 @@ class SaintVenantKirchhoff(MaterialModel):
         principal values (eigvalsh)."""
         return self.principal_energy(np.linalg.eigvalsh(np.asarray(C_f, dtype=float)))
 
+    density = energy
+
     def principal_energy(self, c):
         """Density (lam/2) (sum e_i)^2 + mu sum e_i^2, e_i = sqrt(c_i) - 1,
         of the principal values c (..., 3) of C_f: E = U - I in U's
@@ -283,17 +290,17 @@ def symmetric_sqrt(A):
 
 
 def volumetric_energy(material, I1=None, I2=None, I3=None, C_f=None):
-    """Energy density per unit reference volume at the given invariants.
+    """Energy density per unit reference volume.
 
-    Invariant-based models take (I1, I2, I3), scalars or arrays over
-    points; SaintVenantKirchhoff needs the full right Cauchy-Green matrix
-    ``C_f``, one 3x3 or a stack of shape (..., 3, 3), and returns a float
-    or an array of the stack's leading shape.
+    Every model takes the right Cauchy-Green matrix ``C_f``, one 3x3 or a
+    stack of shape (..., 3, 3), and returns a float or an array of the
+    stack's leading shape.  Invariant-based models also take (I1, I2, I3),
+    scalars or arrays over points; SaintVenantKirchhoff needs ``C_f``.
     """
+    if C_f is not None:
+        return as_model(material).density(C_f)
     if as_model(material).needs_C_f:
-        if C_f is None:
-            raise ValueError(f"{type(material).__name__} energy needs C_f")
-        return material.energy(C_f)
+        raise ValueError(f"{type(material).__name__} energy needs C_f")
     return material.energy(I1, I2, I3)
 
 
@@ -309,32 +316,19 @@ def small_strain_energy(material, E_f):
 # fiber deformation and invariants
 
 
-def fiber_deformation_gradient(jet, profile, x3, grad_phi=None):
-    """3x3 deformation gradient along the thickness fiber.
-
-    Columns 1-2 are the in-plane gradient of the displaced surface, column
-    3 the fiber direction; the in-plane gradient of the profile is dropped
-    unless ``grad_phi`` (2,) is supplied.
-    """
-    phi = profile.phi(x3)
-    dphi = profile.dphi(x3)
-    F = np.empty((3, 3))
-    F[:, :2] = jet.grad_y + phi * jet.grad_nu
-    if grad_phi is not None:
-        F[:, 0] += grad_phi[0] * jet.normal
-        F[:, 1] += grad_phi[1] * jet.normal
-    F[:, 2] = dphi * jet.normal
-    return F
+def matrix_invariants(C):
+    """Principal invariants (tr C, (tr^2 C - tr C^2) / 2, det C) of one 3x3
+    matrix, or of each matrix in a stack of shape (..., 3, 3)."""
+    C = np.asarray(C, dtype=float)
+    i1 = np.trace(C, axis1=-2, axis2=-1)
+    return i1, 0.5 * (i1 * i1 - np.trace(C @ C, axis1=-2, axis2=-1)), np.linalg.det(C)
 
 
 def exact_invariants_from_jet(jet, profile, x3):
-    """Principal invariants of C_f = F^T F built numerically from the jet."""
+    """Principal invariants of C_f = F^T F built numerically from the jet;
+    floats for one jet and a scalar x3, else arrays over F's stack."""
     F = fiber_deformation_gradient(jet, profile, x3)
-    C_f = F.T @ F
-    i1 = np.trace(C_f)
-    i2 = 0.5 * (i1 * i1 - np.trace(C_f @ C_f))
-    i3 = np.linalg.det(C_f)
-    return float(i1), float(i2), float(i3)
+    return tuple(map(float_if_scalar, matrix_invariants(np.swapaxes(F, -1, -2) @ F)))
 
 
 def exact_invariants(surface, x, profile, x3):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import materials as _materials
-from .surface_geometry import _gauss_legendre, evaluate_jet
+from .surface_geometry import (_gauss_legendre, evaluate_jet,
+                               fiber_deformation_gradient, float_if_scalar)
 
 GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 
@@ -55,30 +56,27 @@ def through_thickness_energy(surface, x, material, profile, h, quad_order=8):
 
 
 def through_thickness_energy_from_jet(jet, material, profile, h, quad_order=8):
-    """Same as ``through_thickness_energy`` from a precomputed jet.
+    """Same as ``through_thickness_energy`` from a precomputed SurfaceJet.
 
-    ``jet`` may be any object with scalar fields trC, detC, H, K, b1 for
-    invariant-based materials; SaintVenantKirchhoff needs a full jet.
+    The density is read from C_f = F^T F of the fiber deformation gradient
+    at every node, never from the invariant algebra of the closed forms.
+    A scalar ``h`` gives a float; a 1-d array (or sequence) of them gives the
+    array of those floats, each equal to its scalar call.
     """
     if quad_order < 2:
         raise ValueError("quad_order must be at least 2")
     nodes, weights = _gauss_legendre(quad_order)
-    needs_C_f = _materials.as_model(material).needs_C_f
-    total = 0.0
-    for t, wt in zip(nodes, weights):
-        x3 = h * t
-        try:
-            if needs_C_f:
-                F = _materials.fiber_deformation_gradient(jet, profile, x3)
-                w = _materials.volumetric_energy(material, C_f=F.T @ F)
-            else:
-                i1, i2, i3 = _materials.fiber_invariants(jet, profile, x3)
-                w = _materials.volumetric_energy(material, i1, i2, i3)
-        except _materials.StiffeningLimitError as e:
-            raise _materials.StiffeningLimitError(
-                f"inadmissible fiber point x3 = {x3:.9g}: {e}") from e
-        total += wt * w
-    return h * total
+    h = np.asarray(h, dtype=float)
+    x3 = np.multiply.outer(h, nodes)
+    F = fiber_deformation_gradient(jet, profile, x3)
+    try:
+        w = _materials.volumetric_energy(material, C_f=np.swapaxes(F, -1, -2) @ F)
+    except _materials.StiffeningLimitError as e:
+        # the first failing node, in (h, node) order
+        raise _materials.StiffeningLimitError(
+            f"inadmissible fiber point x3 = {x3.flat[e.index]:.9g}: {e}") from e
+    # a row sum, not w @ weights: an array h then keeps each scalar h's bits
+    return float_if_scalar(h * (w * weights).sum(axis=-1))
 
 
 def fit_h_powers(h_samples, energies=None):

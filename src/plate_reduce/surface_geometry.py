@@ -423,6 +423,28 @@ def appendix_H_K(jet, tol=None):
     return 0.5 * two_h, k
 
 
+def fiber_deformation_gradient(jet, profile, x3, grad_phi=None):
+    """Deformation gradients along the thickness fiber at offsets ``x3``.
+
+    Columns 1-2 are the in-plane gradient of the displaced surface, column
+    3 the fiber direction; the in-plane gradient of the profile is dropped
+    unless ``grad_phi`` (2, ...) is supplied.  ``jet`` is a SurfaceJet or
+    a JetBatch, whose point axis trails the shapes of ``x3`` and of the
+    profile's coefficients.  Returns a (..., 3, 3) stack over the broadcast
+    shape: one 3x3 for one jet and a scalar ``x3``.
+    """
+    phi = np.asarray(profile.phi(x3))
+    normal = np.moveaxis(jet.normal, 0, -1)
+    cols = (np.moveaxis(jet.grad_y, (0, 1), (-2, -1))
+            + phi[..., None, None] * np.moveaxis(jet.grad_nu, (0, 1), (-2, -1)))
+    if grad_phi is not None:
+        cols = cols + np.moveaxis(np.asarray(grad_phi), 0, -1)[..., None, :] * normal[..., None]
+    F = np.empty(cols.shape[:-1] + (3,))
+    F[..., :2] = cols
+    F[..., 2] = np.asarray(profile.dphi(x3))[..., None] * normal
+    return F
+
+
 @dataclass(frozen=True)
 class OrientationReport:
     """Minimum fiber Jacobian over a sampling grid and fiber range."""
@@ -456,29 +478,22 @@ def verify_orientation(surface, profile, h, grid=(5, 5), n_x3=9):
     points = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
     jet = evaluate_jets(surface, points)
 
-    def along(prof, what):  # (n_x3, points or 1)
-        return np.reshape([getattr(prof, what)(x3) for x3 in x3s], (n_x3, -1))
-
-    # F over (3, 3, x3, point), as materials.fiber_deformation_gradient
     prof = profile(jet) if rule else profile
-    F = np.empty((3, 3, n_x3, len(points)))
-    F[:, :2] = jet.grad_y[:, :, None] + along(prof, "phi") * jet.grad_nu[:, :, None]
+    x3, grad_phi = x3s[:, None], None  # over (x3, point)
     if rule:
-        for k, e in enumerate(step * np.eye(2)):
-            plus = along(profile(evaluate_jets(surface, points + e)), "phi")
-            minus = along(profile(evaluate_jets(surface, points - e)), "phi")
-            F[:, k] += (plus - minus) / (2.0 * step) * jet.normal[:, None]
-    F[:, 2] = along(prof, "dphi") * jet.normal[:, None]
-    det = np.linalg.det(np.moveaxis(F, (0, 1), (-2, -1))).T.ravel()
+        grad_phi = [(profile(evaluate_jets(surface, points + e)).phi(x3)
+                     - profile(evaluate_jets(surface, points - e)).phi(x3)) / (2.0 * step)
+                    for e in step * np.eye(2)]
+    det = np.linalg.det(fiber_deformation_gradient(jet, prof, x3, grad_phi)).T.ravel()
 
     # the first minimum in (x1, x2, x3) loop order; a NaN Jacobian is
     # the minimum and fails the check
     n = int(np.argmin(det))
-    point, x3 = divmod(n, n_x3)
+    point, k = divmod(n, n_x3)
     return OrientationReport(
         min_det_F=float(det[n]),
         argmin_x=(float(points[point, 0]), float(points[point, 1])),
-        argmin_x3=float(x3s[x3]), n_points=det.size,
+        argmin_x3=float(x3s[k]), n_points=det.size,
         n_nonpositive=int(np.sum(det <= 0.0)), passed=bool(det[n] > 0.0),
     )
 
@@ -556,7 +571,8 @@ def _make_bump(amp, s):
         q = vs / w
         gp = 2.0 * amp * vs * np.exp(-q * q) / w ** 2
         n = -amp * np.expm1(-q * q) / vs
-        if gp.max() > 1.8 or n.max() > 0.9:
+        # not <=, so NaN maxima (w = s*s underflowed to 0) fail too
+        if not (gp.max() <= 1.8 and n.max() <= 0.9):
             raise ValueError(
                 f"bump with A={amp:g}, s={s:g} is too steep to stay an immersion; "
                 "reduce A or increase s"

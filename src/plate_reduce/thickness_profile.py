@@ -22,11 +22,10 @@ class ProfileConstraintError(ValueError):
 
 
 def _shc(z):
-    # sinh(z)/z, stable through z = 0
-    if abs(z) < SHC_SERIES_CUTOFF:
-        z2 = z * z
-        return 1.0 + z2 / 6.0 + z2 * z2 / 120.0
-    return np.sinh(z) / z
+    # sinh(z)/z, stable through z = 0; elementwise over arrays
+    series = np.abs(z) < SHC_SERIES_CUTOFF
+    z2, zd = z * z, _where(series, 1.0, z)
+    return _where(series, 1.0 + z2 / 6.0 + z2 * z2 / 120.0, np.sinh(zd) / zd)
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,8 @@ class ExactIncompressibleProfile(object):
     """Profile solving det C_f = 1 exactly along the fiber.
 
     phi satisfies phi + H phi^2 + (K/3) phi^3 = x3 / sqrt(det C); the
-    cubic is inverted numerically on its monotone branch through 0.
+    cubic is inverted numerically on its monotone branch through 0, one
+    scalar solve per element of an array ``x3``.
     """
 
     def __init__(self, jet):
@@ -124,6 +124,8 @@ class ExactIncompressibleProfile(object):
         return 1.0 + 2.0 * self.H * p + self.K * p * p
 
     def phi(self, x3):
+        if np.ndim(x3):
+            return np.vectorize(self.phi, otypes=[float])(x3)
         t = x3 / self.root_detC
         if t == 0.0:
             return 0.0
@@ -156,6 +158,8 @@ class ExactIncompressibleProfile(object):
             p = p_next
 
     def dphi(self, x3):
+        if np.ndim(x3):
+            return np.vectorize(self.dphi, otypes=[float])(x3)
         p = self.phi(x3)
         area = self._area_factor(p)
         if area <= 0.0:

@@ -256,7 +256,6 @@ def test_parse_config_defaults():
                            "material": {"model": "gent", "mu": 1.0, "jm": 10.0},
                            "h": 0.01})
     assert config.grid == (8, 8)
-    assert config.quad_order == 16
     assert config.derivative_mode == "analytic"
     assert config.fd_step == 1e-4
     assert config.tolerances == {}
@@ -296,7 +295,7 @@ BAD_CONFIGS = [
     (_patched(material={"model": "nope"}), "material: unknown material model"),
     (_patched(grid={"nx": 1, "ny": 3}), "'grid.nx' must be at least 2"),
     (_patched(grid={"nx": 3, "ny": 3, "nz": 3}), "unknown grid key 'nz'"),
-    (_patched(quad_order=1), "'quad_order' must be at least 2"),
+    (_patched(quad_order=16), "unknown config key 'quad_order'; allowed keys:"),
     (_patched(tolerances={"bogus": 1e-3}), "unknown tolerance key 'bogus'"),
     (_patched(tolerances={"gent_bending": "x"}),
      "'tolerances.gent_bending' must be a number"),
@@ -384,7 +383,10 @@ def _bump_4x4(**changes):
      "a result overflows double precision: the energy at h = 1e+200"),
     ({"surface": {"name": "sphere_cap", "R": 1e-300}},
      "stretch tensor not positive definite"),
-], ids=["mu_1e308", "h_1e200", "sphere_R_1e-300"])
+    # s * s underflows to 0 and the steepness maxima are NaN
+    ({"surface": {"name": "gaussian_bump", "A": 0.5, "s": 1e-200}},
+     "bump with A=0.5, s=1e-200 is too steep to stay an immersion"),
+], ids=["mu_1e308", "h_1e200", "sphere_R_1e-300", "bump_s_1e-200"])
 def test_non_finite_results_are_config_errors(tmp_path, capsys, command,
                                               changes, message):
     with warnings.catch_warnings(record=True) as caught:
@@ -745,6 +747,29 @@ def test_sweep_quad_order(tmp_path, capsys):
     code, _ = run_cli(tmp_path, cfg, command="sweep", name="frac.json")
     assert code == 2
     assert "integers >= 2" in capsys.readouterr().err
+
+
+_SVK_STRETCH = {"surface": {"name": "uniform_stretch", "l1": 3.0, "l2": 0.5},
+                "material": {"model": "svk", "lambda": 1.0, "mu": 1.0}}
+
+
+@pytest.mark.parametrize("changes,sweep,message", [
+    ({"surface": {"name": "uniform_stretch", "l1": 3.0, "l2": 0.3333333333333333},
+      "material": {"model": "gent", "mu": 1.0, "jm": 100.0}},
+     {"param": "Jm", "values": [1e-9]}, "reached the extensibility limit"),
+    (_SVK_STRETCH, {"param": "h", "values": [1e-3, 2e-3]},
+     "needs an unstretched mid-surface"),
+    (_SVK_STRETCH, {"param": "quad_order", "values": [2, 4]},
+     "needs an unstretched mid-surface"),
+], ids=["Jm_gent", "h_svk", "quad_order_svk"])
+def test_sweep_admissibility_failure_exits_3(tmp_path, capsys, changes, sweep,
+                                             message):
+    code, out = run_cli(tmp_path, _patched(options={"sweep": sweep}, **changes),
+                        command="sweep")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("admissibility failure: ") and message in err
+    assert not out.exists()
 
 
 def test_sweep_rejects_unknown_param(tmp_path, capsys):

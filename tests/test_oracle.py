@@ -1,5 +1,6 @@
 """Numerical oracles: power fits, scalar minimization, quadrature, ODE."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,18 +12,25 @@ import plate_reduce
 
 from plate_reduce import (
     BracketError,
+    CiarletGeymonat,
     FitError,
     Gent,
+    MooneyRivlin,
+    NeoHookean,
     ResolutionError,
     SaintVenantKirchhoff,
     StiffeningLimitError,
     catalog_surface,
+    cg_profile,
     evaluate_jet,
+    exact_invariants_from_jet,
     fit_h_powers,
     incompressible_profile,
+    materials,
     minimize_scalar,
     order_of_residual,
     parabolic_refine,
+    point_contents,
     solve_svk_profile_ode,
     svk_profile,
     through_thickness_energy,
@@ -230,6 +238,80 @@ def test_quadrature_handles_svk_via_full_tensor():
     energy = through_thickness_energy_from_jet(
         jet, material, svk_profile(jet.H, 1.0, 1.0, h), h, quad_order=16)
     assert energy / h ** 3 == pytest.approx(8.0 / 9.0, rel=2e-4)
+
+
+@pytest.mark.parametrize("material,profile_of", [
+    (Gent(mu=1.0, jm=10.0), incompressible_profile),
+    (CiarletGeymonat.from_lame(1.0, 1.0),
+     lambda jet: cg_profile(jet, CiarletGeymonat.from_lame(1.0, 1.0))),
+    (SaintVenantKirchhoff(lam=1.0, mu=1.0),
+     lambda jet: svk_profile(jet.H, 1.0, 1.0, 1e-3)),
+], ids=["gent", "ciarlet_geymonat", "svk"])
+def test_array_h_equals_the_scalar_calls_bit_for_bit(material, profile_of):
+    jet = cylinder_jet()
+    profile = profile_of(jet)
+    energies = through_thickness_energy_from_jet(jet, material, profile, np.array(HS))
+    singles = [through_thickness_energy_from_jet(jet, material, profile, h)
+               for h in HS]
+    assert all(type(e) is float for e in singles)
+    assert energies.shape == (len(HS),)
+    assert energies.tolist() == singles
+
+
+def test_inadmissible_fiber_names_the_first_failing_node():
+    # at h = 0.2 only the last node passes I1 - 3 = 0.15; at h = 0.3 the
+    # first one does too, so a (node, h) order would name another x3
+    jet = cylinder_jet()
+    profile = incompressible_profile(jet)
+    hs, jm = (0.2, 0.3), 0.15
+    nodes, _ = _gauss_legendre(8)
+    failing = [h * t for h in hs for t in nodes
+               if exact_invariants_from_jet(jet, profile, h * t)[0] - 3.0 >= jm]
+    assert failing[0] == hs[0] * nodes[-1]
+    with pytest.raises(StiffeningLimitError,
+                       match=f"inadmissible fiber point x3 = {failing[0]:.9g}: I1"):
+        through_thickness_energy_from_jet(jet, Gent(mu=1.0, jm=jm), profile,
+                                          np.array(hs))
+
+
+def test_oracle_never_reads_the_closed_form_invariant_algebra(monkeypatch):
+    # shift I1 by 1e-3 in fiber_invariants and invariant_series, wherever
+    # the package binds them: the closed forms move, the oracle must not
+    jet = cylinder_jet()
+    profile = incompressible_profile(jet)
+    models = (Gent(mu=1.0, jm=10.0), NeoHookean(mu=1.0),
+              MooneyRivlin(mu=1.0, chi=0.6), CiarletGeymonat.from_lame(1.0, 1.0))
+
+    def energies():
+        return [through_thickness_energy_from_jet(jet, m, profile, np.array(HS))
+                for m in models]
+
+    before = energies()
+    contents = point_contents(jet, NeoHookean(mu=1.0))
+    fiber_invariants, invariant_series = (materials.fiber_invariants,
+                                          materials.invariant_series)
+
+    def shifted_invariants(*args):
+        i1, i2, i3 = fiber_invariants(*args)
+        return i1 + 1e-3, i2, i3
+
+    def shifted_series(*args):
+        series = invariant_series(*args)
+        return dataclasses.replace(series, i1=(series.i1[0] + 1e-3,) + series.i1[1:])
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("plate_reduce."):
+            for original, shifted in ((fiber_invariants, shifted_invariants),
+                                      (invariant_series, shifted_series)):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, shifted)
+
+    moved = point_contents(jet, NeoHookean(mu=1.0))
+    assert moved.stretching == pytest.approx(contents.stretching + 2e-3 * 0.5,
+                                             rel=1e-9)
+    for after, ref in zip(energies(), before):
+        assert np.array_equal(after, ref)
 
 
 # ---------------------------------------------------------------------------

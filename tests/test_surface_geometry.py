@@ -1,5 +1,7 @@
 """Mid-surface jets: catalog values, internal identities, and guards."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from plate_reduce import (
     DegenerateImmersionError,
     DomainError,
     ParametricSurface,
+    SurfaceJet,
     appendix_H_K,
     catalog_surface,
     evaluate_jet,
+    evaluate_jets,
     fiber_deformation_gradient,
     incompressible_profile_general,
     sampled_injectivity,
@@ -221,7 +225,28 @@ def test_catalog_surface_validation():
 
 
 # ---------------------------------------------------------------------------
-# orientation and injectivity
+# fiber deformation gradient, orientation and injectivity
+
+
+def test_fiber_deformation_gradient_stacks_the_single_point_calls():
+    # a JetBatch of 3 points and x3 of shape (4, 1): a (4, 3, 3, 3) stack
+    # whose every entry is the one-point, scalar-x3 call
+    points = np.array([[0.3, 0.2], [-0.1, 0.4], [0.05, -0.3]])
+    batch = evaluate_jets(catalog_surface("gaussian_bump"), points)
+    profile = incompressible_profile_general(batch)
+    x3 = np.array([[-0.05], [0.0], [0.02], [0.04]])
+    grad_phi = np.stack([0.1 * x3 * batch.H, -0.2 * x3 * batch.K])
+    F = fiber_deformation_gradient(batch, profile, x3)
+    shifted = fiber_deformation_gradient(batch, profile, x3, grad_phi)
+    assert F.shape == shifted.shape == (4, 3, 3, 3)
+    for i in range(len(points)):
+        jet = SurfaceJet(**{f.name: getattr(batch, f.name)[..., i]
+                            for f in fields(SurfaceJet) if f.name != "derivative_mode"})
+        single = PolyProfile(profile.alpha[i], profile.beta[i], profile.gamma[i])
+        for k, t in enumerate(x3[:, 0]):
+            np.testing.assert_array_equal(F[k, i], fiber_deformation_gradient(jet, single, t))
+            np.testing.assert_array_equal(shifted[k, i], fiber_deformation_gradient(
+                jet, single, t, grad_phi=grad_phi[:, k, i]))
 
 
 def test_verify_orientation_passes_at_working_thickness():

@@ -201,6 +201,18 @@ def test_hyperbolic_profile_consistency_and_validation():
         HyperbolicProfile(H=0.0, lam=1.0, mu=1.0, h=0.05, xi=5.0)
 
 
+@pytest.mark.parametrize("profile", [
+    ExactIncompressibleProfile(jet_of("cylinder", (0.05, -0.3))),
+    svk_profile(-0.5, 1.0, 1.0, 0.05),
+    svk_profile(0.0, 1.0, 1.0, 0.1),
+], ids=["exact_incompressible", "hyperbolic", "hyperbolic_flat"])
+def test_profiles_take_array_offsets_as_their_scalar_calls(profile):
+    # 1e-6 and -3e-5 take the sinh(z)/z series of the hyperbolic profile
+    x3 = np.array([[-0.04, 0.0, 1e-6], [0.02, -3e-5, 0.045]])
+    for what in (profile.phi, profile.dphi):
+        assert what(x3).tolist() == [[what(t) for t in row] for row in x3.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # deformed thickness
 
