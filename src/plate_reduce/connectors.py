@@ -11,6 +11,7 @@ numerically.
 
 import warnings
 from dataclasses import dataclass, field as _field, replace
+from functools import cached_property
 from typing import List, Tuple
 
 import numpy as np
@@ -204,35 +205,18 @@ def curvatures_from_frame(frame):
 # grid sampling and cross-derivative identities
 
 
-class _FramesOnDemand:
-    # FrameGrid.frames; a grid given only batched fields builds them on read
-    def __get__(self, grid, owner=None):
-        if grid is None:
-            return None  # the dataclass default
-        if grid.__dict__.get("frames") is None:
-            nx, ny = grid.shape
-            grid.__dict__["frames"] = [[_frame_at(grid._fields, i * ny + j)
-                                        for j in range(ny)] for i in range(nx)]
-        return grid.__dict__["frames"]
-
-    def __set__(self, grid, frames):
-        grid.__dict__["frames"] = frames
-
-
 @dataclass(frozen=True, eq=False)
 class FrameGrid:
     """Connector frames on a rectangular grid with gauge-continuous signs.
 
-    A sampled grid keeps the frame fields batched for ``field``; its
-    ``frames`` are built from them on first read.  Grids compare by
-    identity: their fields are arrays.
+    ``fields`` holds every ConnectorFrame field batched, as
+    ``_frame_fields`` returns them: nodes (i, j) in row-major order on the
+    trailing axis.  Grids compare by identity: their fields are arrays.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    frames: List[List[ConnectorFrame]] = _FramesOnDemand()
-    # the fields of _frame_fields, nodes (i, j) in row-major order
-    _fields: dict = _field(default=None, repr=False, compare=False)
+    fields: dict = _field(repr=False)
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -242,12 +226,17 @@ class FrameGrid:
     def spacing(self) -> Tuple[float, float]:
         return float(self.xs[1] - self.xs[0]), float(self.ys[1] - self.ys[0])
 
+    @cached_property
+    def frames(self) -> List[List[ConnectorFrame]]:
+        """Node (i, j)'s ConnectorFrame at ``frames[i][j]``, built from
+        the fields on first read."""
+        nx, ny = self.shape
+        return [[_frame_at(self.fields, i * ny + j) for j in range(ny)]
+                for i in range(nx)]
+
     def field(self, name):
         """One frame attribute over the grid, an (nx, ny, ...) array."""
-        if self._fields is None:
-            return np.array([[getattr(f, name) for f in row]
-                             for row in self.frames])
-        value = np.moveaxis(self._fields[name], -1, 0)
+        value = np.moveaxis(self.fields[name], -1, 0)
         return value.reshape(self.shape + value.shape[1:]).copy()
 
 
@@ -260,8 +249,7 @@ def sample_frame_grid(surface, grid=(9, 9), bounds=None, inset=0.08,
     stencils).  Eigenvector signs are made continuous by propagating from
     the first node down the first column and then along rows, flipping
     frames whose r1 opposes its predecessor's.  The fields are computed
-    in one batch and kept batched; the grid's ``frames`` are built from
-    them only when read.
+    in one batch and kept batched.
     """
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 3 or ny < 3:
@@ -286,7 +274,7 @@ def sample_frame_grid(surface, grid=(9, 9), bounds=None, inset=0.08,
         [first, keeps(r1[:, :, 1:], r1[:, :, :-1])]), axis=1).ravel()
     for name in ("r1", "r2", "d1_star", "d2_star", "c1", "c2"):
         fields[name] = fields[name] * sign
-    return FrameGrid(xs=xs, ys=ys, _fields=fields)
+    return FrameGrid(xs=xs, ys=ys, fields=fields)
 
 
 def _interior(grid, i, j):
@@ -324,9 +312,9 @@ def gauss_from_connectors(grid, jet=None, i=None, j=None):
         When (i, j) has no interior neighbors.
     """
     i, j = _interior(grid, i, j)
-    node = jet if jet is not None else grid.frames[i][j]
-    return float(-_curl(grid, "c_star")[i - 1, j - 1]
-                 / (node.lambda1 * node.lambda2))
+    l1, l2 = ((jet.lambda1, jet.lambda2) if jet is not None else
+              (grid.field("lambda1")[i, j], grid.field("lambda2")[i, j]))
+    return float(-_curl(grid, "c_star")[i - 1, j - 1] / (l1 * l2))
 
 
 def gauss_uniform_stretch(frame, lambda1):

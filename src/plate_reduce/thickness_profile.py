@@ -223,6 +223,9 @@ def svk_profile(H, lam, mu, h):
         raise ValueError("half thickness must be positive")
     c = np.cosh(2.0 * H * h)
     alpha_bar = (lam * lam * c + 4.0 * mu * (lam + mu)) / ((2.0 * mu + lam) ** 2 * c)
+    if not 0.0 < alpha_bar < np.inf:
+        # cosh(2 H h) overflows, or lam and mu underflow to 0 / 0
+        raise OverflowError(f"the SVK profile at H = {H:g}, h = {h:g}")
     xi = alpha_bar / (2.0 * H) if H != 0.0 else np.inf
     return HyperbolicProfile(H=H, lam=lam, mu=mu, h=h, xi=xi, alpha_bar=float(alpha_bar))
 

@@ -256,8 +256,8 @@ def test_parse_config_defaults():
                            "material": {"model": "gent", "mu": 1.0, "jm": 10.0},
                            "h": 0.01})
     assert config.grid == (8, 8)
-    assert config.derivative_mode == "analytic"
-    assert config.fd_step == 1e-4
+    assert config.surface.derivative_mode == "analytic"
+    assert config.surface.step == 1e-4
     assert config.tolerances == {}
     assert config.options == {}
     assert config.h == 0.01
@@ -375,18 +375,40 @@ def _bump_4x4(**changes):
                            **changes))
 
 
-@pytest.mark.parametrize("command", ["evaluate", "sweep"])
-@pytest.mark.parametrize("changes,message", [
-    ({"material": {"model": "neo_hookean", "mu": 1e308}},
-     "is inf, not a finite number"),
-    ({"h": 1e200, "options": {"sweep": {"param": "h", "values": [1e200]}}},
-     "a result overflows double precision: the energy at h = 1e+200"),
-    ({"surface": {"name": "sphere_cap", "R": 1e-300}},
-     "stretch tensor not positive definite"),
+_BOTH = ("evaluate", "sweep")
+# (id, changes, message, commands)
+_NON_FINITE_RESULTS = [
+    ("mu_1e308", {"material": {"model": "neo_hookean", "mu": 1e308}},
+     "is inf, not a finite number", _BOTH),
+    ("h_1e200",
+     {"h": 1e200, "options": {"sweep": {"param": "h", "values": [1e200]}}},
+     "a result overflows double precision: the energy at h = 1e+200", _BOTH),
+    ("sphere_R_1e-300", {"surface": {"name": "sphere_cap", "R": 1e-300}},
+     "stretch tensor not positive definite", _BOTH),
     # s * s underflows to 0 and the steepness maxima are NaN
-    ({"surface": {"name": "gaussian_bump", "A": 0.5, "s": 1e-200}},
-     "bump with A=0.5, s=1e-200 is too steep to stay an immersion"),
-], ids=["mu_1e308", "h_1e200", "sphere_R_1e-300", "bump_s_1e-200"])
+    ("bump_s_1e-200",
+     {"surface": {"name": "gaussian_bump", "A": 0.5, "s": 1e-200}},
+     "bump with A=0.5, s=1e-200 is too steep to stay an immersion", _BOTH),
+    # only evaluate builds the SVK profile (at the domain center); here
+    # cosh(2 H h) overflows and its coefficient is inf / inf
+    ("svk_cylinder_R_1e-3",
+     {"surface": {"name": "cylinder", "R": 0.001}, "h": 0.8,
+      "material": {"model": "svk", "lambda": 1.0, "mu": 1.0}},
+     "a result overflows double precision: the SVK profile at H = -500, "
+     "h = 0.8", ("evaluate",)),
+    # lambda * lambda and mu * (lambda + mu) underflow: 0 / 0
+    ("svk_plane_lame_1e-200",
+     {"surface": {"name": "plane"},
+      "material": {"model": "svk", "lambda": 1e-200, "mu": 1e-300}},
+     "a result overflows double precision: the SVK profile at H = 0, "
+     "h = 0.001", ("evaluate",)),
+]
+
+
+@pytest.mark.parametrize("command,changes,message", [
+    pytest.param(command, changes, message, id=f"{name}-{command}")
+    for name, changes, message, commands in _NON_FINITE_RESULTS
+    for command in commands])
 def test_non_finite_results_are_config_errors(tmp_path, capsys, command,
                                               changes, message):
     with warnings.catch_warnings(record=True) as caught:
@@ -487,6 +509,52 @@ def test_main_requires_config(command, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,changes", [
+    (["evaluate"], None),
+    (["verify"], None),
+    (["sweep"], None),
+    (["verify"], {"options": {"checks": []}}),
+    (["sweep"], {}),
+    (["sweep"], {"options": {"sweep": {"param": "mu", "values": [1.0]}}}),
+    (["sweep"], {"material": {"model": "neo_hookean", "mu": 1.0},
+                 "options": {"sweep": {"param": "Jm", "values": [1e2]}}}),
+    (["sweep"], {"options": {"sweep": {"param": "quad_order",
+                                       "values": [4.5]}}}),
+], ids=["evaluate_no_config", "verify_no_config", "sweep_no_config",
+        "empty_selection", "no_options_sweep", "param_mu", "Jm_neo_hookean",
+        "quad_order_4.5"])
+def test_every_config_error_is_one_stderr_line(tmp_path, capsys, argv,
+                                               changes):
+    if changes is not None:
+        argv += ["--config", write_config(tmp_path, _patched(**changes)),
+                 "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "verify"])
+@pytest.mark.parametrize("sweep,message", [
+    ({"param": "mu", "values": [1.0]},
+     "unknown sweep parameter 'mu'; expected one of h, Jm, lambda1, "
+     "quad_order"),
+    ({"param": "lambda1", "values": [1.1]},
+     "lambda1 sweep requires a ciarlet_geymonat material in the config"),
+    ({"param": "quad_order", "values": [1]},
+     "quad_order sweep values must be integers >= 2, got 1"),
+], ids=["param_mu", "lambda1_gent", "quad_order_1"])
+def test_every_command_validates_options_sweep(tmp_path, capsys, command,
+                                               sweep, message):
+    code, out = run_cli(tmp_path, _patched(options={"sweep": sweep}),
+                        command=command)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     path = write_config(tmp_path, {"surface": {"name": "cylinder"}})
     assert main(["evaluate", "--config", path]) == 2
@@ -547,7 +615,8 @@ def test_verify_writes_non_finite_observations_as_failed_nulls(tmp_path,
 
 @pytest.mark.parametrize("error", [DomainError, DegenerateImmersionError,
                                    AreaDistortionError, StiffeningLimitError,
-                                   FitError, BracketError, ResolutionError])
+                                   FitError, BracketError, ResolutionError,
+                                   TypeError, KeyError])
 def test_verify_check_that_raises_fails_its_verdict(tmp_path, capsys,
                                                     monkeypatch, error):
     def crash(ctx):
@@ -562,8 +631,9 @@ def test_verify_check_that_raises_fails_its_verdict(tmp_path, capsys,
     assert code == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
+    # a KeyError's text is the repr of its key
     assert (f"FAIL eigenframe_coupling: check raised {error.__name__}: "
-            "no room for the stencil") in captured.out
+            f"{error('no room for the stencil')}") in captured.out
     assert "PASS cross_path_curvatures:" in captured.out
     assert "1/2 checks passed" in captured.out
     report = json.loads((out / "verdicts.json").read_text(),

@@ -1,7 +1,7 @@
 """Tests for the stretch-eigenframe connector fields."""
 
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -345,16 +345,19 @@ def test_frame_grid_matches_matrix_route(name):
 @pytest.mark.parametrize("name", ["gaussian_bump", "sphere_cap", "cylinder",
                                   "plane"])
 def test_sampled_fields_equal_stacked_frames(name):
-    # a sampled grid reads its fields from the batch and builds its frames
-    # on demand; both views must agree, nan and umbilic flags included
+    # a grid reads field() from its batched fields and builds its frames
+    # from them on first read; both views must agree, nan and umbilic
+    # flags included
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         grid = sample_frame_grid(catalog_surface(name), grid=(7, 6),
                                  with_c12=True)
-    stacked = FrameGrid(xs=grid.xs, ys=grid.ys, frames=grid.frames)
     assert len(grid.frames) == 7 and all(len(row) == 6 for row in grid.frames)
+    assert grid.frames is grid.frames
     for f in fields(ConnectorFrame):
-        got, want = grid.field(f.name), stacked.field(f.name)
+        got = grid.field(f.name)
+        want = np.array([[getattr(frame, f.name) for frame in row]
+                         for row in grid.frames])
         assert got.shape == want.shape and got.dtype == want.dtype, f.name
         assert np.array_equal(got, want, equal_nan=True), f.name
 
@@ -389,9 +392,11 @@ def test_connector_checks_build_no_frames(monkeypatch):
 def test_check_codazzi_keeps_nan_residuals():
     grid = sample_frame_grid(catalog_surface("saddle"), grid=(5, 5),
                              bounds=((0.1, 0.3), (0.05, 0.25)))
-    frames = [list(row) for row in grid.frames]
-    frames[2][2] = replace(frames[2][2], c_star=np.full(2, np.nan))
-    report = check_codazzi(FrameGrid(xs=grid.xs, ys=grid.ys, frames=frames))
+    # node (2, 2) is column 2 * 5 + 2 of the row-major batch
+    c_star = grid.fields["c_star"].copy()
+    c_star[:, 12] = np.nan
+    report = check_codazzi(FrameGrid(xs=grid.xs, ys=grid.ys,
+                                     fields=dict(grid.fields, c_star=c_star)))
     assert np.isnan(report.curl_c_star)
     assert np.isnan(report.curl_d1_star)
     assert np.isnan(report.curl_d2_star)
