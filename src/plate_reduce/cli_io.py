@@ -27,6 +27,14 @@ import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
+# Every BLAS/LAPACK call here works on stacks of 3x3 matrices or designs of a
+# few columns, too small to split across threads, and OpenBLAS's idle worker
+# spins while the process starts.  So one BLAS thread unless the caller set
+# it; once numpy is loaded (pytest, a notebook) the pool exists already, and
+# the environment its child processes inherit is left alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .materials import (CiarletGeymonat, Gent, MaterialDomainError,
@@ -81,6 +89,9 @@ _TOP_KEYS = ("surface", "material", "h", "grid", "derivative_mode",
              "fd_step", "tolerances", "options")
 _OPTION_KEYS = ("perturb_beta", "checks", "sweep")
 SWEEP_PARAMS = ("h", "Jm", "lambda1", "quad_order")
+# the largest grid side or quad_order: an n-point Gauss rule is an n x n
+# eigenproblem (0.16 s at 1024, 1.1 s at 2048), and 1e5 would need 80 GB
+MAX_SIZE = 1024
 
 
 def _as_number(value, key, positive=True):
@@ -98,6 +109,8 @@ def _as_int(value, key, minimum):
         raise ConfigError(f"'{key}' must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"'{key}' must be at least {minimum}, got {value}")
+    if value > MAX_SIZE:
+        raise ConfigError(f"'{key}' must be at most {MAX_SIZE}, got {value}")
     return value
 
 
@@ -199,6 +212,9 @@ def parse_config(data):
             if param == "quad_order" and (v != int(v) or v < 2):
                 raise ConfigError("quad_order sweep values must be integers "
                                   f">= 2, got {v:g}")
+            if param == "quad_order" and v > MAX_SIZE:
+                raise ConfigError("quad_order sweep values must be at most "
+                                  f"{MAX_SIZE}, got {v:g}")
         if param == "Jm" and not isinstance(material, Gent):
             raise ConfigError("Jm sweep requires a gent material in the "
                               "config")
@@ -219,7 +235,7 @@ def load_config(path):
             data = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an integer too long
         raise ConfigError(f"invalid JSON in {path}: {err}") from err
     return parse_config(data)
 

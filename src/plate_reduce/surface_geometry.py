@@ -185,7 +185,10 @@ def finite_number(value, key):
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"'{key}' must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the double range, like 1e400
+        value = np.inf if value > 0 else -np.inf
     if not np.isfinite(value):
         raise ValueError(f"'{key}' must be finite, got {value!r}")
     return value

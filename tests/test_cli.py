@@ -294,6 +294,8 @@ BAD_CONFIGS = [
      "surface: unknown parameters"),
     (_patched(material={"model": "nope"}), "material: unknown material model"),
     (_patched(grid={"nx": 1, "ny": 3}), "'grid.nx' must be at least 2"),
+    (_patched(grid={"nx": 3, "ny": 100000}),
+     "'grid.ny' must be at most 1024, got 100000"),
     (_patched(grid={"nx": 3, "ny": 3, "nz": 3}), "unknown grid key 'nz'"),
     (_patched(quad_order=16), "unknown config key 'quad_order'; allowed keys:"),
     (_patched(tolerances={"bogus": 1e-3}), "unknown tolerance key 'bogus'"),
@@ -337,6 +339,10 @@ def test_parse_config_rejects(data, match):
      "surface: 'R' must be a number, got True"),
     ("evaluate", {"material": {"model": "svk", "lambda": -2, "mu": 1}},
      "material: SaintVenantKirchhoff requires lam > 0 and mu > 0"),
+    # an integer past the double range reads as 1e400 does
+    ("evaluate", {"h": 10 ** 400}, "'h' must be finite, got inf"),
+    ("verify", {"tolerances": {"gent_bending": -10 ** 400}},
+     "'tolerances.gent_bending' must be finite, got -inf"),
 ])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command,
                                               changes, message):
@@ -497,6 +503,11 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON in"):
         load_config(str(bad))
+    # past the interpreter's limit on digits in an integer, where it has one
+    bad.write_text('{"h": ' + "9" * 5000 + "}")
+    with pytest.raises(ConfigError,
+                       match="invalid JSON in .*digits|'h' must be finite"):
+        load_config(str(bad))
 
 
 @pytest.mark.parametrize("command,message", [
@@ -520,9 +531,13 @@ def test_main_requires_config(command, message, capsys):
                  "options": {"sweep": {"param": "Jm", "values": [1e2]}}}),
     (["sweep"], {"options": {"sweep": {"param": "quad_order",
                                        "values": [4.5]}}}),
+    # a size past the bound is rejected before any Gauss rule is built
+    (["sweep"], {"options": {"sweep": {"param": "quad_order",
+                                       "values": [4, 1e300]}}}),
+    (["evaluate"], {"grid": {"nx": 100000, "ny": 3}}),
 ], ids=["evaluate_no_config", "verify_no_config", "sweep_no_config",
         "empty_selection", "no_options_sweep", "param_mu", "Jm_neo_hookean",
-        "quad_order_4.5"])
+        "quad_order_4.5", "quad_order_1e300", "grid_nx_1e5"])
 def test_every_config_error_is_one_stderr_line(tmp_path, capsys, argv,
                                                changes):
     if changes is not None:
@@ -545,7 +560,9 @@ def test_every_config_error_is_one_stderr_line(tmp_path, capsys, argv,
      "lambda1 sweep requires a ciarlet_geymonat material in the config"),
     ({"param": "quad_order", "values": [1]},
      "quad_order sweep values must be integers >= 2, got 1"),
-], ids=["param_mu", "lambda1_gent", "quad_order_1"])
+    ({"param": "quad_order", "values": [1e300]},
+     "quad_order sweep values must be at most 1024, got 1e+300"),
+], ids=["param_mu", "lambda1_gent", "quad_order_1", "quad_order_1e300"])
 def test_every_command_validates_options_sweep(tmp_path, capsys, command,
                                                sweep, message):
     code, out = run_cli(tmp_path, _patched(options={"sweep": sweep}),

@@ -1,12 +1,15 @@
 """What a fresh process loads: ``evaluate`` and ``sweep`` never run the
 verify-only layers or load the checks, ``verify`` never imports
-``numpy.random``, and every public name still resolves."""
+``numpy.random``, every public name still resolves, and the CLI starts
+with one BLAS thread unless its caller chose another count."""
 
 import json
 import os
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 import plate_reduce
 
@@ -101,9 +104,10 @@ def _src_env():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
-def _run_script(script):
+def _run_script(script, env=None):
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
-                          capture_output=True, text=True, env=_src_env())
+                          capture_output=True, text=True,
+                          env=env or _src_env())
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -146,3 +150,62 @@ def test_verify_as_a_module_loads_cli_io_once_and_no_numpy_random(tmp_path):
     assert "plate_reduce.checks" in report["modules"]
     assert "plate_reduce.cli_io" not in report["modules"]
     assert not any(m.startswith("numpy.random") for m in report["modules"])
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+# the process's thread count and its OPENBLAS_NUM_THREADS, after importing
+# ``first`` and then the CLI, and again after an evaluate run
+THREADS_SCRIPT = """
+import json, os, sys
+
+def threads():
+    return len(os.listdir("/proc/self/task"))
+
+import {first}
+import plate_reduce.cli_io as cli
+report = {{"threads": threads(),
+           "env": os.environ.get("OPENBLAS_NUM_THREADS")}}
+assert cli.main(["evaluate", "--config", {config!r}, "--out", {out!r}]) == 0
+report["threads_after_evaluate"] = threads()
+print(json.dumps(report))
+"""
+
+needs_proc_tasks = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"),
+    reason="threads are counted in /proc/self/task")
+
+
+def _threads_report(tmp_path, first, blas_threads):
+    env = _src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    config = write(tmp_path, "evaluate.json", {
+        "surface": {"name": "gaussian_bump"},
+        "material": {"model": "neo_hookean", "mu": 1.0},
+        "h": 1e-3, "grid": {"nx": 4, "ny": 4}})
+    return _run_script(THREADS_SCRIPT.format(
+        first=first, config=config, out=str(tmp_path / "out")), env=env)
+
+
+@needs_proc_tasks
+def test_cli_starts_with_one_blas_thread(tmp_path):
+    report = _threads_report(tmp_path, "plate_reduce", None)
+    assert report == {"threads": 1, "env": "1", "threads_after_evaluate": 1}
+
+
+@needs_proc_tasks
+def test_cli_keeps_the_callers_blas_thread_count(tmp_path):
+    report = _threads_report(tmp_path, "plate_reduce", "2")
+    # OpenBLAS starts no more threads than the process may run on
+    threads = min(2, len(os.sched_getaffinity(0)))
+    assert report == {"threads": threads, "env": "2",
+                      "threads_after_evaluate": threads}
+
+
+@needs_proc_tasks
+def test_cli_leaves_the_environment_once_numpy_is_loaded(tmp_path):
+    report = _threads_report(tmp_path, "numpy", None)
+    assert report["env"] is None
