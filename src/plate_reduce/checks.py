@@ -18,7 +18,8 @@ import numpy as np
 
 from . import connectors, oracle
 from .materials import (CiarletGeymonat, Gent, fiber_invariants,
-                        matrix_invariants, volumetric_energy)
+                        matrix_invariants, small_strain_energy,
+                        volumetric_energy)
 from .reduced_energy import (cg_contents, cg_small_strain_contents,
                              cg_stretching_closed, coupling_stationary_angles,
                              eigenframe_coupling, gent_contents)
@@ -53,14 +54,21 @@ class VerifyContext:
 
 
 def _verdict(check_id, passed, observed, expected, tolerance, detail):
-    # a non-finite observed value is written as null and fails the check
-    null = lambda v: v if np.isfinite(v) else None
+    # values are written as Python floats; a non-finite observed value is
+    # written as null and fails the check
+    null = lambda v: float(v) if np.isfinite(v) else None
     observed = ({k: null(v) for k, v in observed.items()}
                 if isinstance(observed, dict) else null(observed))
     values = observed.values() if isinstance(observed, dict) else (observed,)
+    if expected is not None:
+        expected = float(expected)
     return {"check_id": check_id, "passed": bool(passed) and None not in values,
             "observed": observed, "expected": expected,
             "tolerance": tolerance, "detail": detail}
+
+
+def _jet(name, point):
+    return evaluate_jet(catalog_surface(name), np.array(point))
 
 
 def _loglog_slope(xs, ys):
@@ -68,37 +76,44 @@ def _loglog_slope(xs, ys):
     # than 1.5 decades, and thickness_formula's spans 12.5x (1.1 decades);
     # changing that set would move its verdict slopes.  The Jm and strain
     # sets of gent_bending and cg_small_strain are no h sets at all.
-    return float(np.polyfit(np.log(np.asarray(xs, dtype=float)),
-                            np.log(np.asarray(ys, dtype=float)), 1)[0])
+    return np.polyfit(np.log(np.asarray(xs, dtype=float)),
+                      np.log(np.asarray(ys, dtype=float)), 1)[0]
+
+
+def _remainder_order(ctx, check_id, default_tol, order, hs, remainders, label):
+    # remainders(jet), one per h in hs, must shrink like h^order at the
+    # cylinder and bump points: each log-log slope within tol of order
+    tol = ctx.tol(check_id, default_tol)
+    slopes = {name: _loglog_slope(hs, remainders(_jet(name, point)))
+              for name, point in (("cylinder", (0.05, -0.3)),
+                                  ("gaussian_bump", (0.3, 0.2)))}
+    passed = all(abs(s - order) <= tol for s in slopes.values())
+    detail = (f"{label} " +
+              ", ".join(f"{s:.3f} ({n})" for n, s in sorted(slopes.items())) +
+              f" vs {order:g} +/- {tol:g}")
+    return _verdict(check_id, passed, slopes, order, tol, detail)
 
 
 def _check_incompressibility_order(ctx):
     # |det C_f - 1| at x3 = h must shrink like h^3 for the cubic
     # volume-preserving profile on unit-determinant surfaces.
-    tol = ctx.tol("incompressibility_order", 0.2)
     hs = np.array([1e-2, 10.0 ** -2.5, 1e-3, 10.0 ** -3.5, 1e-4])
-    slopes = {}
-    for name, point in (("cylinder", (0.05, -0.3)),
-                        ("gaussian_bump", (0.3, 0.2))):
-        jet = evaluate_jet(catalog_surface(name), np.array(point))
+
+    def residuals(jet):
         base = incompressible_profile(jet)
         profile = PolyProfile(base.alpha, base.beta + ctx.perturb_beta,
                               base.gamma)
-        residuals = [abs(fiber_invariants(jet, profile, h)[2] - 1.0) for h in hs]
-        slopes[name] = _loglog_slope(hs, residuals)
-    passed = all(abs(s - 3.0) <= tol for s in slopes.values())
-    detail = ("det C_f residual slopes " +
-              ", ".join(f"{s:.3f} ({n})" for n, s in sorted(slopes.items())) +
-              f" vs 3 +/- {tol:g}")
-    return _verdict("incompressibility_order", passed,
-                    {k: float(v) for k, v in slopes.items()}, 3.0, tol, detail)
+        return [abs(fiber_invariants(jet, profile, h)[2] - 1.0) for h in hs]
+
+    return _remainder_order(ctx, "incompressibility_order", 0.2, 3.0, hs,
+                            residuals, "det C_f residual slopes")
 
 
 def _check_gent_bending(ctx):
     # Closed bending content of the stiffening model against the
     # through-thickness quadrature, the stiff limit, and the 1/Jm rate.
     rel_tol = ctx.tol("gent_bending", 1e-5)
-    jet = evaluate_jet(catalog_surface("cylinder"), np.array([0.05, -0.3]))
+    jet = _jet("cylinder", (0.05, -0.3))
     profile = incompressible_profile(jet)
     target = 4.0 / 3.0
 
@@ -112,7 +127,7 @@ def _check_gent_bending(ctx):
             abs(gent_contents(jet, 1.0, 1e6).bending - target) / target,
     }
 
-    bump = evaluate_jet(catalog_surface("gaussian_bump"), np.array([0.3, 0.2]))
+    bump = _jet("gaussian_bump", (0.3, 0.2))
     stiff_limit = (16.0 * bump.H ** 2 - bump.K * (bump.trC + 2.0)) / 3.0
     jms = (1e3, 1e4, 1e5)
     gaps = [abs(gent_contents(bump, 1.0, jm).bending - stiff_limit)
@@ -122,17 +137,15 @@ def _check_gent_bending(ctx):
     passed = max(errs.values()) <= rel_tol and abs(rate + 1.0) <= 0.05
     detail = (f"max rel err {max(errs.values()):.2e} vs 4/3 "
               f"(tol {rel_tol:g}); extensibility-gap rate {rate:.4f} vs -1")
-    observed = dict({k: float(v) for k, v in errs.items()},
-                    jm_gap_rate=float(rate))
-    return _verdict("gent_bending", passed, observed, target, rel_tol, detail)
+    return _verdict("gent_bending", passed, dict(errs, jm_gap_rate=rate),
+                    target, rel_tol, detail)
 
 
 def _check_gent_stretching(ctx):
     # Closed stretching content on a uniform unimodular stretch against
     # the through-thickness quadrature's h-linear coefficient.
     rel_tol = ctx.tol("gent_stretching", 1e-6)
-    jet = evaluate_jet(catalog_surface("uniform_stretch"),
-                       np.array([0.1, 0.2]))
+    jet = _jet("uniform_stretch", (0.1, 0.2))
     closed = gent_contents(jet, 1.0, 10.0)
     target = -10.0 * np.log(0.775)
     fit = oracle.fit_h_powers(H_STRETCH, oracle.through_thickness_energy_from_jet(
@@ -144,9 +157,7 @@ def _check_gent_stretching(ctx):
     passed = max(errs.values()) <= rel_tol
     detail = (f"stretching content rel err {max(errs.values()):.2e} "
               f"vs -10 ln 0.775 (tol {rel_tol:g})")
-    return _verdict("gent_stretching", passed,
-                    {k: float(v) for k, v in errs.items()},
-                    float(target), rel_tol, detail)
+    return _verdict("gent_stretching", passed, errs, target, rel_tol, detail)
 
 
 def _check_theorema_egregium(ctx):
@@ -176,11 +187,10 @@ def _check_theorema_egregium(ctx):
     passed = rel_err <= rel_tol and max(cone_errs.values()) <= cone_tol
     detail = (f"curl route rel err {rel_err:.2e} (tol {rel_tol:g}); "
               f"cone identity err {max(cone_errs.values()):.2e} (tol {cone_tol:g})")
-    observed = dict({k: float(v) for k, v in cone_errs.items()},
-                    curl_rel_err=float(rel_err), curl_value=float(k_curl),
-                    jet_value=float(jet.K))
-    return _verdict("theorema_egregium", passed, observed, float(jet.K),
-                    rel_tol, detail)
+    observed = dict(cone_errs, curl_rel_err=rel_err, curl_value=k_curl,
+                    jet_value=jet.K)
+    return _verdict("theorema_egregium", passed, observed, jet.K, rel_tol,
+                    detail)
 
 
 _CODAZZI_CENTERS = (("plane", (0.1, -0.1)), ("uniform_stretch", (0.1, 0.2)),
@@ -203,8 +213,7 @@ def _check_codazzi_residuals(ctx):
             grid = connectors.sample_frame_grid(
                 surface, grid=(11, 11), bounds=((cx - half, cx + half),
                                                 (cy - half, cy + half)))
-            report = connectors.check_codazzi(grid)
-        worst[name] = float(report.max_residual())
+            worst[name] = connectors.check_codazzi(grid).max_residual()
     passed = max(worst.values()) <= tol
     detail = (f"max compatibility residual {max(worst.values()):.2e} "
               f"over {len(worst)} surfaces (tol {tol:g})")
@@ -364,7 +373,7 @@ def _check_cg_profile_minimality(ctx):
     rel_errs = {}
     for name, point in (("sphere_cap", (0.25, -0.15)),
                         ("gaussian_bump", (0.3, 0.2))):
-        jet = evaluate_jet(catalog_surface(name), np.array(point))
+        jet = _jet(name, point)
         closed = cg_contents(jet, material)
         fit = oracle.fit_h_powers(H_BEND, oracle.through_thickness_energy_from_jet(
             jet, material, cg_profile(jet, material), H_BEND))
@@ -375,8 +384,7 @@ def _check_cg_profile_minimality(ctx):
     detail = (f"coefficient gaps alpha {worst_alpha:.2e}, beta {worst_beta:.2e} "
               f"(tol {tol:g}); h^3 content rel err {max(rel_errs.values()):.2e} "
               f"(tol {rel_tol:g})")
-    observed = dict({k: float(v) for k, v in rel_errs.items()},
-                    alpha_gap=float(worst_alpha), beta_gap=float(worst_beta))
+    observed = dict(rel_errs, alpha_gap=worst_alpha, beta_gap=worst_beta)
     return _verdict("cg_profile_minimality", passed, observed, 0.0, tol, detail)
 
 
@@ -392,8 +400,7 @@ def _check_cg_small_strain(ctx):
     rem2 = []
     for t in ts:
         C = np.eye(2) + 2.0 * t * E0
-        jet = SimpleNamespace(trC=float(np.trace(C)),
-                              detC=float(np.linalg.det(C)))
+        jet = SimpleNamespace(trC=np.trace(C), detC=np.linalg.det(C))
         w1 = cg_stretching_closed(jet, material)
         quad = cg_small_strain_contents(t * E0, 0.0, 0.0, lam, mu).stretching
         rem2.append(abs(w1 - quad))
@@ -402,16 +409,14 @@ def _check_cg_small_strain(ctx):
     G = np.array([[0.8, 0.3, 0.1], [0.3, -0.5, 0.2], [0.1, 0.2, 0.4]])
     t = ts[:, None, None]
     W = volumetric_energy(material, *matrix_invariants(np.eye(3) + 2.0 * t * G))
-    quad = (0.5 * lam * np.trace(t * G, axis1=1, axis2=2) ** 2
-            + mu * np.trace((t * G) @ (t * G), axis1=1, axis2=2))
+    quad = small_strain_energy(material, t * G)
     slope3 = _loglog_slope(ts, np.abs(W - quad))
 
     passed = abs(slope2 - 3.0) <= tol and abs(slope3 - 3.0) <= tol
     detail = (f"remainder orders {slope2:.3f} (membrane), {slope3:.3f} (bulk) "
               f"vs 3 +/- {tol:g}")
-    return _verdict("cg_small_strain", passed,
-                    {"membrane_slope": float(slope2),
-                     "bulk_slope": float(slope3)}, 3.0, tol, detail)
+    observed = {"membrane_slope": slope2, "bulk_slope": slope3}
+    return _verdict("cg_small_strain", passed, observed, 3.0, tol, detail)
 
 
 def _check_svk_profile(ctx):
@@ -424,7 +429,7 @@ def _check_svk_profile(ctx):
 
     solution = oracle.solve_svk_profile_ode(curvature, lam, mu, 0.05, n_steps=400)
     closed = svk_profile(curvature, lam, mu, 0.05)
-    sup_err = float(np.max(np.abs(solution.phi - closed.phi(solution.x3))))
+    sup_err = np.max(np.abs(solution.phi - closed.phi(solution.x3)))
 
     hs = (2e-3, 1e-3, 5e-4, 2e-4, 1e-4)
     energies = [oracle.solve_svk_profile_ode(curvature, lam, mu, h,
@@ -441,33 +446,24 @@ def _check_svk_profile(ctx):
     detail = (f"profile sup err {sup_err:.2e} (tol {sup_tol:g}); "
               f"h^3 content rel err {content_rel:.2e}; "
               f"slope-defect coefficient rel err {coef_rel:.2e}")
-    observed = {"profile_sup_err": sup_err,
-                "content_rel_err": float(content_rel),
-                "slope_defect_rel_err": float(coef_rel),
-                "fit_c3": float(fit.c3)}
+    observed = {"profile_sup_err": sup_err, "content_rel_err": content_rel,
+                "slope_defect_rel_err": coef_rel, "fit_c3": fit.c3}
     return _verdict("svk_profile", passed, observed, target, sup_tol, detail)
 
 
 def _check_thickness_formula(ctx):
     # Deformed thickness of the exactly volume-preserving profile minus
     # 2h + (2/3)(6H^2 - K) h^3 must vanish at fifth order.
-    tol = ctx.tol("thickness_formula", 0.3)
     hs = np.array([0.25, 0.15, 0.08, 0.04, 0.02])
-    slopes = {}
-    for name, point in (("cylinder", (0.05, -0.3)),
-                        ("gaussian_bump", (0.3, 0.2))):
-        jet = evaluate_jet(catalog_surface(name), np.array(point))
+
+    def remainders(jet):
         profile = ExactIncompressibleProfile(jet)
         coef = 2.0 * (6.0 * jet.H ** 2 - jet.K) / 3.0
-        rem = [abs(deformed_thickness(profile, h) - (2.0 * h + coef * h ** 3))
-               for h in hs]
-        slopes[name] = _loglog_slope(hs, rem)
-    passed = all(abs(s - 5.0) <= tol for s in slopes.values())
-    detail = ("thickness remainder orders " +
-              ", ".join(f"{s:.3f} ({n})" for n, s in sorted(slopes.items())) +
-              f" vs 5 +/- {tol:g}")
-    return _verdict("thickness_formula", passed,
-                    {k: float(v) for k, v in slopes.items()}, 5.0, tol, detail)
+        return [abs(deformed_thickness(profile, h) - (2.0 * h + coef * h ** 3))
+                for h in hs]
+
+    return _remainder_order(ctx, "thickness_formula", 0.3, 5.0, hs, remainders,
+                            "thickness remainder orders")
 
 
 def _linspace_argmin(f, stop, num, block=8192):
@@ -533,10 +529,9 @@ def _check_eigenframe_coupling(ctx):
               and const_span <= 1e-12 and iso_span <= 1e-12)
     detail = (f"tan^2 gap {tan2_err:.2e} (tol {tol:g}); coupling at the "
               f"zero {w_star:.2e}; constant-case span {max(const_span, iso_span):.2e}")
-    observed = {"tan_squared": float(tan2), "coupling_at_zero": float(w_star),
-                "stationary_angle_gap": float(angle_err),
-                "constant_span": float(const_span),
-                "isotropic_span": float(iso_span)}
+    observed = {"tan_squared": tan2, "coupling_at_zero": w_star,
+                "stationary_angle_gap": angle_err, "constant_span": const_span,
+                "isotropic_span": iso_span}
     return _verdict("eigenframe_coupling", passed, observed, 0.25, tol, detail)
 
 
@@ -552,20 +547,16 @@ def _check_cross_path_curvatures(ctx):
     # Curvatures from raw Cartesian second derivatives against the
     # shape-operator route, on every unit-determinant catalog surface.
     tol = ctx.tol("cross_path_curvatures", 1e-8)
+    jets = [_jet(name, point)
+            for name, points in _CROSS_PATH_POINTS for point in points]
     worst = 0.0
-    n_points = 0
-    for name, points in _CROSS_PATH_POINTS:
-        surface = catalog_surface(name)
-        for point in points:
-            jet = evaluate_jet(surface, np.array(point))
-            h_alt, k_alt = appendix_H_K(jet)
-            worst = max(worst, abs(h_alt - jet.H), abs(k_alt - jet.K))
-            n_points += 1
+    for jet in jets:
+        h_alt, k_alt = appendix_H_K(jet)
+        worst = max(worst, abs(h_alt - jet.H), abs(k_alt - jet.K))
     passed = worst <= tol
-    detail = (f"max |H, K| gap {worst:.2e} over {n_points} points "
+    detail = (f"max |H, K| gap {worst:.2e} over {len(jets)} points "
               f"(tol {tol:g})")
-    return _verdict("cross_path_curvatures", passed, float(worst), 0.0, tol,
-                    detail)
+    return _verdict("cross_path_curvatures", passed, worst, 0.0, tol, detail)
 
 
 def _check_orientation(ctx):
@@ -582,8 +573,8 @@ def _check_orientation(ctx):
     detail = (f"min fiber Jacobian {min_det:.6f} at h=0.01 over "
               f"{len(reports)} surfaces; h=0.9 flips orientation: "
               f"{not thick.passed}")
-    observed = dict({k: float(r.min_det_F) for k, r in reports.items()},
-                    thick_min_det=float(thick.min_det_F))
+    observed = dict({k: r.min_det_F for k, r in reports.items()},
+                    thick_min_det=thick.min_det_F)
     return _verdict("orientation", passed, observed, 0.0, 0.0, detail)
 
 

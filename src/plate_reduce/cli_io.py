@@ -179,6 +179,8 @@ def parse_config(data):
         raise ConfigError("'tolerances' must be a mapping of check id to number")
     for key, value in tolerances.items():
         _require_check_id(key, f"unknown tolerance key '{key}'")
+        if key == "orientation":
+            raise ConfigError("the orientation check takes no tolerance")
         _as_number(value, f"tolerances.{key}")
 
     options = data.get("options", {})

@@ -306,10 +306,11 @@ def volumetric_energy(material, I1=None, I2=None, I3=None, C_f=None):
 
 def small_strain_energy(material, E_f):
     """Quadratic strain energy (lambda/2) tr^2 E + mu tr E^2 of a model's
-    Lame pair, for asymptotic cross-checks."""
+    Lame pair: a float for one 3x3 strain, an array for a stack (..., 3, 3)."""
     lam, mu = lame_constants(material)
     E_f = np.asarray(E_f, dtype=float)
-    return 0.5 * lam * np.trace(E_f) ** 2 + mu * np.trace(E_f @ E_f)
+    tr = lambda A: np.trace(A, axis1=-2, axis2=-1)
+    return float_if_scalar(0.5 * lam * tr(E_f) ** 2 + mu * tr(E_f @ E_f))
 
 
 # ---------------------------------------------------------------------------

@@ -73,11 +73,11 @@ class HyperbolicProfile:
     def __post_init__(self):
         if self.mu <= 0 or self.lam <= 0:
             raise ValueError("Lame constants must be positive")
-        if self.h <= 0:
+        if np.any(np.less_equal(self.h, 0)):
             raise ValueError("half thickness must be positive")
         if self.alpha_bar is None:
             object.__setattr__(self, "alpha_bar", 2.0 * self.H * self.xi)
-        if not self.alpha_bar > 0:
+        if not np.all(np.greater(self.alpha_bar, 0)):
             raise ValueError("mid-plane slope 2 H xi must be positive")
 
     @property
@@ -217,17 +217,21 @@ def svk_profile(H, lam, mu, h):
     """Energy-minimizing hyperbolic profile for Saint Venant-Kirchhoff.
 
     The free odd coefficient is fixed by minimizing the fiber energy over
-    the stationary family at half thickness h.
+    the stationary family at half thickness h, elementwise over arrays.
     """
-    if h <= 0:
+    if np.any(np.less_equal(h, 0)):
         raise ValueError("half thickness must be positive")
     c = np.cosh(2.0 * H * h)
     alpha_bar = (lam * lam * c + 4.0 * mu * (lam + mu)) / ((2.0 * mu + lam) ** 2 * c)
-    if not 0.0 < alpha_bar < np.inf:
-        # cosh(2 H h) overflows, or lam and mu underflow to 0 / 0
-        raise OverflowError(f"the SVK profile at H = {H:g}, h = {h:g}")
-    xi = alpha_bar / (2.0 * H) if H != 0.0 else np.inf
-    return HyperbolicProfile(H=H, lam=lam, mu=mu, h=h, xi=xi, alpha_bar=float(alpha_bar))
+    # cosh(2 H h) overflows, or lam and mu underflow to 0 / 0
+    at = lambda v, i: np.broadcast_to(v, np.shape(alpha_bar)).ravel()[i]
+    raise_first_failure((~((0.0 < alpha_bar) & (alpha_bar < np.inf)), lambda i:
+                         OverflowError(f"the SVK profile at H = {at(H, i):g}, "
+                                       f"h = {at(h, i):g}")))
+    with np.errstate(divide="ignore"):
+        xi = _where(H != 0.0, alpha_bar / (2.0 * H), np.inf)
+    return HyperbolicProfile(H=H, lam=lam, mu=mu, h=h, xi=xi,
+                             alpha_bar=float_if_scalar(alpha_bar))
 
 
 def deformed_thickness(profile, h, quad_order=16):

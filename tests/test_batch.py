@@ -28,6 +28,7 @@ from plate_reduce.reduced_energy import grid_contents
 from plate_reduce.surface_geometry import (JetBatch, _bump_height,
                                            _bump_scalars, _gauss_legendre,
                                            evaluate_jets, uniform_stretch_cone)
+from plate_reduce.thickness_profile import svk_profile
 
 SURFACES = ("plane", "uniform_stretch", "cylinder", "sphere_cap", "saddle",
             "gaussian_bump")
@@ -177,6 +178,33 @@ def test_svk_batch_reports_first_stretched_node():
         point_contents(evaluate_jets(surface, grid_points(surface)),
                        SaintVenantKirchhoff(lam=1.0, mu=1.0))
     assert info.value.index == 0
+
+
+def test_svk_profile_of_a_batch_equals_the_per_point_profiles():
+    surface = catalog_surface("gaussian_bump")
+    points = grid_points(surface)
+    material = SaintVenantKirchhoff(lam=1.0, mu=1.0)
+    batch = material.profile(evaluate_jets(surface, points), h=0.01)
+    x3 = np.linspace(-0.01, 0.01, 5)
+    for i, x in enumerate(points):
+        single = material.profile(evaluate_jet(surface, x), h=0.01)
+        for field in ("alpha", "beta", "gamma"):
+            assert getattr(batch, field)[i] == getattr(single, field), \
+                (i, field)
+        np.testing.assert_array_equal(batch.phi(x3[:, None])[:, i],
+                                      single.phi(x3))
+        np.testing.assert_array_equal(batch.dphi(x3[:, None])[:, i],
+                                      single.dphi(x3))
+
+
+def test_svk_profile_batch_names_the_first_overflowing_row():
+    # cosh(2 H h) overflows at H = 1e4 and beyond for h = 0.1
+    H = np.array([0.1, -0.3, 1e4, 2e4])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(OverflowError) as info:
+        svk_profile(H, 1.0, 1.0, 0.1)
+    assert info.value.index == 2
+    assert str(info.value) == "the SVK profile at H = 10000, h = 0.1"
 
 
 def ramp(slope):

@@ -301,6 +301,8 @@ BAD_CONFIGS = [
     (_patched(tolerances={"bogus": 1e-3}), "unknown tolerance key 'bogus'"),
     (_patched(tolerances={"gent_bending": "x"}),
      "'tolerances.gent_bending' must be a number"),
+    (_patched(tolerances={"orientation": 5.0}),
+     "the orientation check takes no tolerance"),
     (_patched(options={"bogus": 1}), "unknown options key 'bogus'"),
     (_patched(options={"checks": "gent_bending"}),
      "'options.checks' must be a list of check ids"),
@@ -670,6 +672,13 @@ def test_verdict_fails_any_non_finite_observation():
     verdict = _verdict("x", True, math.nan, 0.0, 1.0, "")
     assert verdict["passed"] is False and verdict["observed"] is None
     assert _verdict("x", True, 2.0, 0.0, 1.0, "")["passed"] is True
+    # numpy scalars that are no Python float still reach verdicts.json
+    verdict = _verdict("x", True, {"a": np.float32(0.5), "b": np.int64(2)},
+                       np.float32(3.0), 1.0, "")
+    assert json.loads(json.dumps(verdict))["observed"] == {"a": 0.5, "b": 2.0}
+    verdict = _verdict("x", True, np.float32(0.25), None, None, "")
+    assert json.loads(json.dumps(verdict))["observed"] == 0.25
+    assert verdict["expected"] is None and verdict["passed"] is True
 
 
 def test_minimality_probes_are_the_seeded_draw():

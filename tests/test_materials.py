@@ -194,6 +194,17 @@ def test_small_strain_energy_matches_lame_form():
     assert w == pytest.approx(expected, rel=1e-14)
 
 
+def test_small_strain_energy_takes_a_stack():
+    material = CiarletGeymonat.from_lame(1.3, 0.7)
+    G = np.array([[0.8, 0.3, 0.1], [0.3, -0.5, 0.2], [0.1, 0.2, 0.4]])
+    stack = np.array([1e-1, 1e-2, -3e-3, 0.0])[:, None, None] * G
+    w = small_strain_energy(material, stack)
+    assert w.shape == (4,)
+    singles = [small_strain_energy(material, E) for E in stack]
+    assert all(type(v) is float for v in singles)
+    np.testing.assert_array_equal(w, singles)
+
+
 def test_material_from_config():
     assert material_from_config({"model": "gent", "mu": 2.0, "jm": 5.0}) == \
         Gent(mu=2.0, jm=5.0)
