@@ -78,7 +78,7 @@ class Gent(MaterialModel):
     name, params = "gent", ("mu", "jm")
 
     def __post_init__(self):
-        if self.mu <= 0 or self.jm <= 0:
+        if not (0 < self.mu < np.inf and 0 < self.jm < np.inf):
             raise ValueError("Gent requires mu > 0 and jm > 0")
 
     def _extensibility_gap(self, I1):
@@ -105,7 +105,7 @@ class NeoHookean(MaterialModel):
     name, params, series_id = "neo_hookean", ("mu",), "neo_hookean_series"
 
     def __post_init__(self):
-        if self.mu <= 0:
+        if not 0 < self.mu < np.inf:
             raise ValueError("NeoHookean requires mu > 0")
 
     def energy(self, I1, I2, I3):
@@ -123,7 +123,7 @@ class MooneyRivlin(MaterialModel):
     name, params, series_id = "mooney_rivlin", ("mu", "chi"), "mooney_rivlin_series"
 
     def __post_init__(self):
-        if self.mu <= 0:
+        if not 0 < self.mu < np.inf:
             raise ValueError("MooneyRivlin requires mu > 0")
         if not (0.0 < self.chi <= 1.0):
             raise ValueError("MooneyRivlin requires chi in (0, 1]")
@@ -154,22 +154,23 @@ class CiarletGeymonat(MaterialModel):
     name, series_id = "ciarlet_geymonat", "cg_minimizing_profile"
 
     def __post_init__(self):
-        if np.any(self.a <= 0) or np.any(self.b <= 0):
+        if not np.all((0 < self.a) & (self.a < np.inf)
+                      & (0 < self.b) & (self.b < np.inf)):
             raise ValueError("CiarletGeymonat requires a > 0 and b > 0")
         c_ref = 2.0 * (self.a + self.b)
         d_ref = -(3.0 * self.a + self.b)
         if self.c is None:
             object.__setattr__(self, "c", c_ref)
-        elif np.any(abs(self.c - c_ref) > 1e-12 * c_ref):
+        elif not np.all(abs(self.c - c_ref) <= 1e-12 * c_ref):
             raise ValueError("c must equal 2(a+b) for a stress-free reference state")
         if self.d is None:
             object.__setattr__(self, "d", d_ref)
-        elif np.any(abs(self.d - d_ref) > 1e-12 * abs(d_ref)):
+        elif not np.all(abs(self.d - d_ref) <= 1e-12 * abs(d_ref)):
             raise ValueError("d must equal -(3a+b) for zero reference energy")
 
     @classmethod
     def from_lame(cls, lam, mu):
-        if lam <= 0 or mu <= 0:
+        if not (0 < lam < np.inf and 0 < mu < np.inf):
             raise ValueError("Lame constants must be positive")
         return cls(a=mu / 2.0, b=lam / 4.0)
 
@@ -207,7 +208,7 @@ class SaintVenantKirchhoff(MaterialModel):
     name, params, needs_C_f = "svk", ("lambda", "mu"), True
 
     def __post_init__(self):
-        if self.mu <= 0 or self.lam <= 0:
+        if not (0 < self.mu < np.inf and 0 < self.lam < np.inf):
             raise ValueError("SaintVenantKirchhoff requires lam > 0 and mu > 0")
 
     def energy(self, C_f):

@@ -15,8 +15,9 @@ import numpy as np
 from .materials import (MaterialDomainError, StiffeningLimitError, as_model,
                         invariant_series, volumetric_energy)
 from .surface_geometry import (DegenerateImmersionError, DomainError, JetBatch,
-                               _gauss_legendre, evaluate_jets, float_if_scalar,
-                               raise_first_failure, unimodular_tolerance)
+                               _gauss_legendre, _where, evaluate_jets,
+                               float_if_scalar, raise_first_failure,
+                               unimodular_tolerance)
 
 
 @dataclass(frozen=True)
@@ -39,39 +40,6 @@ class EnergyContents:
     stretching: float
     bending: float
     formula_id: str
-
-
-def _split(jet, mask, on_true, on_false):
-    """Contents from ``on_true`` where ``mask`` holds, ``on_false`` elsewhere.
-
-    Each branch sees only its own points, as a point-by-point dispatch
-    would.  When both branches fail, the error of the earlier point is
-    raised.
-    """
-    if not isinstance(jet, JetBatch):
-        return on_true(jet) if mask else on_false(jet)
-    n = len(jet)
-    out = EnergyContents(np.empty(n), np.empty(n), np.empty(n, dtype=object))
-    first = None
-    for branch, index in ((on_true, np.flatnonzero(mask)),
-                          (on_false, np.flatnonzero(~mask))):
-        if index.size == 0:
-            continue
-        try:
-            part = branch(jet if index.size == n else jet.take(index))
-        except ValueError as err:
-            if not hasattr(err, "index"):
-                raise
-            err.index = int(index[err.index])
-            if first is None or err.index < first.index:
-                first = err
-            continue
-        out.stretching[index] = part.stretching
-        out.bending[index] = part.bending
-        out.formula_id[index] = part.formula_id
-    if first is not None:
-        raise first
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +88,40 @@ def series_contents(jet, material, profile, formula_id="series"):
 # Gent
 
 
+def _gent_unimodular(jet, mu, jm):
+    # (w_s, w_b, (failed, make_error)) of the det C = 1 form at every point;
+    # a numpy jm makes a single point's x / 0 an inf, not a ZeroDivisionError
+    trc, b1, H, K, jm = jet.trC, jet.b1, jet.H, jet.K, np.float64(jm)
+    delta = jm - (trc - 2.0)
+    with np.errstate(all="ignore"):
+        w_s = -mu * jm * np.log1p(-(trc - 2.0) / jm)
+        w_b = (mu / 3.0) * jm * (
+            2.0 * ((b1 - 2.0 * H) / delta) ** 2
+            + (16.0 * H * H - K * (trc + 2.0)) / delta)
+    return w_s, w_b, (delta <= 0.0, lambda i: StiffeningLimitError(
+        f"tr C - 2 = {np.ravel(trc)[i] - 2.0:.9g} reached the extensibility "
+        f"limit Jm = {jm:.9g}"))
+
+
+def _gent_general(jet, mu, jm):
+    # as _gent_unimodular, for the general-stretch form
+    trc, detc, b1, H, K, jm = jet.trC, jet.detC, jet.b1, jet.H, jet.K, np.float64(jm)
+    den = detc * (jm - trc + 3.0) - 1.0
+    with np.errstate(all="ignore"):
+        w_s = -mu * jm * np.log1p(-(detc * (trc - 3.0) + 1.0) / (jm * detc))
+        w_b = (mu * jm / (3.0 * detc)) * (
+            2.0 * ((detc * b1 - 2.0 * H) / den) ** 2
+            + (16.0 * H * H - K * (detc * trc + 2.0)) / den)
+    return w_s, w_b, (den <= 0.0, lambda i: StiffeningLimitError(
+        f"det C (Jm - tr C + 3) - 1 = {np.ravel(den)[i]:.9g} is not positive "
+        f"(tr C = {np.ravel(trc)[i]:.9g}, det C = {np.ravel(detc)[i]:.9g}, "
+        f"Jm = {jm:.9g})"))
+
+
 def gent_contents_unimodular(jet, mu, jm):
     """Gent contents for an area-preserving mid-surface (det C = 1)."""
-    trc, b1, H, K = jet.trC, jet.b1, jet.H, jet.K
-    delta = jm - (trc - 2.0)
-    raise_first_failure((delta <= 0.0, lambda i: StiffeningLimitError(
-        f"tr C - 2 = {np.ravel(trc)[i] - 2.0:.9g} reached the extensibility "
-        f"limit Jm = {jm:.9g}")))
-    w_s = -mu * jm * np.log1p(-(trc - 2.0) / jm)
-    w_b = (mu / 3.0) * jm * (
-        2.0 * ((b1 - 2.0 * H) / delta) ** 2
-        + (16.0 * H * H - K * (trc + 2.0)) / delta)
+    w_s, w_b, check = _gent_unimodular(jet, mu, jm)
+    raise_first_failure(check)
     return EnergyContents(float_if_scalar(w_s), float_if_scalar(w_b), "gent_unimodular")
 
 
@@ -139,16 +130,8 @@ def gent_contents_general(jet, mu, jm):
 
     Reduces to the unimodular formulas on det C = 1 inputs.
     """
-    trc, detc, b1, H, K = jet.trC, jet.detC, jet.b1, jet.H, jet.K
-    den = detc * (jm - trc + 3.0) - 1.0
-    raise_first_failure((den <= 0.0, lambda i: StiffeningLimitError(
-        f"det C (Jm - tr C + 3) - 1 = {np.ravel(den)[i]:.9g} is not positive "
-        f"(tr C = {np.ravel(trc)[i]:.9g}, det C = {np.ravel(detc)[i]:.9g}, "
-        f"Jm = {jm:.9g})")))
-    w_s = -mu * jm * np.log1p(-(detc * (trc - 3.0) + 1.0) / (jm * detc))
-    w_b = (mu * jm / (3.0 * detc)) * (
-        2.0 * ((detc * b1 - 2.0 * H) / den) ** 2
-        + (16.0 * H * H - K * (detc * trc + 2.0)) / den)
+    w_s, w_b, check = _gent_general(jet, mu, jm)
+    raise_first_failure(check)
     return EnergyContents(float_if_scalar(w_s), float_if_scalar(w_b), "gent_general")
 
 
@@ -157,16 +140,23 @@ def gent_contents(jet, mu, jm, tol=None):
 
     Picks the area-preserving closed form when |det C - 1| <= tol
     (default 1e-8 for analytic jets, 1e-4 for finite-difference ones) and
-    the general-stretch form otherwise.
+    the general-stretch form otherwise.  Over a JetBatch the pick is made
+    point by point: both forms are evaluated at every point, each point
+    keeps its own, and ``formula_id`` is an array over the points.
 
     Raises
     ------
     StiffeningLimitError
         When the stretch reaches the model's extensibility limit.
     """
-    return _split(jet, np.abs(jet.detC - 1.0) <= unimodular_tolerance(jet, tol),
-                  lambda part: gent_contents_unimodular(part, mu, jm),
-                  lambda part: gent_contents_general(part, mu, jm))
+    unimodular = np.abs(jet.detC - 1.0) <= unimodular_tolerance(jet, tol)
+    s_u, b_u, (failed_u, error_u) = _gent_unimodular(jet, mu, jm)
+    s_g, b_g, (failed_g, error_g) = _gent_general(jet, mu, jm)
+    raise_first_failure((unimodular & failed_u, error_u),
+                        (~unimodular & failed_g, error_g))
+    return EnergyContents(float_if_scalar(_where(unimodular, s_u, s_g)),
+                          float_if_scalar(_where(unimodular, b_u, b_g)),
+                          _where(unimodular, "gent_unimodular", "gent_general"))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 # Relative eigenvalue gap below which the stretch frame is treated as an
@@ -139,21 +139,15 @@ class SurfaceJet:
 
 
 class JetBatch(SurfaceJet):
-    """The jets of N points as a struct of arrays.
-
-    Each field is the SurfaceJet field with the point axis appended: the
-    scalars (lambda1, H, K, b1, trC, detC, ...) are (N,) arrays, ``x`` is
-    (2, N), ``grad_y`` is (3, 2, N) and so on.
+    """The jets of N points as a struct of arrays: each SurfaceJet field
+    with the point axis appended, so the scalars (lambda1, H, K, b1, trC,
+    detC, ...) are (N,) arrays, ``x`` is (2, N), ``grad_y`` (3, 2, N).
+    A formula with a per-point branch, like Gent's, evaluates each branch
+    over the whole batch and picks with a mask; a batch is never split.
     """
 
     def __len__(self):
         return self.x.shape[-1]
-
-    def take(self, index):
-        """The sub-batch of the points at ``index`` (an integer array)."""
-        return replace(self, **{f.name: getattr(self, f.name)[..., index]
-                                for f in fields(self)
-                                if f.name != "derivative_mode"})
 
 
 def raise_first_failure(*checks):
@@ -334,10 +328,10 @@ def _jet_fields(surface, x):
         x1, x2 = np.reshape(x, (2, -1))[:, i]
         return f"({x1:.6g}, {x2:.6g})"
 
+    inset = f" inset by its finite-difference margin {margin:g}" if fd else ""
     raise_first_failure(
         (outside, lambda i: DomainError(
-            f"point {point(i)} outside domain of '{surface.name}' "
-            f"(margin {margin:g})")),
+            f"point {point(i)} outside domain of '{surface.name}'{inset}")),
         (flat, lambda i: DegenerateImmersionError(
             f"surface gradient is rank deficient at {point(i)}")),
         # not > rather than <=, so a NaN stretch (a surface evaluated off

@@ -2,6 +2,7 @@
 per-point one, value for value and error for error."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from plate_reduce import (
     integrate_contents,
     point_contents,
 )
-from plate_reduce.reduced_energy import grid_contents
+from plate_reduce.reduced_energy import gent_contents, grid_contents
 from plate_reduce.surface_geometry import (JetBatch, _bump_height,
                                            _bump_scalars, _gauss_legendre,
                                            evaluate_jets, uniform_stretch_cone)
@@ -207,18 +208,25 @@ def test_svk_profile_batch_names_the_first_overflowing_row():
     assert str(info.value) == "the SVK profile at H = 10000, h = 0.1"
 
 
-def ramp(slope):
-    """(x1 + slope x1^2 / 2, x2, 0): stretch 1 + slope x1 along x1."""
+def ramp(slope, s=0.0):
+    """(x1 + slope x1^2 / 2 + s x2^2, x2, 0): stretch 1 + slope x1 along x1.
+
+    The shear s leaves det C = (1 + slope x1)^2, so for slope = -1 the map
+    is unimodular exactly on x1 = 0, where tr C - 2 = 4 s^2 x2^2.
+    """
     def _map(x):
-        return np.array([x[0] + 0.5 * slope * x[0] * x[0], x[1], 0.0 * x[0]])
+        return np.array([x[0] + 0.5 * slope * x[0] * x[0] + s * x[1] * x[1],
+                         x[1], 0.0 * x[0]])
 
     def _grad(x):
         one, zero = np.ones_like(x[0]), np.zeros_like(x[0])
-        return np.array([[one + slope * x[0], zero], [zero, one], [zero, zero]])
+        return np.array([[one + slope * x[0], 2.0 * s * x[1]], [zero, one],
+                         [zero, zero]])
 
     def _hess(x):
         hh = np.zeros((3, 2, 2) + np.shape(x)[1:])
         hh[0, 0, 0] = slope
+        hh[0, 1, 1] = 2.0 * s
         return hh
 
     return ParametricSurface(map=_map, grad=_grad, hess=_hess, name="ramp")
@@ -241,6 +249,55 @@ def test_grid_contents_raises_in_per_point_order(slope, index, error):
     with pytest.raises(error) as info:
         grid_contents(surface, Gent(mu=1.0, jm=1.0), points)
     assert (info.value.index, type(info.value), str(info.value)) == expected
+
+
+# (-0.5, 0) passes; (0, 0.5) fails the unimodular form and (-0.5, 0.5)
+# the general one
+UNIMODULAR_FAILS = ((0.0, 0.5), (
+    1, StiffeningLimitError,
+    "tr C - 2 = 4 reached the extensibility limit Jm = 1"))
+GENERAL_FAILS = ((-0.5, 0.5), (
+    1, StiffeningLimitError,
+    "det C (Jm - tr C + 3) - 1 = -8.3125 is not positive (tr C = 7.25, "
+    "det C = 2.25, Jm = 1)"))
+
+
+@pytest.mark.parametrize("first,second", [
+    (UNIMODULAR_FAILS, GENERAL_FAILS), (GENERAL_FAILS, UNIMODULAR_FAILS),
+], ids=["unimodular-first", "general-first"])
+def test_gent_batch_raises_the_first_failure_of_either_form(first, second):
+    surface, material = ramp(-1.0, s=2.0), Gent(mu=1.0, jm=1.0)
+    points = np.array([(-0.5, 0.0), first[0], second[0]])
+    expected = first_error_per_point(surface, material, points)
+    assert expected == first[1]
+    with pytest.raises(StiffeningLimitError) as info:
+        gent_contents(evaluate_jets(surface, points), 1.0, 1.0)
+    assert (info.value.index, type(info.value), str(info.value)) == expected
+    with pytest.raises(StiffeningLimitError) as info:
+        grid_contents(surface, material, points)
+    assert (info.value.index, type(info.value), str(info.value)) == expected
+
+
+def test_gent_batch_warns_of_no_discarded_form(capsys):
+    # the general form is valid at every point, while the unimodular one,
+    # evaluated and discarded, takes log1p of 2 - tr C = -1.37
+    surface = catalog_surface("uniform_stretch", l1=1.6, l2=0.9)
+    jets = evaluate_jets(surface, grid_points(surface, n=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        contents = gent_contents(jets, 1.0, 1.0)
+    assert list(contents.formula_id) == ["gent_general"] * len(jets)
+    assert np.all(np.isfinite(contents.stretching))
+    assert capsys.readouterr() == ("", "")
+
+
+def test_gent_at_the_exact_extensibility_limit_raises_for_one_jet():
+    # tr C - 2 = 2.25 = Jm exactly: the form divides by zero at this point
+    jet = evaluate_jet(catalog_surface("uniform_stretch", l1=2, l2=0.5),
+                       (0.1, 0.2))
+    for contents in (gent_contents, reduced_energy.gent_contents_unimodular):
+        with pytest.raises(StiffeningLimitError, match="Jm = 2.25"):
+            contents(jet, 1.0, 2.25)
 
 
 @pytest.mark.parametrize("surface,jm,grid,message", [

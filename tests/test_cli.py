@@ -374,6 +374,21 @@ def test_degenerate_or_outside_surfaces_are_config_errors(
     assert not out.exists()
 
 
+def test_fd_quadrature_node_past_the_inset_domain_names_the_margin(tmp_path,
+                                                                   capsys):
+    # the first of 128 Gauss nodes per side lies 1.3e-4 inside the bump's
+    # domain, within the 2 * fd_step = 2e-4 the stencil needs
+    code, out = run_cli(tmp_path, _patched(
+        surface={"name": "gaussian_bump"},
+        material={"model": "neo_hookean", "mu": 1.0},
+        derivative_mode="finite-difference", grid={"nx": 128, "ny": 128}))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: point (-0.749869, -0.749869) outside domain of "
+        "'gaussian_bump' inset by its finite-difference margin 0.0002\n")
+    assert not out.exists()
+
+
 def _bump_4x4(**changes):
     return _patched(**dict({"surface": {"name": "gaussian_bump", "A": 0.5},
                             "material": {"model": "neo_hookean", "mu": 1.0},

@@ -170,6 +170,36 @@ def test_array_parameter_cg_rejects_any_bad_lane():
         CiarletGeymonat(a=a, b=b, d=np.array([-1.75, -2.0]))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda x: Gent(mu=x, jm=10.0), "Gent requires"),
+    (lambda x: Gent(mu=1.0, jm=x), "Gent requires"),
+    (lambda x: NeoHookean(mu=x), "NeoHookean requires"),
+    (lambda x: MooneyRivlin(mu=x, chi=0.5), "MooneyRivlin requires mu"),
+    (lambda x: CiarletGeymonat(a=x, b=1.0), "a > 0 and b > 0"),
+    (lambda x: CiarletGeymonat(a=1.0, b=x), "a > 0 and b > 0"),
+    (lambda x: CiarletGeymonat(a=np.array([1.0, x]), b=np.array([1.0, 1.0])),
+     "a > 0 and b > 0"),
+    (lambda x: CiarletGeymonat(a=np.array([1.0, 1.0]), b=np.array([x, 1.0])),
+     "a > 0 and b > 0"),
+    (lambda x: CiarletGeymonat(a=1.0, b=1.0, c=x), "c must equal"),
+    (lambda x: CiarletGeymonat(a=1.0, b=1.0, d=x), "d must equal"),
+    (lambda x: CiarletGeymonat.from_lame(x, 1.0), "Lame constants"),
+    (lambda x: CiarletGeymonat.from_lame(1.0, x), "Lame constants"),
+    (lambda x: SaintVenantKirchhoff(lam=x, mu=1.0), "lam > 0 and mu > 0"),
+    (lambda x: SaintVenantKirchhoff(lam=1.0, mu=x), "lam > 0 and mu > 0"),
+], ids=["gent-mu", "gent-jm", "neo_hookean-mu", "mooney_rivlin-mu", "cg-a",
+        "cg-b", "cg-a-lane", "cg-b-lane", "cg-c", "cg-d", "cg-lame-lambda",
+        "cg-lame-mu", "svk-lambda", "svk-mu"])
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+def test_models_reject_non_finite_parameters(make, message, value):
+    # NaN fails every comparison, so `x <= 0` alone let it through
+    with pytest.raises(ValueError, match=message):
+        make(value)
+
+
 def test_cg_from_config_gives_scalars():
     for spec in ({"model": "ciarlet_geymonat", "lambda": 1.0, "mu": 1.0},
                  {"model": "ciarlet_geymonat", "a": 0.5, "b": 0.25,

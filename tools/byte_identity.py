@@ -12,8 +12,11 @@ Runs, one fresh ``python -m plate_reduce.cli_io`` process at a time:
 The configs come from ``perfbench/workloads.py``, which is imported and
 never changed.  The layout under OUT_DIR is fixed
 (``<workload>/seed<n>/<label>/<file>``), so two checkouts compare with
-``diff -r``.  Each run's standard output and error are discarded unless
-it fails; the script exits 1 on the first failing run.
+``diff -r``.  A run fails when it exits non-zero or writes anything to
+standard error, such as a leaked ``RuntimeWarning`` that ``diff -r``
+would not see.  Each run's standard output and error are discarded
+unless it fails; the script prints the first failing run's label, exit
+code and output, and exits 1.
 """
 
 import importlib.util
@@ -53,7 +56,7 @@ def main(argv=None):
                     run = subprocess.run(argv + inv.argv(config, out), cwd=ROOT, env=env,
                                          stdin=subprocess.DEVNULL, capture_output=True,
                                          text=True)
-                    if run.returncode != 0:
+                    if run.returncode != 0 or run.stderr:
                         print(f"{workload} seed {seed} {inv.label}: exit "
                               f"{run.returncode}\n{run.stdout}{run.stderr}",
                               file=sys.stderr)
