@@ -345,8 +345,7 @@ def _check_cg_profile_minimality(ctx):
     profile = cg_profile(jet, material)
 
     def f_alpha(alpha):
-        a2 = alpha * alpha
-        return volumetric_energy(material, trC + a2, detC + a2 * trC, a2 * detC)
+        return volumetric_energy(material, *fiber_invariants(jet, PolyProfile(alpha), 0.0))
 
     def f_beta(beta):
         # half the second x3-derivative of the fiber energy, by a 6th-order

@@ -192,8 +192,9 @@ def parse_config(data):
                    positive=False)
     if "checks" in options:
         checks = options["checks"]
-        if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-            raise ConfigError("'options.checks' must be a list of check ids")
+        if (not isinstance(checks, list) or not all(isinstance(c, str) for c in checks)
+                or len(set(checks)) < len(checks)):
+            raise ConfigError("'options.checks' must be a list of check ids, each once")
         for cid in checks:
             _require_check_id(cid, f"unknown check id '{cid}'")
     if "sweep" in options:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import materials as _materials
-from .surface_geometry import (_gauss_legendre, evaluate_jet,
-                               fiber_deformation_gradient, float_if_scalar)
+from .surface_geometry import (_gauss_legendre, evaluate_jet, float_if_scalar,
+                               fiber_deformation_gradient, half_thickness)
 
 GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 
@@ -66,7 +66,7 @@ def through_thickness_energy_from_jet(jet, material, profile, h, quad_order=8):
     if quad_order < 2:
         raise ValueError("quad_order must be at least 2")
     nodes, weights = _gauss_legendre(quad_order)
-    h = np.asarray(h, dtype=float)
+    h = np.asarray(half_thickness(h), dtype=float)
     x3 = np.multiply.outer(h, nodes)
     F = fiber_deformation_gradient(jet, profile, x3)
     try:
@@ -137,6 +137,8 @@ def minimize_scalar(f, bracket, tol=1e-12):
     <= tol.  Returns (argmin, fmin).  BracketError if any lane has
     lo >= hi or its midpoint above both ends (no descent to follow).
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol:g}")
     scalar, f, a, b = _lanes(f, *bracket)
     if not np.all(b > a):
         raise BracketError("bracket must satisfy lo < hi")
@@ -203,7 +205,7 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400, slope_bracket=(0.5, 1.5)):
         raise ValueError("n_steps must be at least 100")
     if n_steps % 2:
         n_steps += 1
-    if 2.0 * abs(H) * h / n_steps > 0.05:
+    if 2.0 * abs(H) * half_thickness(h) / n_steps > 0.05:
         raise ResolutionError("curvature too large for this step count; raise n_steps")
     material = _materials.SaintVenantKirchhoff(lam=lam, mu=mu)
     coef = 4.0 * H * H

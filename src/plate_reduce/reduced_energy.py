@@ -16,8 +16,8 @@ from .materials import (MaterialDomainError, StiffeningLimitError, as_model,
                         invariant_series, volumetric_energy)
 from .surface_geometry import (DegenerateImmersionError, DomainError, JetBatch,
                                _gauss_legendre, _where, evaluate_jets,
-                               float_if_scalar, raise_first_failure,
-                               unimodular_tolerance)
+                               float_if_scalar, half_thickness,
+                               raise_first_failure, unimodular_tolerance)
 
 
 @dataclass(frozen=True)
@@ -402,8 +402,7 @@ def integrate_contents(surface, material, h, grid=(8, 8)):
         Re-raised with the first offending grid node attached, nodes
         ordered by the first axis, then the second.
     """
-    if h <= 0.0:
-        raise ValueError(f"half thickness h = {h:.9g} must be positive")
+    half_thickness(h)
     nx, ny = int(grid[0]), int(grid[1])
     (u0, u1), (v0, v1) = surface.domain
     xu, wu = _gauss_legendre(nx)

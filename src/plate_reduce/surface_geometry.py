@@ -30,12 +30,10 @@ def _gauss_legendre(n):
     return nodes, weights
 
 
-def _pow(a, k):
-    # On arrays the catalog uses np.float_power, which rounds like the
-    # scalar ``**`` of a single point; the array ``**`` does not, and the
-    # finite-difference stencil amplifies any change of rounding in
-    # ``surface.map`` by 1/step^2.
-    return np.float_power(a, k) if isinstance(a, np.ndarray) else a ** k
+# np.float_power rounds an array like the scalar ``**`` of each point; the
+# array ``**`` does not, and the finite-difference stencil amplifies any
+# change of rounding in ``surface.map`` by 1/step^2.
+_pow = np.float_power
 
 
 def _where(cond, a, b):
@@ -186,6 +184,13 @@ def finite_number(value, key):
     if not np.isfinite(value):
         raise ValueError(f"'{key}' must be finite, got {value!r}")
     return value
+
+
+def half_thickness(h):
+    """``h``, or the ValueError, with ``index``, of its first element outside (0, inf)."""
+    raise_first_failure((~(np.greater(h, 0) & np.less(h, np.inf)), lambda i: ValueError(
+        f"half thickness must be positive and finite, got {np.ravel(h)[i]:g}")))
+    return h
 
 
 def float_if_scalar(value):
@@ -551,12 +556,9 @@ def _bump_height(v, amp, w):
     # with fixed-order quadrature, accumulated node by node: the finite-
     # difference stencil divides by step^2, so the summation order must not change
     nodes, weights = _gauss_legendre(64)
-    t = 0.5 * v * np.reshape(nodes + 1.0, (-1,) + (1,) * np.ndim(v))
-    zv = _bump_scalars(t, amp, w, derivatives=False)[1]
-    total = 0.0
-    for wk, zk in zip(weights, zv):
-        total = total + wk * zk
-    return 0.5 * v * total
+    axis = (-1,) + (1,) * np.ndim(v)
+    zv = _bump_scalars(0.5 * v * np.reshape(nodes + 1.0, axis), amp, w, derivatives=False)[1]
+    return 0.5 * v * np.add.accumulate(np.reshape(weights, axis) * zv)[-1]
 
 
 def _make_bump(amp, s):

@@ -12,7 +12,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .surface_geometry import (_gauss_legendre, _where, float_if_scalar,
-                               raise_first_failure, unimodular_tolerance)
+                               half_thickness, raise_first_failure,
+                               unimodular_tolerance)
 
 SHC_SERIES_CUTOFF = 1e-4
 
@@ -73,8 +74,7 @@ class HyperbolicProfile:
     def __post_init__(self):
         if self.mu <= 0 or self.lam <= 0:
             raise ValueError("Lame constants must be positive")
-        if np.any(np.less_equal(self.h, 0)):
-            raise ValueError("half thickness must be positive")
+        half_thickness(self.h)
         if self.alpha_bar is None:
             object.__setattr__(self, "alpha_bar", 2.0 * self.H * self.xi)
         if not np.all(np.greater(self.alpha_bar, 0)):
@@ -219,9 +219,7 @@ def svk_profile(H, lam, mu, h):
     The free odd coefficient is fixed by minimizing the fiber energy over
     the stationary family at half thickness h, elementwise over arrays.
     """
-    if np.any(np.less_equal(h, 0)):
-        raise ValueError("half thickness must be positive")
-    c = np.cosh(2.0 * H * h)
+    c = np.cosh(2.0 * H * half_thickness(h))
     alpha_bar = (lam * lam * c + 4.0 * mu * (lam + mu)) / ((2.0 * mu + lam) ** 2 * c)
     # cosh(2 H h) overflows, or lam and mu underflow to 0 / 0
     at = lambda v, i: np.broadcast_to(v, np.shape(alpha_bar)).ravel()[i]
@@ -236,7 +234,6 @@ def svk_profile(H, lam, mu, h):
 
 def deformed_thickness(profile, h, quad_order=16):
     """Thickness of the deformed sheet: quadrature of phi' over [-h, h]."""
-    if h <= 0:
-        raise ValueError("half thickness must be positive")
+    half_thickness(h)
     nodes, weights = _gauss_legendre(quad_order)
     return h * sum(w * profile.dphi(h * t) for t, w in zip(nodes, weights))

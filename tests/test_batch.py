@@ -148,6 +148,20 @@ def test_bump_height_sums_like_a_per_node_loop():
         assert height == 0.5 * vi * total
 
 
+@pytest.mark.parametrize("v", [0.3, 7e-3, np.array([0.0, 5e-3, 0.02, 0.3, 0.5625])],
+                         ids=["scalar", "scalar-series", "array"])
+def test_bump_height_is_a_left_fold_of_its_gauss_terms(v):
+    # the 64 terms w_k zeta_v(t_k), added node by node from the left; a
+    # pairwise .sum() or a BLAS @ over the nodes rounds differently
+    nodes, weights = _gauss_legendre(64)
+    zv = _bump_scalars(np.multiply.outer(nodes + 1.0, 0.5 * v), 0.5, 1.0,
+                       derivatives=False)[1]
+    total = 0.0
+    for wk, zk in zip(weights, zv):
+        total = total + wk * zk
+    assert np.array_equal(_bump_height(v, 0.5, 1.0), 0.5 * v * total)
+
+
 @pytest.mark.parametrize("material", MATERIALS, ids=lambda m: type(m).__name__)
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", SURFACES)

@@ -307,6 +307,8 @@ BAD_CONFIGS = [
     (_patched(options={"checks": "gent_bending"}),
      "'options.checks' must be a list of check ids"),
     (_patched(options={"checks": ["nope"]}), "unknown check id 'nope'"),
+    (_patched(options={"checks": ["cg_small_strain", "cg_small_strain"]}),
+     "list of check ids, each once"),
     (_patched(options={"sweep": {"param": "h"}}),
      "'options.sweep' needs 'param' and 'values'"),
     (_patched(options={"sweep": {"param": "h", "values": []}}),

@@ -118,6 +118,25 @@ def test_minimize_scalar_rejects_bad_brackets():
         minimize_scalar(lambda x: -(x - 1.0) ** 2, (0.0, 2.0))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("bracket", [(0.0, 1.0), (np.zeros(3), np.ones(3))],
+                         ids=["scalar", "lanes"])
+def test_minimize_scalar_rejects_a_tolerance_it_cannot_meet(bracket, tol):
+    # no bracket ever gets narrower than tol <= 0, and tol = nan stops the
+    # search at once; the call limit makes a search that never ends fail
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) > 200:
+            raise RuntimeError("minimize_scalar did not stop")
+        return (x - 0.3) ** 2
+
+    with pytest.raises(ValueError, match="tol must be positive"):
+        minimize_scalar(f, bracket, tol=tol)
+    assert calls == []
+
+
 def test_parabolic_refine_is_exact_on_quadratics():
     refined = parabolic_refine(lambda x: 3.0 * (x - 0.7) ** 2 + 1.0, 0.5, 0.2)
     assert refined == pytest.approx(0.7, abs=1e-12)

@@ -21,6 +21,7 @@ from plate_reduce import (
     verify_orientation,
     PolyProfile,
 )
+from plate_reduce.surface_geometry import _pow
 
 
 def jet_of(name, x, **kwargs):
@@ -88,6 +89,19 @@ def test_finite_difference_bump_values_are_frozen(x, frozen_map, frozen):
     assert tuple(surface.map(np.array(x)).tolist()) == frozen_map
     jet = evaluate_jet(surface, np.array(x))
     assert {k: float(getattr(jet, k)) for k in frozen} == frozen
+
+
+@pytest.mark.parametrize("lo,hi", [(-0.75, 0.75), (0.0, 0.01), (0.1, 3.0)],
+                         ids=["coordinates", "series", "radii"])
+def test_catalog_powers_round_like_the_scalar_power(lo, hi):
+    # np.float_power of a Python float, a numpy scalar or an array rounds
+    # as ``**`` does on each single point; the array ``**`` does not
+    x = np.random.default_rng(20).uniform(lo, hi, 2000)
+    for k in range(2, 8):
+        expected = np.array([float(xi) ** k for xi in x])
+        assert np.array_equal([np.float_power(float(xi), k) for xi in x], expected)
+        assert np.array_equal([np.float_power(xi, k) for xi in x], [xi ** k for xi in x])
+        assert np.array_equal(_pow(x, k), expected)
 
 
 def test_bump_apex_is_an_isometry_point():

@@ -7,7 +7,9 @@ from types import SimpleNamespace
 from plate_reduce import (
     CiarletGeymonat,
     ExactIncompressibleProfile,
+    Gent,
     HyperbolicProfile,
+    NeoHookean,
     PolyProfile,
     ProfileConstraintError,
     catalog_surface,
@@ -17,9 +19,12 @@ from plate_reduce import (
     exact_invariants_from_jet,
     incompressible_profile,
     incompressible_profile_general,
+    integrate_contents,
     invariant_series,
     series_contents,
+    solve_svk_profile_ode,
     svk_profile,
+    through_thickness_energy_from_jet,
 )
 
 
@@ -231,3 +236,36 @@ def test_deformed_thickness_linear_profile():
         pytest.approx(0.4, abs=1e-15)
     with pytest.raises(ValueError, match="positive"):
         deformed_thickness(PolyProfile(1.0), -0.1)
+
+
+# ---------------------------------------------------------------------------
+# the half-thickness rule
+
+
+HALF_THICKNESS_USERS = {
+    "HyperbolicProfile": lambda h: HyperbolicProfile(
+        H=-0.5, lam=1.0, mu=1.0, h=h, xi=-1.0),
+    "svk_profile": lambda h: svk_profile(-0.5, 1.0, 1.0, h),
+    "deformed_thickness": lambda h: deformed_thickness(PolyProfile(1.0), h),
+    "integrate_contents": lambda h: integrate_contents(
+        catalog_surface("cylinder"), Gent(mu=1.0, jm=10.0), h, grid=(4, 4)),
+    "through_thickness_energy_from_jet": lambda h: through_thickness_energy_from_jet(
+        jet_of("cylinder", (0.05, -0.3)), NeoHookean(mu=1.0), PolyProfile(1.0), h),
+    "solve_svk_profile_ode": lambda h: solve_svk_profile_ode(-0.5, 1.0, 1.0, h),
+}
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("user", HALF_THICKNESS_USERS)
+def test_every_half_thickness_user_rejects_a_bad_h(user, h):
+    with pytest.raises(ValueError, match="half thickness must be positive and finite"):
+        HALF_THICKNESS_USERS[user](h)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("user", ["svk_profile", "through_thickness_energy_from_jet"])
+def test_an_array_half_thickness_names_its_first_bad_element(user, h):
+    with pytest.raises(ValueError) as err:
+        HALF_THICKNESS_USERS[user](np.array([1e-3, 2e-3, h, -1.0]))
+    assert str(err.value) == f"half thickness must be positive and finite, got {h:g}"
+    assert err.value.index == 2
