@@ -260,7 +260,7 @@ def order_of_residual(residual, h_set):
     Nonpositive residuals (at the round-off floor) are excluded with a
     warning.  h_set should span at least 1.5 decades.
     """
-    hs = np.asarray(sorted(h_set, reverse=True), dtype=float)
+    hs = np.asarray(sorted(half_thickness(h_set), reverse=True), dtype=float)
     if hs.max() / hs.min() < 10.0 ** 1.5:
         raise ValueError("h_set must span at least 1.5 decades")
     vals = np.array([residual(h) for h in hs], dtype=float)

@@ -1,9 +1,11 @@
 """Acceptance gate: run every built-in verification check at its stated
 tolerance and print one PASS/FAIL line per check."""
 
+import dataclasses
+
 import pytest
 
-from plate_reduce import checks
+from plate_reduce import checks, reduced_energy
 
 
 def test_check_registry_is_complete():
@@ -48,3 +50,31 @@ def test_oracle_check_values_are_frozen():
     frame = checks._check_eigenframe_coupling(ctx)["observed"]
     assert frame["constant_span"] == 3.1086244689504383e-15
     assert frame["isotropic_span"] == 0.0
+
+
+# The oracle checks compare with the contents evaluate writes: a wrong
+# closed form in point_contents' dispatch, or in the SVK content, must
+# fail its check.
+
+
+def test_gent_stretching_fails_on_a_wrong_gent_dispatch(monkeypatch):
+    def stiffer(jet, material, tol):
+        return reduced_energy.gent_contents(jet, material.mu, 1.01 * material.jm, tol=tol)
+
+    monkeypatch.setitem(reduced_energy._CLOSED_FORMS, "gent", stiffer)
+    verdict = checks._check_gent_stretching(checks.VerifyContext())
+    assert not verdict["passed"]
+    assert verdict["observed"]["oracle_vs_closed"] > 1e-4
+
+
+def test_svk_profile_fails_on_a_wrong_svk_content(monkeypatch):
+    svk_content = checks.svk_content
+
+    def off(*args):
+        contents = svk_content(*args)
+        return dataclasses.replace(contents, bending=1.001 * contents.bending)
+
+    monkeypatch.setattr(checks, "svk_content", off)
+    verdict = checks._check_svk_profile(checks.VerifyContext())
+    assert not verdict["passed"]
+    assert verdict["observed"]["content_rel_err"] > 5e-4

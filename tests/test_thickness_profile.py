@@ -21,6 +21,7 @@ from plate_reduce import (
     incompressible_profile_general,
     integrate_contents,
     invariant_series,
+    order_of_residual,
     series_contents,
     solve_svk_profile_ode,
     svk_profile,
@@ -252,6 +253,7 @@ HALF_THICKNESS_USERS = {
     "through_thickness_energy_from_jet": lambda h: through_thickness_energy_from_jet(
         jet_of("cylinder", (0.05, -0.3)), NeoHookean(mu=1.0), PolyProfile(1.0), h),
     "solve_svk_profile_ode": lambda h: solve_svk_profile_ode(-0.5, 1.0, 1.0, h),
+    "order_of_residual": lambda h: order_of_residual(lambda x: x ** 2, [1.0, 0.1, 0.01, h]),
 }
 
 
