@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .surface_geometry import (evaluate_jet, fiber_deformation_gradient,
-                               finite_number, float_if_scalar,
+                               finite_number, float_if_scalar, positive,
                                raise_first_failure, unimodular_tolerance)
 from .thickness_profile import (cg_profile, incompressible_profile_general,
                                 svk_profile)
@@ -78,8 +78,7 @@ class Gent(MaterialModel):
     name, params = "gent", ("mu", "jm")
 
     def __post_init__(self):
-        if not (0 < self.mu < np.inf and 0 < self.jm < np.inf):
-            raise ValueError("Gent requires mu > 0 and jm > 0")
+        positive((self.mu, self.jm), "Gent requires mu > 0 and jm > 0")
 
     def _extensibility_gap(self, I1):
         gap = 1.0 - (I1 - 3.0) / self.jm
@@ -105,8 +104,7 @@ class NeoHookean(MaterialModel):
     name, params, series_id = "neo_hookean", ("mu",), "neo_hookean_series"
 
     def __post_init__(self):
-        if not 0 < self.mu < np.inf:
-            raise ValueError("NeoHookean requires mu > 0")
+        positive(self.mu, "NeoHookean requires mu > 0")
 
     def energy(self, I1, I2, I3):
         return 0.5 * self.mu * (I1 - 3.0)
@@ -123,8 +121,7 @@ class MooneyRivlin(MaterialModel):
     name, params, series_id = "mooney_rivlin", ("mu", "chi"), "mooney_rivlin_series"
 
     def __post_init__(self):
-        if not 0 < self.mu < np.inf:
-            raise ValueError("MooneyRivlin requires mu > 0")
+        positive(self.mu, "MooneyRivlin requires mu > 0")
         if not (0.0 < self.chi <= 1.0):
             raise ValueError("MooneyRivlin requires chi in (0, 1]")
 
@@ -154,9 +151,8 @@ class CiarletGeymonat(MaterialModel):
     name, series_id = "ciarlet_geymonat", "cg_minimizing_profile"
 
     def __post_init__(self):
-        if not np.all((0 < self.a) & (self.a < np.inf)
-                      & (0 < self.b) & (self.b < np.inf)):
-            raise ValueError("CiarletGeymonat requires a > 0 and b > 0")
+        positive(self.a, "CiarletGeymonat requires a > 0 and b > 0")
+        positive(self.b, "CiarletGeymonat requires a > 0 and b > 0")
         c_ref = 2.0 * (self.a + self.b)
         d_ref = -(3.0 * self.a + self.b)
         if self.c is None:
@@ -170,8 +166,7 @@ class CiarletGeymonat(MaterialModel):
 
     @classmethod
     def from_lame(cls, lam, mu):
-        if not (0 < lam < np.inf and 0 < mu < np.inf):
-            raise ValueError("Lame constants must be positive")
+        positive((lam, mu), "Lame constants must be positive")
         return cls(a=mu / 2.0, b=lam / 4.0)
 
     @classmethod
@@ -208,8 +203,7 @@ class SaintVenantKirchhoff(MaterialModel):
     name, params, needs_C_f = "svk", ("lambda", "mu"), True
 
     def __post_init__(self):
-        if not (0 < self.mu < np.inf and 0 < self.lam < np.inf):
-            raise ValueError("SaintVenantKirchhoff requires lam > 0 and mu > 0")
+        positive((self.lam, self.mu), "SaintVenantKirchhoff requires lam > 0 and mu > 0")
 
     def energy(self, C_f):
         """Density of C_f, one 3x3 or a stack (..., 3, 3), from its
@@ -223,7 +217,7 @@ class SaintVenantKirchhoff(MaterialModel):
         of the principal values c (..., 3) of C_f: E = U - I in U's
         eigenbasis."""
         c = np.asarray(c, dtype=float)
-        if np.any(c <= 0.0):
+        if not np.all(c > 0.0):
             raise MaterialDomainError("matrix is not positive definite")
         e = np.sqrt(c) - 1.0
         return 0.5 * self.lam * e.sum(axis=-1) ** 2 + self.mu * (e * e).sum(axis=-1)
@@ -274,10 +268,10 @@ def molecular_params(n_chains, n_links, k_boltzmann, temperature):
 
     Returns (mu, jm) = (n k T, 3 (N - 1)).
     """
-    if n_links <= 1:
+    if not 1.0 < n_links < np.inf:
         raise MaterialDomainError("chain segment count N must exceed 1")
-    if n_chains <= 0 or k_boltzmann <= 0 or temperature <= 0:
-        raise MaterialDomainError("chain density, k, and temperature must be positive")
+    positive((n_chains, k_boltzmann, temperature),
+             "chain density, k, and temperature must be positive", MaterialDomainError)
     return n_chains * k_boltzmann * temperature, 3.0 * (n_links - 1.0)
 
 
@@ -285,7 +279,7 @@ def symmetric_sqrt(A):
     """Principal square root of a symmetric positive-definite matrix, or
     of each matrix in a stack of shape (..., n, n)."""
     vals, vecs = np.linalg.eigh(np.asarray(A, dtype=float))
-    if np.any(vals[..., 0] <= 0.0):
+    if not np.all(vals > 0.0):  # all, not vals[..., 0]: eigh does not sort a NaN first
         raise MaterialDomainError("matrix is not positive definite")
     return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 

@@ -16,7 +16,8 @@ from typing import Tuple
 
 from . import materials as _materials
 from .surface_geometry import (_gauss_legendre, evaluate_jet, float_if_scalar,
-                               fiber_deformation_gradient, half_thickness)
+                               fiber_deformation_gradient, half_thickness,
+                               positive)
 
 GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 
@@ -137,8 +138,7 @@ def minimize_scalar(f, bracket, tol=1e-12):
     <= tol.  Returns (argmin, fmin).  BracketError if any lane has
     lo >= hi or its midpoint above both ends (no descent to follow).
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol:g}")
+    positive(tol, "tol must be positive, got {:g}")
     scalar, f, a, b = _lanes(f, *bracket)
     if not np.all(b > a):
         raise BracketError("bracket must satisfy lo < hi")

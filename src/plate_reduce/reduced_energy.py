@@ -16,7 +16,7 @@ from .materials import (MaterialDomainError, StiffeningLimitError, as_model,
                         invariant_series, volumetric_energy)
 from .surface_geometry import (DegenerateImmersionError, DomainError, JetBatch,
                                _gauss_legendre, _where, evaluate_jets,
-                               float_if_scalar, half_thickness,
+                               float_if_scalar, half_thickness, positive,
                                raise_first_failure, unimodular_tolerance)
 
 
@@ -249,8 +249,7 @@ def svk_content(H, K, lam, mu):
 
 
 def _coupling_coefficients(kappa1, kappa2, lambda1):
-    if lambda1 <= 0.0:
-        raise ValueError(f"lambda1 = {lambda1:.9g} must be positive")
+    positive(lambda1, "lambda1 = {:.9g} must be positive")
     l2 = lambda1 * lambda1
     a = kappa1 * l2 + kappa2 / l2 - (kappa1 + kappa2)
     b = kappa2 * l2 + kappa1 / l2 - (kappa1 + kappa2)

@@ -98,8 +98,7 @@ class ParametricSurface:
             raise ValueError("derivative_mode must be 'analytic' or 'finite-difference'")
         if self.derivative_mode == "analytic" and (self.grad is None or self.hess is None):
             raise ValueError("analytic mode requires grad and hess callables")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
+        positive(self.step, "step must be positive")
 
 
 @dataclass(frozen=True)
@@ -186,11 +185,16 @@ def finite_number(value, key):
     return value
 
 
+def positive(value, message, error=ValueError):
+    """``value``, or ``error(message.format(x))``, with ``index``, for its
+    first element x outside (0, inf); NaN fails."""
+    raise_first_failure((~(np.greater(value, 0) & np.less(value, np.inf)),
+                         lambda i: error(message.format(np.ravel(value)[i]))))
+    return value
+
+
 def half_thickness(h):
-    """``h``, or the ValueError, with ``index``, of its first element outside (0, inf)."""
-    raise_first_failure((~(np.greater(h, 0) & np.less(h, np.inf)), lambda i: ValueError(
-        f"half thickness must be positive and finite, got {np.ravel(h)[i]:g}")))
-    return h
+    return positive(h, "half thickness must be positive and finite, got {:g}")
 
 
 def float_if_scalar(value):
@@ -470,6 +474,7 @@ def verify_orientation(surface, profile, h, grid=(5, 5), n_x3=9):
     included in the fiber deformation gradient.  Diagnostic only:
     negative Jacobians are reported, not raised.
     """
+    half_thickness(h)
     rule = callable(profile) and not hasattr(profile, "phi")
     step = surface.step
     margin = 2.0 * step + (2.0 * step if surface.derivative_mode == "finite-difference" else 0.0)
@@ -649,16 +654,14 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
         _reject_unknown(params, {"l1", "l2"}, name)
         l1 = finite_number(params.get("l1", 2.0), "l1")
         l2 = finite_number(params.get("l2", 0.5), "l2")
-        if l1 <= 0 or l2 <= 0:
-            raise ValueError("stretch factors must be positive")
+        positive((l1, l2), "stretch factors must be positive")
         _map = lambda x: np.array([l1 * x[0], l2 * x[1], np.zeros_like(x[0])])
         _grad = lambda x: _constant(((l1, 0.0), (0.0, l2), (0.0, 0.0)), x)
         _hess = _zero_hess
     elif name == "cylinder":
         _reject_unknown(params, {"R"}, name)
         R = finite_number(params.get("R", 1.0), "R")
-        if R <= 0:
-            raise ValueError("cylinder radius must be positive")
+        positive(R, "cylinder radius must be positive")
         _map = lambda x: np.array(
             [R * np.sin(x[0] / R), x[1], R * (1.0 - np.cos(x[0] / R))])
 
@@ -679,8 +682,7 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
     elif name == "sphere_cap":
         _reject_unknown(params, {"R"}, name)
         R = finite_number(params.get("R", 2.0), "R")
-        if R <= 0:
-            raise ValueError("sphere radius must be positive")
+        positive(R, "sphere radius must be positive")
 
         def _root(x, R=R):
             return np.sqrt(R * R - _pow(x[0], 2) - _pow(x[1], 2))
@@ -725,8 +727,7 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
         _reject_unknown(params, {"A", "s"}, name)
         amp = finite_number(params.get("A", 0.5), "A")
         s = finite_number(params.get("s", 1.0), "s")
-        if s <= 0:
-            raise ValueError("bump width must be positive")
+        positive(s, "bump width must be positive")
         _map, _grad, _hess = _make_bump(amp, s)
         box = ((-0.75, 0.75), (-0.75, 0.75))
     else:
@@ -749,7 +750,7 @@ def uniform_stretch_cone(lambda1, bounds=((0.55, 1.45), (-0.45, 0.45))):
     broadcast like the catalog's.
     """
     lambda1 = float(lambda1)
-    if lambda1 <= 1.0:
+    if not 1.0 < lambda1 < np.inf:
         raise ValueError("cone construction needs lambda1 > 1")
     s = 1.0 / lambda1
     k = np.sqrt(lambda1 ** 2 - s ** 2)

@@ -12,8 +12,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .surface_geometry import (_gauss_legendre, _where, float_if_scalar,
-                               half_thickness, raise_first_failure,
-                               unimodular_tolerance)
+                               half_thickness, positive,
+                               raise_first_failure, unimodular_tolerance)
 
 SHC_SERIES_CUTOFF = 1e-4
 
@@ -43,8 +43,7 @@ class PolyProfile:
     kind = "cubic"
 
     def __post_init__(self):
-        if not np.all(np.greater(self.alpha, 0)):
-            raise ValueError("profile slope alpha at the mid-plane must be positive")
+        positive(self.alpha, "profile slope alpha at the mid-plane must be positive")
 
     def phi(self, x3):
         return x3 * (self.alpha + x3 * (self.beta + x3 * self.gamma))
@@ -72,13 +71,11 @@ class HyperbolicProfile:
     kind = "hyperbolic"
 
     def __post_init__(self):
-        if self.mu <= 0 or self.lam <= 0:
-            raise ValueError("Lame constants must be positive")
+        positive((self.lam, self.mu), "Lame constants must be positive")
         half_thickness(self.h)
         if self.alpha_bar is None:
             object.__setattr__(self, "alpha_bar", 2.0 * self.H * self.xi)
-        if not np.all(np.greater(self.alpha_bar, 0)):
-            raise ValueError("mid-plane slope 2 H xi must be positive")
+        positive(self.alpha_bar, "mid-plane slope 2 H xi must be positive")
 
     @property
     def alpha(self):

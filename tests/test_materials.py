@@ -7,14 +7,18 @@ from types import SimpleNamespace
 from plate_reduce import (
     CiarletGeymonat,
     Gent,
+    HyperbolicProfile,
     MaterialDomainError,
     MooneyRivlin,
     NeoHookean,
+    ParametricSurface,
     PolyProfile,
     SaintVenantKirchhoff,
     StiffeningLimitError,
     catalog_surface,
     cg_profile,
+    coupling_stationary_angles,
+    eigenframe_coupling,
     evaluate_jet,
     exact_invariants,
     exact_invariants_from_jet,
@@ -23,11 +27,13 @@ from plate_reduce import (
     invariant_series,
     lame_constants,
     material_from_config,
+    minimize_scalar,
     molecular_params,
     small_strain_energy,
     symmetric_sqrt,
     volumetric_energy,
 )
+from plate_reduce.surface_geometry import uniform_stretch_cone
 
 ALL_MODELS = (Gent(mu=1.0, jm=10.0), NeoHookean(mu=1.0),
               MooneyRivlin(mu=1.0, chi=0.4),
@@ -198,6 +204,58 @@ def test_models_reject_non_finite_parameters(make, message, value):
     # NaN fails every comparison, so `x <= 0` alone let it through
     with pytest.raises(ValueError, match=message):
         make(value)
+
+
+# (make, error, message with {} for the value, index or None); each of
+# these once let NaN or an infinity through, or failed only later
+POSITIVE_GUARDS = {
+    "hyperbolic-lam": (lambda x: HyperbolicProfile(H=0.5, lam=x, mu=1.0, h=0.1, xi=1.0),
+                       ValueError, "Lame constants must be positive", 0),
+    "hyperbolic-mu": (lambda x: HyperbolicProfile(H=0.5, lam=1.0, mu=x, h=0.1, xi=1.0),
+                      ValueError, "Lame constants must be positive", 1),
+    "hyperbolic-xi": (lambda x: HyperbolicProfile(H=0.5, lam=1.0, mu=1.0, h=0.1, xi=x),
+                      ValueError, "mid-plane slope 2 H xi must be positive", 0),
+    "poly-alpha": (lambda x: PolyProfile(x), ValueError,
+                   "profile slope alpha at the mid-plane must be positive", 0),
+    "eigenframe_coupling": (lambda x: eigenframe_coupling(1.0, 2.0, x, 0.3),
+                            ValueError, "lambda1 = {:.9g} must be positive", 0),
+    "coupling_stationary_angles": (lambda x: coupling_stationary_angles(1.0, 2.0, x),
+                                   ValueError, "lambda1 = {:.9g} must be positive", 0),
+    "molecular-n_chains": (lambda x: molecular_params(x, 10, 1, 1), MaterialDomainError,
+                           "chain density, k, and temperature must be positive", 0),
+    "molecular-n_links": (lambda x: molecular_params(1, x, 1, 1), MaterialDomainError,
+                          "chain segment count N must exceed 1", None),
+    "molecular-k": (lambda x: molecular_params(1, 10, x, 1), MaterialDomainError,
+                    "chain density, k, and temperature must be positive", 1),
+    "molecular-temperature": (lambda x: molecular_params(1, 10, 1, x), MaterialDomainError,
+                              "chain density, k, and temperature must be positive", 2),
+    "surface-step": (lambda x: ParametricSurface(
+        map=lambda p: p, derivative_mode="finite-difference", step=x),
+        ValueError, "step must be positive", 0),
+    "minimize_scalar-tol": (lambda x: minimize_scalar(lambda t: t * t, (-1.0, 1.0), tol=x),
+                            ValueError, "tol must be positive, got {:g}", 0),
+    "uniform_stretch_cone": (uniform_stretch_cone, ValueError,
+                             "cone construction needs lambda1 > 1", None),
+}
+# an infinite principal value is allowed there; NaN is not
+NAN_GUARDS = {
+    "principal_energy": (lambda x: SaintVenantKirchhoff(lam=1.0, mu=1.0).principal_energy(
+        [1.0, 1.0, x]), MaterialDomainError, "matrix is not positive definite", None),
+    "symmetric_sqrt": (lambda x: symmetric_sqrt(np.diag([1.0, x, 1.0])),
+                       MaterialDomainError, "matrix is not positive definite", None),
+}
+
+
+@pytest.mark.parametrize("guard,value", [
+    *((g, v) for g in POSITIVE_GUARDS for v in (NAN, INF, -INF)),
+    *((g, NAN) for g in NAN_GUARDS)])
+def test_positivity_guards_reject_nan_and_infinities(guard, value):
+    make, error, message, index = {**POSITIVE_GUARDS, **NAN_GUARDS}[guard]
+    with pytest.raises(error) as err:
+        make(value)
+    assert type(err.value) is error
+    assert str(err.value) == message.format(value)
+    assert getattr(err.value, "index", None) == index
 
 
 def test_cg_from_config_gives_scalars():

@@ -26,6 +26,7 @@ from plate_reduce import (
     solve_svk_profile_ode,
     svk_profile,
     through_thickness_energy_from_jet,
+    verify_orientation,
 )
 
 
@@ -254,6 +255,8 @@ HALF_THICKNESS_USERS = {
         jet_of("cylinder", (0.05, -0.3)), NeoHookean(mu=1.0), PolyProfile(1.0), h),
     "solve_svk_profile_ode": lambda h: solve_svk_profile_ode(-0.5, 1.0, 1.0, h),
     "order_of_residual": lambda h: order_of_residual(lambda x: x ** 2, [1.0, 0.1, 0.01, h]),
+    "verify_orientation": lambda h: verify_orientation(
+        catalog_surface("cylinder"), PolyProfile(1.0), h),
 }
 
 
