@@ -38,14 +38,9 @@ H_BEND = (1e-3, 5e-4, 2e-4, 1e-4, 5e-5)
 
 @dataclass
 class VerifyContext:
-    """Knobs shared by the verification checks.
+    """The tolerances of a verify run, by check id; a check not named
+    uses its default."""
 
-    ``perturb_beta`` shifts the quadratic profile coefficient before the
-    incompressibility-order check runs; it exists so mutation tests can
-    confirm the check actually bites.
-    """
-
-    perturb_beta: float = 0.0
     tolerances: dict = field(default_factory=dict)
 
     def tol(self, check_id, default):
@@ -107,9 +102,7 @@ def _check_incompressibility_order(ctx):
     hs = np.array([1e-2, 10.0 ** -2.5, 1e-3, 10.0 ** -3.5, 1e-4])
 
     def residuals(jet):
-        base = incompressible_profile(jet)
-        profile = PolyProfile(base.alpha, base.beta + ctx.perturb_beta,
-                              base.gamma)
+        profile = incompressible_profile(jet)
         return [abs(fiber_invariants(jet, profile, h)[2] - 1.0) for h in hs]
 
     return _remainder_order(ctx, "incompressibility_order", 0.2, 3.0, hs,

@@ -45,7 +45,7 @@ from .reduced_energy import (cg_small_strain_contents, cg_stretching_closed,
                              plate_energy, point_contents)
 from .surface_geometry import (DegenerateImmersionError, DomainError,
                                ParametricSurface, catalog_surface,
-                               evaluate_jet)
+                               evaluate_jet, positive)
 from .thickness_profile import (ProfileConstraintError,
                                 incompressible_profile_general)
 
@@ -87,21 +87,19 @@ class RunConfig:
 
 _TOP_KEYS = ("surface", "material", "h", "grid", "derivative_mode",
              "fd_step", "tolerances", "options")
-_OPTION_KEYS = ("perturb_beta", "checks", "sweep")
+_OPTION_KEYS = ("checks", "sweep")
 SWEEP_PARAMS = ("h", "Jm", "lambda1", "quad_order")
 # the largest grid side or quad_order: an n-point Gauss rule is an n x n
 # eigenproblem (0.16 s at 1024, 1.1 s at 2048), and 1e5 would need 80 GB
 MAX_SIZE = 1024
 
 
-def _as_number(value, key, positive=True):
+def _as_number(value, key):
     try:
         value = finite_number(value, key)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    if positive and not value > 0.0:
-        raise ConfigError(f"'{key}' must be positive, got {value:g}")
-    return value
+    return positive(value, f"'{key}' must be positive, got {{:g}}", ConfigError)
 
 
 def _as_int(value, key, minimum):
@@ -187,9 +185,6 @@ def parse_config(data):
     if not isinstance(options, dict):
         raise ConfigError("'options' must be a mapping")
     _reject_unknown_keys(options, _OPTION_KEYS, "options")
-    if "perturb_beta" in options:
-        _as_number(options["perturb_beta"], "options.perturb_beta",
-                   positive=False)
     if "checks" in options:
         checks = options["checks"]
         if (not isinstance(checks, list) or not all(isinstance(c, str) for c in checks)
@@ -377,9 +372,7 @@ def cmd_verify(config, out_dir, run_all=False):
     ctx = VerifyContext()
     selection = CHECK_IDS
     if config is not None:
-        ctx = VerifyContext(
-            perturb_beta=float(config.options.get("perturb_beta", 0.0)),
-            tolerances=config.tolerances)
+        ctx = VerifyContext(tolerances=config.tolerances)
         if not run_all and "checks" in config.options:
             selection = tuple(config.options["checks"])
     if not selection:

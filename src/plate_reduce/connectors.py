@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .surface_geometry import DomainError, _dot, _eigen_gap, evaluate_jets
+from .surface_geometry import _dot, _eigen_gap, evaluate_jets
 
 
 @dataclass(frozen=True)
@@ -211,12 +211,17 @@ class FrameGrid:
 
     ``fields`` holds every ConnectorFrame field batched, as
     ``_frame_fields`` returns them: nodes (i, j) in row-major order on the
-    trailing axis.  Grids compare by identity: their fields are arrays.
+    trailing axis.  Each axis has at least 3 nodes, for central
+    differences.  Grids compare by identity: their fields are arrays.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     fields: dict = _field(repr=False)
+
+    def __post_init__(self):
+        if min(self.shape) < 3:
+            raise ValueError(f"grid {self.shape} too small for central differences")
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -240,30 +245,29 @@ class FrameGrid:
         return value.reshape(self.shape + value.shape[1:]).copy()
 
 
-def sample_frame_grid(surface, grid=(9, 9), bounds=None, inset=0.08,
-                      c12_step=1e-4, with_c12=False):
+def sample_frame_grid(surface, grid=(9, 9), bounds=None, with_c12=False):
     """Sample connector frames on a uniform grid.
 
     The grid covers ``bounds`` when given, otherwise the surface domain
-    shrunk by the fraction ``inset`` on each side (room for difference
+    shrunk by 8% of its width on each side (room for difference
     stencils).  Eigenvector signs are made continuous by propagating from
     the first node down the first column and then along rows, flipping
     frames whose r1 opposes its predecessor's.  The fields are computed
     in one batch and kept batched.
     """
     nx, ny = int(grid[0]), int(grid[1])
-    if nx < 3 or ny < 3:
-        raise ValueError(f"grid {grid} too small for central differences")
     if bounds is None:
         (u0, u1), (v0, v1) = surface.domain
-        du, dv = (u1 - u0) * inset, (v1 - v0) * inset
+        du, dv = (u1 - u0) * 0.08, (v1 - v0) * 0.08
         bounds = ((u0 + du, u1 - du), (v0 + dv, v1 - dv))
     (u0, u1), (v0, v1) = bounds
     xs = np.linspace(u0, u1, nx)
     ys = np.linspace(v0, v1, ny)
 
     points = np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)])
-    fields = _frame_fields(surface, points, c12_step, with_c12)
+    fields = _frame_fields(surface, points, 1e-4, with_c12)
+    # FrameGrid checks the node counts before the sign pass flips ``fields``
+    frame_grid = FrameGrid(xs=xs, ys=ys, fields=fields)
 
     # -1 where r1 opposes its predecessor's; the running products of these
     # down the first column, then along each row, are the gauge signs
@@ -274,20 +278,7 @@ def sample_frame_grid(surface, grid=(9, 9), bounds=None, inset=0.08,
         [first, keeps(r1[:, :, 1:], r1[:, :, :-1])]), axis=1).ravel()
     for name in ("r1", "r2", "d1_star", "d2_star", "c1", "c2"):
         fields[name] = fields[name] * sign
-    return FrameGrid(xs=xs, ys=ys, fields=fields)
-
-
-def _interior(grid, i, j):
-    nx, ny = grid.shape
-    if i is None:
-        i = nx // 2
-    if j is None:
-        j = ny // 2
-    if not (1 <= i <= nx - 2 and 1 <= j <= ny - 2):
-        raise DomainError(
-            f"node ({i}, {j}) of a {nx}x{ny} grid has no central-difference "
-            "neighbors")
-    return i, j
+    return frame_grid
 
 
 def _curl(grid, name):
@@ -299,19 +290,14 @@ def _curl(grid, name):
             - (v[1:-1, 2:, 0] - v[1:-1, :-2, 0]) / (2 * dy))
 
 
-def gauss_from_connectors(grid, jet=None, i=None, j=None):
+def gauss_from_connectors(grid, jet=None):
     """Gaussian curvature from the skew gradient of the surface connector.
 
-    Central-differences curl(c*) at grid node (i, j) (default the center)
-    and divides by -lambda1*lambda2 there; ``jet``, when given, supplies
-    the stretches instead of the node.
-
-    Raises
-    ------
-    DomainError
-        When (i, j) has no interior neighbors.
+    Central-differences curl(c*) at the grid's center node (i, j) =
+    (nx // 2, ny // 2) and divides by -lambda1*lambda2 there; ``jet``,
+    when given, supplies the stretches instead of the node.
     """
-    i, j = _interior(grid, i, j)
+    i, j = grid.shape[0] // 2, grid.shape[1] // 2
     l1, l2 = ((jet.lambda1, jet.lambda2) if jet is not None else
               (grid.field("lambda1")[i, j], grid.field("lambda2")[i, j]))
     return float(-_curl(grid, "c_star")[i - 1, j - 1] / (l1 * l2))

@@ -64,8 +64,8 @@ class MaterialModel(object):
     def lame(self):
         raise TypeError(f"no Lame constants for {type(self).__name__}")
 
-    def profile(self, jet, h=None, tol=None):
-        return incompressible_profile_general(jet, unimodular_tolerance(jet, tol))
+    def profile(self, jet, h=None):
+        return incompressible_profile_general(jet, unimodular_tolerance(jet))
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ class CiarletGeymonat(MaterialModel):
     def lame(self):
         return 4.0 * self.b, 2.0 * self.a
 
-    def profile(self, jet, h=None, tol=None):
+    def profile(self, jet, h=None):
         return cg_profile(jet, self)
 
 
@@ -225,7 +225,7 @@ class SaintVenantKirchhoff(MaterialModel):
     def lame(self):
         return self.lam, self.mu
 
-    def profile(self, jet, h=None, tol=None):
+    def profile(self, jet, h=None):
         return svk_profile(jet.H, self.lam, self.mu, h)
 
 

@@ -80,20 +80,14 @@ def through_thickness_energy_from_jet(jet, material, profile, h, quad_order=8):
     return float_if_scalar(h * (w * weights).sum(axis=-1))
 
 
-def fit_h_powers(h_samples, energies=None):
+def fit_h_powers(h_samples, energies):
     """Fit E(h) = c1 h + c3 h^3 by least squares.
 
-    Takes parallel arrays of thicknesses and energies, or a single
-    iterable of (h, energy) pairs.  Needs at least 4 distinct, finite
-    samples spanning a decade; no higher-order term is included, so keep
-    max(h) small enough that h^5 leakage is below the tolerance of the
-    comparison at hand.
+    Takes parallel arrays of thicknesses and energies.  Needs at least 4
+    distinct, finite samples spanning a decade; no higher-order term is
+    included, so keep max(h) small enough that h^5 leakage is below the
+    tolerance of the comparison at hand.
     """
-    if energies is None:
-        pairs = np.asarray(list(h_samples), dtype=float)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise FitError("expected (h, energy) pairs")
-        h_samples, energies = pairs[:, 0], pairs[:, 1]
     hs = np.asarray(h_samples, dtype=float)
     es = np.asarray(energies, dtype=float)
     if hs.shape != es.shape or hs.ndim != 1:
@@ -191,15 +185,16 @@ class SvkProfileSolution:
     ode_residual: float
 
 
-def solve_svk_profile_ode(H, lam, mu, h, n_steps=400, slope_bracket=(0.5, 1.5)):
+def solve_svk_profile_ode(H, lam, mu, h, n_steps=400):
     """Shoot the SVK profile stationarity ODE and scan its free slope.
 
     Integrates phi'' = 4 H^2 phi - 2 lam H / (2 mu + lam) with phi(0) = 0
     by classical RK4 from the mid-plane outward in both directions, then
-    minimizes the through-thickness SVK energy over the initial slope.
-    The energy is evaluated from the bulk density on a developable fiber
-    (principal curvatures 2H and 0), whose C_f is diagonal, so from its
-    principal values, and Simpson-integrated on the RK4 grid.
+    minimizes the through-thickness SVK energy over the initial slope in
+    [0.5, 1.5].  The energy is evaluated from the bulk density on a
+    developable fiber (principal curvatures 2H and 0), whose C_f is
+    diagonal, so from its principal values, and Simpson-integrated on the
+    RK4 grid.
     """
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100")
@@ -243,7 +238,7 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400, slope_bracket=(0.5, 1.5)):
     def fiber_energy(s):
         return profile_energy(*profile_for(s))
 
-    slope, _ = minimize_scalar(fiber_energy, slope_bracket, tol=1e-10)
+    slope, _ = minimize_scalar(fiber_energy, (0.5, 1.5), tol=1e-10)
     slope = parabolic_refine(fiber_energy, slope, 1e-5)
     phi, psi = profile_for(slope)
     energy = profile_energy(phi, psi)

@@ -295,10 +295,10 @@ def coupling_stationary_angles(kappa1, kappa2, lambda1):
 # per-point dispatch and area integration
 
 
-def _svk_closed_form(jet, material, tol):
+def _svk_closed_form(jet, material):
     eye = np.eye(2).reshape((2, 2) + (1,) * (np.ndim(jet.C) - 2))
     strain = np.max(np.abs(jet.C - eye), axis=(0, 1))
-    raise_first_failure((strain > unimodular_tolerance(jet, tol), lambda i: MaterialDomainError(
+    raise_first_failure((strain > unimodular_tolerance(jet), lambda i: MaterialDomainError(
         f"Saint Venant-Kirchhoff content needs an unstretched "
         f"mid-surface; max |C - I| = {np.ravel(strain)[i]:.6g}")))
     return svk_content(jet.H, jet.K, material.lam, material.mu)
@@ -307,12 +307,12 @@ def _svk_closed_form(jet, material, tol):
 # models whose contents have their own closed form, by config name; the
 # others take the invariant series along their profile rule
 _CLOSED_FORMS = {
-    "gent": lambda jet, material, tol: gent_contents(jet, material.mu, material.jm, tol=tol),
+    "gent": lambda jet, material: gent_contents(jet, material.mu, material.jm),
     "svk": _svk_closed_form,
 }
 
 
-def point_contents(jet, material, tol=None):
+def point_contents(jet, material):
     """Contents of the reduced energy at a surface point for any model.
 
     ``jet`` is a SurfaceJet, or a JetBatch for the contents at all of its
@@ -327,9 +327,9 @@ def point_contents(jet, material, tol=None):
     """
     closed_form = _CLOSED_FORMS.get(as_model(material).name)
     if closed_form is not None:
-        contents = closed_form(jet, material, tol)
+        contents = closed_form(jet, material)
     else:
-        contents = series_contents(jet, material, material.profile(jet, tol=tol),
+        contents = series_contents(jet, material, material.profile(jet),
                                    material.series_id)
     if isinstance(jet, JetBatch):
         n = len(jet)
@@ -402,7 +402,9 @@ def integrate_contents(surface, material, h, grid=(8, 8)):
         ordered by the first axis, then the second.
     """
     half_thickness(h)
-    nx, ny = int(grid[0]), int(grid[1])
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in grid):
+        raise ValueError(f"grid must be two integers >= 1, got {grid}")
+    nx, ny = grid
     (u0, u1), (v0, v1) = surface.domain
     xu, wu = _gauss_legendre(nx)
     xv, wv = _gauss_legendre(ny)

@@ -463,8 +463,9 @@ class OrientationReport:
     passed: bool
 
 
-def verify_orientation(surface, profile, h, grid=(5, 5), n_x3=9):
-    """Check that the thickened deformation preserves orientation.
+def verify_orientation(surface, profile, h):
+    """Check that the thickened deformation preserves orientation at 9
+    fiber offsets over a 5 x 5 grid of the domain.
 
     ``profile`` is either a fixed through-thickness profile (methods
     ``phi``/``dphi``) or a profile rule jet -> profile such as
@@ -479,9 +480,9 @@ def verify_orientation(surface, profile, h, grid=(5, 5), n_x3=9):
     step = surface.step
     margin = 2.0 * step + (2.0 * step if surface.derivative_mode == "finite-difference" else 0.0)
     (lo1, hi1), (lo2, hi2) = surface.domain
-    xs = np.linspace(lo1 + margin, hi1 - margin, grid[0])
-    ys = np.linspace(lo2 + margin, hi2 - margin, grid[1])
-    x3s = np.linspace(-h, h, n_x3)
+    xs = np.linspace(lo1 + margin, hi1 - margin, 5)
+    ys = np.linspace(lo2 + margin, hi2 - margin, 5)
+    x3s = np.linspace(-h, h, 9)
     points = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
     jet = evaluate_jets(surface, points)
 
@@ -496,7 +497,7 @@ def verify_orientation(surface, profile, h, grid=(5, 5), n_x3=9):
     # the first minimum in (x1, x2, x3) loop order; a NaN Jacobian is
     # the minimum and fails the check
     n = int(np.argmin(det))
-    point, k = divmod(n, n_x3)
+    point, k = divmod(n, len(x3s))
     return OrientationReport(
         min_det_F=float(det[n]),
         argmin_x=(float(points[point, 0]), float(points[point, 1])),
@@ -754,8 +755,7 @@ def uniform_stretch_cone(lambda1, bounds=((0.55, 1.45), (-0.45, 0.45))):
         raise ValueError("cone construction needs lambda1 > 1")
     s = 1.0 / lambda1
     k = np.sqrt(lambda1 ** 2 - s ** 2)
-    if bounds[0][0] <= 0.0:
-        raise ValueError("parameter box must exclude the apex (x1 > 0)")
+    positive(bounds[0][0], "parameter box must exclude the apex (x1 > 0)")
 
     def _map(x):
         return np.array([s * x[0], s * x[1], k * np.hypot(x[0], x[1])])
@@ -787,11 +787,12 @@ def _reject_unknown(params, allowed, name):
         raise ValueError(f"unknown parameters {sorted(extra)} for surface '{name}'")
 
 
-def sampled_injectivity(surface, n=12):
-    """Sampling check (not a proof) that the map does not self-intersect."""
+def sampled_injectivity(surface):
+    """Sampling check (not a proof) that the map does not self-intersect
+    on a 12 x 12 grid of the domain."""
     (lo1, hi1), (lo2, hi2) = surface.domain
-    xs = np.linspace(lo1, hi1, n)
-    ys = np.linspace(lo2, hi2, n)
+    xs = np.linspace(lo1, hi1, 12)
+    ys = np.linspace(lo2, hi2, 12)
     pts = np.array([surface.map(np.array([a, b])) for a in xs for b in ys])
     ref = np.array([[a, b] for a in xs for b in ys])
     d_img = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)

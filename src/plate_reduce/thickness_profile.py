@@ -216,10 +216,13 @@ def svk_profile(H, lam, mu, h):
     The free odd coefficient is fixed by minimizing the fiber energy over
     the stationary family at half thickness h, elementwise over arrays.
     """
+    rows = np.broadcast(H, lam, mu, h).shape
+    at = lambda v, i: np.broadcast_to(v, rows).ravel()[i]
+    raise_first_failure((~np.isfinite(np.broadcast_to(H, rows)), lambda i:
+                         ValueError(f"the SVK profile needs a finite H, got {at(H, i):g}")))
     c = np.cosh(2.0 * H * half_thickness(h))
     alpha_bar = (lam * lam * c + 4.0 * mu * (lam + mu)) / ((2.0 * mu + lam) ** 2 * c)
     # cosh(2 H h) overflows, or lam and mu underflow to 0 / 0
-    at = lambda v, i: np.broadcast_to(v, np.shape(alpha_bar)).ravel()[i]
     raise_first_failure((~((0.0 < alpha_bar) & (alpha_bar < np.inf)), lambda i:
                          OverflowError(f"the SVK profile at H = {at(H, i):g}, "
                                        f"h = {at(h, i):g}")))
@@ -229,8 +232,9 @@ def svk_profile(H, lam, mu, h):
                              alpha_bar=float_if_scalar(alpha_bar))
 
 
-def deformed_thickness(profile, h, quad_order=16):
-    """Thickness of the deformed sheet: quadrature of phi' over [-h, h]."""
+def deformed_thickness(profile, h):
+    """Thickness of the deformed sheet: 16-point Gauss quadrature of phi'
+    over [-h, h]."""
     half_thickness(h)
-    nodes, weights = _gauss_legendre(quad_order)
+    nodes, weights = _gauss_legendre(16)
     return h * sum(w * profile.dphi(h * t) for t, w in zip(nodes, weights))

@@ -58,8 +58,8 @@ def test_oracle_check_values_are_frozen():
 
 
 def test_gent_stretching_fails_on_a_wrong_gent_dispatch(monkeypatch):
-    def stiffer(jet, material, tol):
-        return reduced_energy.gent_contents(jet, material.mu, 1.01 * material.jm, tol=tol)
+    def stiffer(jet, material):
+        return reduced_energy.gent_contents(jet, material.mu, 1.01 * material.jm)
 
     monkeypatch.setitem(reduced_energy._CLOSED_FORMS, "gent", stiffer)
     verdict = checks._check_gent_stretching(checks.VerifyContext())

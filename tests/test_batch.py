@@ -510,8 +510,8 @@ def test_blocked_evaluate_names_a_non_finite_value_as_one_pass_did(
     original = reduced_energy.point_contents
     calls = []
 
-    def patched(jets, material, tol=None):
-        contents = original(jets, material, tol)
+    def patched(jets, material):
+        contents = original(jets, material)
         contents.bending[5] = (np.nan, np.inf, -np.inf)[len(calls)]
         calls.append(len(jets))
         return contents

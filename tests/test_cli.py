@@ -15,8 +15,9 @@ import warnings
 import plate_reduce
 from plate_reduce import (AreaDistortionError, BracketError,
                           DegenerateImmersionError, DomainError, FitError,
-                          Gent, ResolutionError, StiffeningLimitError, checks,
-                          cli_io, eigenframe_coupling, evaluate_jet)
+                          Gent, PolyProfile, ResolutionError,
+                          StiffeningLimitError, checks, cli_io,
+                          eigenframe_coupling, evaluate_jet)
 from plate_reduce.checks import (
     CHECK_IDS,
     VerifyContext,
@@ -304,6 +305,8 @@ BAD_CONFIGS = [
     (_patched(tolerances={"orientation": 5.0}),
      "the orientation check takes no tolerance"),
     (_patched(options={"bogus": 1}), "unknown options key 'bogus'"),
+    (_patched(options={"perturb_beta": 1e-3}),
+     "unknown options key 'perturb_beta'"),
     (_patched(options={"checks": "gent_bending"}),
      "'options.checks' must be a list of check ids"),
     (_patched(options={"checks": ["nope"]}), "unknown check id 'nope'"),
@@ -620,9 +623,21 @@ def test_verify_selected_checks(tmp_path, capsys):
     assert all(v["passed"] and v["detail"] for v in report["checks"])
 
 
-def test_verify_perturbation_is_caught(tmp_path, capsys):
-    cfg = dict(BASE, options={"perturb_beta": 1e-3,
-                              "checks": ["incompressibility_order"]})
+def shift_profile_beta(monkeypatch, shift):
+    # the incompressibility-order check's profile with its quadratic
+    # coefficient shifted by ``shift``
+    rule = checks.incompressible_profile
+
+    def shifted(jet):
+        p = rule(jet)
+        return PolyProfile(p.alpha, p.beta + shift, p.gamma)
+
+    monkeypatch.setattr(checks, "incompressible_profile", shifted)
+
+
+def test_verify_perturbation_is_caught(tmp_path, capsys, monkeypatch):
+    shift_profile_beta(monkeypatch, 1e-3)
+    cfg = dict(BASE, options={"checks": ["incompressibility_order"]})
     code, out = run_cli(tmp_path, cfg, command="verify")
     assert code == 1
     stdout = capsys.readouterr().out
@@ -633,10 +648,11 @@ def test_verify_perturbation_is_caught(tmp_path, capsys):
 
 
 def test_verify_writes_non_finite_observations_as_failed_nulls(tmp_path,
-                                                             capsys):
+                                                             capsys,
+                                                             monkeypatch):
     # a perturbation this large overflows the residuals to nan slopes
-    cfg = dict(BASE, options={"perturb_beta": 1e200,
-                              "checks": ["incompressibility_order"]})
+    shift_profile_beta(monkeypatch, 1e200)
+    cfg = dict(BASE, options={"checks": ["incompressibility_order"]})
     with np.errstate(over="ignore", invalid="ignore"):
         code, out = run_cli(tmp_path, cfg, command="verify")
     assert code == 1
@@ -949,5 +965,6 @@ def test_uniform_stretch_cone_surface():
 def test_uniform_stretch_cone_validation():
     with pytest.raises(ValueError, match="lambda1 > 1"):
         uniform_stretch_cone(1.0)
-    with pytest.raises(ValueError, match="apex"):
-        uniform_stretch_cone(2.0, bounds=((-0.1, 1.0), (-0.45, 0.45)))
+    for lower in (-0.1, 0.0, np.nan):
+        with pytest.raises(ValueError, match="apex"):
+            uniform_stretch_cone(2.0, bounds=((lower, 1.0), (-0.45, 0.45)))

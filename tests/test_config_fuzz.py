@@ -3,7 +3,7 @@ output or a documented exit code, never a traceback.
 
 Configs are drawn from the schema (surfaces, materials, ``h``, ``grid``,
 ``derivative_mode``, ``fd_step`` and sweeps for ``evaluate`` and ``sweep``;
-``tolerances``, ``perturb_beta`` and ``checks`` for ``verify``), with
+``tolerances`` and ``checks`` for ``verify``), with
 ordinary values mixed with tiny, huge, negative, non-finite and non-numeric
 ones.  ``main`` runs in this process; a traceback is an exception that
 fails the test.
@@ -173,9 +173,6 @@ def verify_runs(draw):
                                                VERIFY_EDGE), max_size=2),
             st.sampled_from([[], 1e-3, None])))
     options = {}
-    if draw(st.booleans()):
-        options["perturb_beta"] = draw(_mostly(st.floats(-1e-2, 1e-2),
-                                               VERIFY_EDGE))
     if draw(_mostly(st.just(True), st.just(False))):
         options["checks"] = draw(_mostly(
             st.lists(check_ids, min_size=1, max_size=3),

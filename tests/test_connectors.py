@@ -9,7 +9,6 @@ import pytest
 from plate_reduce import (
     CodazziReport,
     ConnectorFrame,
-    DomainError,
     FrameGrid,
     c_star_from_metric,
     catalog_surface,
@@ -203,8 +202,9 @@ def test_sample_frame_grid_sign_continuity():
 
 def test_sample_frame_grid_too_small():
     surface = catalog_surface("gaussian_bump", A=0.5, s=1.0)
-    with pytest.raises(ValueError, match="too small for central differences"):
-        sample_frame_grid(surface, grid=(2, 5))
+    for grid in ((2, 5), (0, 0)):
+        with pytest.raises(ValueError, match="too small for central differences"):
+            sample_frame_grid(surface, grid=grid)
 
 
 def test_gauss_from_connectors_matches_jet():
@@ -215,10 +215,12 @@ def test_gauss_from_connectors_matches_jet():
         assert got == pytest.approx(jet.K, rel=2e-3)
 
 
-def test_gauss_from_connectors_needs_interior_node():
+@pytest.mark.parametrize("shape", [(2, 5), (5, 2), (1, 1)])
+def test_hand_built_frame_grid_too_small(shape):
     _, grid = bump_grid()
-    with pytest.raises(DomainError, match="neighbors"):
-        gauss_from_connectors(grid, i=0, j=0)
+    with pytest.raises(ValueError, match=rf"grid \({shape[0]}, {shape[1]}\) "
+                                         "too small for central differences"):
+        FrameGrid(xs=grid.xs[:shape[0]], ys=grid.ys[:shape[1]], fields=grid.fields)
 
 
 # ---------------------------------------------------------------------------

@@ -53,15 +53,7 @@ def test_fit_recovers_planted_coefficients():
     assert fit.residual_norm <= 1e-10
 
 
-def test_fit_accepts_pairs():
-    pairs = [(h, 2.0 * h + 5.0 * h ** 3) for h in HS]
-    fit = fit_h_powers(pairs)
-    assert fit.c1 == pytest.approx(2.0, rel=1e-12)
-
-
 def test_fit_rejects_bad_samples():
-    with pytest.raises(FitError, match="pairs"):
-        fit_h_powers([1.0, 2.0, 3.0])
     with pytest.raises(FitError, match="at least 4"):
         fit_h_powers((1e-2, 1e-3, 1e-4), (1.0, 2.0, 3.0))
     with pytest.raises(FitError, match="distinct"):

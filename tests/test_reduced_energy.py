@@ -340,3 +340,9 @@ def test_integrate_contents_guards():
     with pytest.raises(StiffeningLimitError, match="at grid node"):
         integrate_contents(overstretched, Gent(mu=1.0, jm=10.0), 0.01,
                            grid=(3, 3))
+    # a fractional or zero side is no Gauss-Legendre rule
+    for grid in ((2.5, 3), (0, 8)):
+        with pytest.raises(ValueError, match=r"grid must be two integers >= 1, "
+                                             rf"got \({grid[0]}, {grid[1]}\)"):
+            integrate_contents(catalog_surface("plane"), Gent(mu=1.0, jm=10.0),
+                               0.01, grid=grid)

@@ -1,5 +1,7 @@
 """Through-thickness profiles: closed forms, constraints, thickness."""
 
+import warnings
+
 import numpy as np
 import pytest
 from types import SimpleNamespace
@@ -192,6 +194,21 @@ def test_svk_profile_flat_limit():
     assert profile.dphi(0.05) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError, match="positive"):
         svk_profile(-0.5, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("H", [np.nan, np.inf, -np.inf])
+def test_svk_profile_rejects_a_non_finite_H_before_cosh(H):
+    # rejected before cosh runs, so without a RuntimeWarning, and in every
+    # row before the overflow test that H = 1e4 would fail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            svk_profile(H, 1.0, 1.0, 0.1)
+        assert str(info.value) == f"the SVK profile needs a finite H, got {H:g}"
+        with pytest.raises(ValueError) as info:
+            svk_profile(np.array([0.1, H, 1e4]), 1.0, 1.0, np.array([0.1, 0.2, 0.1]))
+        assert info.value.index == 1
+        assert str(info.value) == f"the SVK profile needs a finite H, got {H:g}"
 
 
 def test_hyperbolic_profile_consistency_and_validation():
