@@ -135,21 +135,20 @@ def gent_contents_general(jet, mu, jm):
     return EnergyContents(float_if_scalar(w_s), float_if_scalar(w_b), "gent_general")
 
 
-def gent_contents(jet, mu, jm, tol=None):
+def gent_contents(jet, mu, jm):
     """Stretching and bending contents for the Gent model.
 
-    Picks the area-preserving closed form when |det C - 1| <= tol
-    (default 1e-8 for analytic jets, 1e-4 for finite-difference ones) and
-    the general-stretch form otherwise.  Over a JetBatch the pick is made
-    point by point: both forms are evaluated at every point, each point
-    keeps its own, and ``formula_id`` is an array over the points.
+    Picks the area-preserving closed form when |det C - 1| <=
+    ``unimodular_tolerance(jet)``, else the general-stretch form; over a
+    JetBatch, point by point: both forms are evaluated at every point, each
+    point keeps its own, and ``formula_id`` is an array over the points.
 
     Raises
     ------
     StiffeningLimitError
         When the stretch reaches the model's extensibility limit.
     """
-    unimodular = np.abs(jet.detC - 1.0) <= unimodular_tolerance(jet, tol)
+    unimodular = np.abs(jet.detC - 1.0) <= unimodular_tolerance(jet)
     s_u, b_u, (failed_u, error_u) = _gent_unimodular(jet, mu, jm)
     s_g, b_g, (failed_g, error_g) = _gent_general(jet, mu, jm)
     raise_first_failure((unimodular & failed_u, error_u),

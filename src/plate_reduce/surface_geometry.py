@@ -202,12 +202,9 @@ def float_if_scalar(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def unimodular_tolerance(jet, tol=None):
-    """Tolerance on |det C - 1| below which ``jet`` counts as area
-    preserving: ``tol`` when given, else 1e-8 for analytic jets and 1e-4
-    for finite-difference ones."""
-    if tol is not None:
-        return tol
+def unimodular_tolerance(jet):
+    """Tolerance on |det C - 1| within which ``jet`` counts as area
+    preserving: 1e-8 for analytic jets, 1e-4 for finite-difference ones."""
     return 1e-8 if getattr(jet, "derivative_mode", "analytic") == "analytic" else 1e-4
 
 
@@ -408,13 +405,13 @@ def evaluate_jets(surface, points):
     return JetBatch(**_jet_fields(surface, np.ascontiguousarray(points.T)))
 
 
-def appendix_H_K(jet, tol=None):
+def appendix_H_K(jet):
     """Mean and Gauss curvature from raw Cartesian second derivatives.
 
     Valid only for area-preserving mid-surfaces (det C = 1); an
     independent cross-check of the eigenframe route.
     """
-    tol = unimodular_tolerance(jet, tol)
+    tol = unimodular_tolerance(jet)
     if abs(jet.detC - 1.0) > tol:
         raise AreaDistortionError(
             f"det C = {jet.detC:.12g} is not 1 within {tol:g}; "
@@ -467,16 +464,14 @@ def verify_orientation(surface, profile, h):
     """Check that the thickened deformation preserves orientation at 9
     fiber offsets over a 5 x 5 grid of the domain.
 
-    ``profile`` is either a fixed through-thickness profile (methods
-    ``phi``/``dphi``) or a profile rule jet -> profile such as
-    ``incompressible_profile_general``, applied to the jets of the grid
-    and of its neighbors one ``surface.step`` away; in the rule case the
-    in-plane profile gradient is estimated by central differences and
-    included in the fiber deformation gradient.  Diagnostic only:
-    negative Jacobians are reported, not raised.
+    ``profile`` is a rule jet -> profile, such as
+    ``incompressible_profile_general`` or ``lambda jet: P`` for a fixed
+    profile P, applied to the jets of the grid and of its neighbors one
+    ``surface.step`` away; the in-plane profile gradient is estimated by
+    central differences and included in the fiber deformation gradient.
+    Diagnostic only: negative Jacobians are reported, not raised.
     """
     half_thickness(h)
-    rule = callable(profile) and not hasattr(profile, "phi")
     step = surface.step
     margin = 2.0 * step + (2.0 * step if surface.derivative_mode == "finite-difference" else 0.0)
     (lo1, hi1), (lo2, hi2) = surface.domain
@@ -486,13 +481,11 @@ def verify_orientation(surface, profile, h):
     points = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
     jet = evaluate_jets(surface, points)
 
-    prof = profile(jet) if rule else profile
-    x3, grad_phi = x3s[:, None], None  # over (x3, point)
-    if rule:
-        grad_phi = [(profile(evaluate_jets(surface, points + e)).phi(x3)
-                     - profile(evaluate_jets(surface, points - e)).phi(x3)) / (2.0 * step)
-                    for e in step * np.eye(2)]
-    det = np.linalg.det(fiber_deformation_gradient(jet, prof, x3, grad_phi)).T.ravel()
+    x3 = x3s[:, None]  # over (x3, point)
+    grad_phi = [(profile(evaluate_jets(surface, points + e)).phi(x3)
+                 - profile(evaluate_jets(surface, points - e)).phi(x3)) / (2.0 * step)
+                for e in step * np.eye(2)]
+    det = np.linalg.det(fiber_deformation_gradient(jet, profile(jet), x3, grad_phi)).T.ravel()
 
     # the first minimum in (x1, x2, x3) loop order; a NaN Jacobian is
     # the minimum and fails the check

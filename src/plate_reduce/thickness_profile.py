@@ -165,7 +165,7 @@ class ExactIncompressibleProfile(object):
         return 1.0 / (self.root_detC * area)
 
 
-def incompressible_profile(jet, tol=None):
+def incompressible_profile(jet):
     """Cubic profile keeping det C_f = 1 through quadratic order, for an
     area-preserving mid-surface.
 
@@ -173,7 +173,7 @@ def incompressible_profile(jet, tol=None):
     when det C deviates from 1; use ``incompressible_profile_general``
     for surfaces that stretch area.
     """
-    tol = unimodular_tolerance(jet, tol)
+    tol = unimodular_tolerance(jet)
     raise_first_failure((np.abs(jet.detC - 1.0) > tol, lambda i: ProfileConstraintError(
         f"det C = {np.ravel(jet.detC)[i]:.12g} is not 1 within {tol:g}; "
         "use incompressible_profile_general for area-changing stretches")))
@@ -220,14 +220,14 @@ def svk_profile(H, lam, mu, h):
     at = lambda v, i: np.broadcast_to(v, rows).ravel()[i]
     raise_first_failure((~np.isfinite(np.broadcast_to(H, rows)), lambda i:
                          ValueError(f"the SVK profile needs a finite H, got {at(H, i):g}")))
-    c = np.cosh(2.0 * H * half_thickness(h))
-    alpha_bar = (lam * lam * c + 4.0 * mu * (lam + mu)) / ((2.0 * mu + lam) ** 2 * c)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = np.cosh(2.0 * H * half_thickness(h))
+        alpha_bar = (lam * lam * c + 4.0 * mu * (lam + mu)) / ((2.0 * mu + lam) ** 2 * c)
+        xi = _where(H != 0.0, alpha_bar / (2.0 * H), np.inf)
     # cosh(2 H h) overflows, or lam and mu underflow to 0 / 0
     raise_first_failure((~((0.0 < alpha_bar) & (alpha_bar < np.inf)), lambda i:
                          OverflowError(f"the SVK profile at H = {at(H, i):g}, "
                                        f"h = {at(h, i):g}")))
-    with np.errstate(divide="ignore"):
-        xi = _where(H != 0.0, alpha_bar / (2.0 * H), np.inf)
     return HyperbolicProfile(H=H, lam=lam, mu=mu, h=h, xi=xi,
                              alpha_bar=float_if_scalar(alpha_bar))
 

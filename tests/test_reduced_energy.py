@@ -118,12 +118,6 @@ def test_gent_stiffening_limits_raise():
         gent_contents_general(squeezed, 1.0, 10.0)
 
 
-def test_gent_dispatch_tolerance_override():
-    jet = jet_of("sphere_cap", (0.25, -0.15))
-    assert gent_contents(jet, 1.0, 10.0, tol=0.1).formula_id == \
-        "gent_unimodular"
-
-
 # ---------------------------------------------------------------------------
 # Ciarlet-Geymonat
 

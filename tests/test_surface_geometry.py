@@ -10,18 +10,21 @@ from plate_reduce import (
     DegenerateImmersionError,
     DomainError,
     ParametricSurface,
+    ProfileConstraintError,
     SurfaceJet,
     appendix_H_K,
     catalog_surface,
     evaluate_jet,
     evaluate_jets,
     fiber_deformation_gradient,
+    gent_contents,
+    incompressible_profile,
     incompressible_profile_general,
     sampled_injectivity,
     verify_orientation,
     PolyProfile,
 )
-from plate_reduce.surface_geometry import _pow
+from plate_reduce.surface_geometry import _pow, unimodular_tolerance
 
 
 def jet_of(name, x, **kwargs):
@@ -192,9 +195,29 @@ def test_appendix_H_K_rejects_area_distortion():
         appendix_H_K(jet)
     with pytest.raises(AreaDistortionError):
         appendix_H_K(jet_of("saddle", (0.2, 0.15)))
-    # an explicit tolerance can admit mild distortion
-    h_alt, _ = appendix_H_K(jet, tol=0.1)
-    assert abs(h_alt - jet.H) <= 0.05
+
+
+def _admits(f, error):
+    try:
+        f()
+    except error:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("mode", ["analytic", "finite-difference"])
+@pytest.mark.parametrize("name, params", [
+    ("plane", {}), ("uniform_stretch", {}), ("uniform_stretch", {"l1": 2.0, "l2": 0.6}),
+    # det C - 1 = 6.0e-7: outside the analytic tolerance, inside the FD one
+    ("uniform_stretch", {"l1": 2.0, "l2": 0.5 * (1 + 3e-7)}),
+    ("cylinder", {}), ("sphere_cap", {}), ("saddle", {}), ("gaussian_bump", {})])
+def test_every_unimodular_user_applies_the_one_tolerance(mode, name, params):
+    jet = evaluate_jet(catalog_surface(name, derivative_mode=mode, **params),
+                       np.array([0.2, -0.15]))
+    unimodular = abs(jet.detC - 1.0) <= unimodular_tolerance(jet)
+    assert (gent_contents(jet, 1.0, 10.0).formula_id == "gent_unimodular") == unimodular
+    assert _admits(lambda: incompressible_profile(jet), ProfileConstraintError) == unimodular
+    assert _admits(lambda: appendix_H_K(jet), AreaDistortionError) == unimodular
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +288,7 @@ def test_fiber_deformation_gradient_stacks_the_single_point_calls():
 
 def test_verify_orientation_passes_at_working_thickness():
     report = verify_orientation(catalog_surface("cylinder"),
-                                PolyProfile(1.0, 0.5, 0.5), 0.01)
+                                lambda jet: PolyProfile(1.0, 0.5, 0.5), 0.01)
     assert report.passed
     assert report.n_points == 5 * 5 * 9
     assert report.n_nonpositive == 0
@@ -274,7 +297,7 @@ def test_verify_orientation_passes_at_working_thickness():
 
 def test_verify_orientation_flags_excessive_thickness():
     report = verify_orientation(catalog_surface("cylinder"),
-                                PolyProfile(1.0, 0.5, 0.5), 0.9)
+                                lambda jet: PolyProfile(1.0, 0.5, 0.5), 0.9)
     assert not report.passed
     assert report.n_nonpositive > 0
     assert report.min_det_F <= 0.0
@@ -284,7 +307,7 @@ def test_verify_orientation_flags_excessive_thickness():
 def test_verify_orientation_fails_on_nan_jacobians():
     with np.errstate(invalid="ignore"):
         report = verify_orientation(catalog_surface("cylinder"),
-                                    PolyProfile(1.0, np.nan), 0.01)
+                                    lambda jet: PolyProfile(1.0, np.nan), 0.01)
     assert np.isnan(report.min_det_F)
     assert not report.passed
 

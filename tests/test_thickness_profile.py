@@ -72,8 +72,6 @@ def test_incompressible_profile_rejects_area_distortion():
     with pytest.raises(ProfileConstraintError,
                        match="incompressible_profile_general"):
         incompressible_profile(jet)
-    # explicit tolerance admits the mild distortion
-    assert incompressible_profile(jet, tol=0.1).alpha == 1.0
 
 
 def test_general_profile_keeps_volume_through_quadratic_order():
@@ -211,6 +209,21 @@ def test_svk_profile_rejects_a_non_finite_H_before_cosh(H):
         assert str(info.value) == f"the SVK profile needs a finite H, got {H:g}"
 
 
+def test_svk_profile_overflow_raises_without_a_runtime_warning():
+    # cosh(2 H h) overflows, or lam and mu underflow to 0 / 0: numpy's
+    # warnings stay inside, and only the documented OverflowError leaves
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for H, index in ((1e4, 0), (np.array([0.5, 1e4]), 1)):
+            with pytest.raises(OverflowError) as info:
+                svk_profile(H, 1.0, 1.0, 0.1)
+            assert str(info.value) == "the SVK profile at H = 10000, h = 0.1"
+            assert info.value.index == index
+        with pytest.raises(OverflowError) as info:
+            svk_profile(0.0, 1e-200, 1e-300, 0.001)
+        assert str(info.value) == "the SVK profile at H = 0, h = 0.001"
+
+
 def test_hyperbolic_profile_consistency_and_validation():
     profile = svk_profile(-0.5, 1.0, 1.0, 0.05)
     for x3 in (0.02, -0.035):
@@ -273,7 +286,7 @@ HALF_THICKNESS_USERS = {
     "solve_svk_profile_ode": lambda h: solve_svk_profile_ode(-0.5, 1.0, 1.0, h),
     "order_of_residual": lambda h: order_of_residual(lambda x: x ** 2, [1.0, 0.1, 0.01, h]),
     "verify_orientation": lambda h: verify_orientation(
-        catalog_surface("cylinder"), PolyProfile(1.0), h),
+        catalog_surface("cylinder"), lambda jet: PolyProfile(1.0), h),
 }
 
 
