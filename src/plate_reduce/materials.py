@@ -41,12 +41,10 @@ class MaterialModel(object):
     (..., 3, 3), for every model; ``partials`` the gradient and Hessian diagonal of
     that density in (I1, I2, I3); ``lame`` its Lame pair; ``profile`` its
     through-thickness profile rule at a jet (half thickness ``h`` for the
-    hyperbolic one).  ``series_id`` is the
-    formula id of contents from the invariant series along that profile,
-    None for a model whose contents have a closed form.
+    hyperbolic one).
     """
 
-    needs_C_f, series_id = False, None
+    needs_C_f = False
 
     @classmethod
     def from_config(cls, spec):
@@ -101,7 +99,7 @@ class Gent(MaterialModel):
 class NeoHookean(MaterialModel):
     mu: float
 
-    name, params, series_id = "neo_hookean", ("mu",), "neo_hookean_series"
+    name, params = "neo_hookean", ("mu",)
 
     def __post_init__(self):
         positive(self.mu, "NeoHookean requires mu > 0")
@@ -118,7 +116,7 @@ class MooneyRivlin(MaterialModel):
     mu: float
     chi: float
 
-    name, params, series_id = "mooney_rivlin", ("mu", "chi"), "mooney_rivlin_series"
+    name, params = "mooney_rivlin", ("mu", "chi")
 
     def __post_init__(self):
         positive(self.mu, "MooneyRivlin requires mu > 0")
@@ -148,7 +146,7 @@ class CiarletGeymonat(MaterialModel):
     c: float = None
     d: float = None
 
-    name, series_id = "ciarlet_geymonat", "cg_minimizing_profile"
+    name = "ciarlet_geymonat"
 
     def __post_init__(self):
         positive(self.a, "CiarletGeymonat requires a > 0 and b > 0")

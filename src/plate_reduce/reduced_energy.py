@@ -170,7 +170,7 @@ def cg_contents(jet, material):
     rearrangements `cg_bending_closed` and `cg_bending_lame` are kept as
     cross-checks.
     """
-    return series_contents(jet, material, material.profile(jet), material.series_id)
+    return _CONTENTS["ciarlet_geymonat"](jet, material)
 
 
 def cg_stretching_closed(jet, material):
@@ -303,10 +303,16 @@ def _svk_closed_form(jet, material):
     return svk_content(jet.H, jet.K, material.lam, material.mu)
 
 
-# models whose contents have their own closed form, by config name; the
-# others take the invariant series along their profile rule
-_CLOSED_FORMS = {
-    "gent": lambda jet, material: gent_contents(jet, material.mu, material.jm),
+def _series(formula_id):  # the invariant series along the model's profile rule
+    return lambda jet, m: series_contents(jet, m, m.profile(jet), formula_id)
+
+
+# each model's contents rule and formula ids, by config name (materials.MODELS)
+_CONTENTS = {
+    "gent": lambda jet, m: gent_contents(jet, m.mu, m.jm),
+    "neo_hookean": _series("neo_hookean_series"),
+    "mooney_rivlin": _series("mooney_rivlin_series"),
+    "ciarlet_geymonat": _series("cg_minimizing_profile"),
     "svk": _svk_closed_form,
 }
 
@@ -323,13 +329,12 @@ def point_contents(jet, material):
     Gent and Saint Venant-Kirchhoff use their closed forms, the latter on
     an unstretched mid-surface only; the other models go through the
     series expansion along their profile rule (``material.profile``).
+    A model the table of rules does not name raises TypeError.
     """
-    closed_form = _CLOSED_FORMS.get(as_model(material).name)
-    if closed_form is not None:
-        contents = closed_form(jet, material)
-    else:
-        contents = series_contents(jet, material, material.profile(jet),
-                                   material.series_id)
+    rule = _CONTENTS.get(getattr(as_model(material), "name", None))
+    if rule is None:
+        raise TypeError(f"no contents rule for {type(material).__name__}")
+    contents = rule(jet, material)
     if isinstance(jet, JetBatch):
         n = len(jet)
         return EnergyContents(

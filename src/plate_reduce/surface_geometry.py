@@ -229,16 +229,9 @@ def _call(surface, what, x, shape):
     return out
 
 
-def _unit_offset(k, step, x):
-    e = np.zeros((2,) + (1,) * (x.ndim - 1))
-    e[k] = step
-    return e
-
-
 def _fd_grad(surface, x, step):
     cols = []
-    for k in range(2):
-        e = _unit_offset(k, step, x)
+    for e in step * np.eye(2).reshape((2, 2) + (1,) * (x.ndim - 1)):
         cols.append((_call(surface, "map", x + e, (3,))
                      - _call(surface, "map", x - e, (3,))) / (2.0 * step))
     return np.stack(cols, axis=1)
@@ -246,8 +239,7 @@ def _fd_grad(surface, x, step):
 
 def _fd_hess(surface, x, step):
     cols = []
-    for k in range(2):
-        e = _unit_offset(k, step, x)
+    for e in step * np.eye(2).reshape((2, 2) + (1,) * (x.ndim - 1)):
         gp = _fd_grad(surface, x + e, step)
         gm = _fd_grad(surface, x - e, step)
         cols.append((gp - gm) / (2.0 * step))
@@ -565,6 +557,8 @@ def _make_bump(amp, s):
     if amp < 0:
         raise ValueError("bump amplitude must be nonnegative")
     if amp > 0:
+        if not w < 2.0 ** 128:  # so w ** 8 in _bump_scalars stays finite
+            raise OverflowError(f"the bump width s = {s:g}")
         vs = np.linspace(1e-6, 8.0 * w, 2000)
         q = vs / w
         gp = 2.0 * amp * vs * np.exp(-q * q) / w ** 2

@@ -61,7 +61,7 @@ def test_gent_stretching_fails_on_a_wrong_gent_dispatch(monkeypatch):
     def stiffer(jet, material):
         return reduced_energy.gent_contents(jet, material.mu, 1.01 * material.jm)
 
-    monkeypatch.setitem(reduced_energy._CLOSED_FORMS, "gent", stiffer)
+    monkeypatch.setitem(reduced_energy._CONTENTS, "gent", stiffer)
     verdict = checks._check_gent_stretching(checks.VerifyContext())
     assert not verdict["passed"]
     assert verdict["observed"]["oracle_vs_closed"] > 1e-4

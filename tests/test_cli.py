@@ -417,6 +417,11 @@ _NON_FINITE_RESULTS = [
     ("bump_s_1e-200",
      {"surface": {"name": "gaussian_bump", "A": 0.5, "s": 1e-200}},
      "bump with A=0.5, s=1e-200 is too steep to stay an immersion", _BOTH),
+    # (s * s) ** 8 past the double range: the check when the bump is built
+    # names the width (w ** 8, w ** 2 and an inf s * s failed three ways)
+    *[(f"bump_s_{s:g}", {"surface": {"name": "gaussian_bump", "A": 0.5, "s": s}},
+       f"a result overflows double precision: the bump width s = {s:g}", _BOTH)
+      for s in (1e20, 1e100, 1e200)],
     # only evaluate builds the SVK profile (at the domain center); here
     # cosh(2 H h) overflows and its coefficient is inf / inf
     ("svk_cylinder_R_1e-3",
@@ -450,6 +455,16 @@ def test_non_finite_results_are_config_errors(tmp_path, capsys, command,
     assert message in err
     assert caught == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", _BOTH)
+def test_widest_bump_within_double_precision_runs(tmp_path, command):
+    # w = 1e38: w ** 8 = 1e304 is still finite
+    code, out = run_cli(tmp_path, _bump_4x4(surface={"name": "gaussian_bump",
+                                                     "A": 0.5, "s": 1e19}),
+                        command=command)
+    assert code == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("changes", [

@@ -24,6 +24,7 @@ from plate_reduce import (
     eigenframe_coupling,
     energy_series_coefficients,
     evaluate_jet,
+    evaluate_jets,
     fit_h_powers,
     gent_contents,
     gent_contents_general,
@@ -36,6 +37,8 @@ from plate_reduce import (
     svk_content,
     through_thickness_energy_from_jet,
 )
+from plate_reduce import reduced_energy
+from plate_reduce.materials import MODELS, MaterialModel
 
 H_STRETCH = (1e-2, 5e-3, 2e-3, 1e-3, 5e-4)
 H_BEND = (1e-3, 5e-4, 2e-4, 1e-4, 5e-5)
@@ -279,6 +282,52 @@ def test_point_contents_dispatch():
                           ).formula_id == "svk_isometry"
     with pytest.raises(TypeError, match="unknown material"):
         point_contents(cylinder, object())
+
+
+FORMULA_IDS = {"gent_unimodular", "gent_general", "neo_hookean_series",
+               "mooney_rivlin_series", "cg_minimizing_profile", "svk_isometry"}
+CATALOG = ("plane", "uniform_stretch", "cylinder", "sphere_cap", "saddle",
+           "gaussian_bump")
+
+
+def test_contents_table_names_every_model():
+    assert reduced_energy._CONTENTS.keys() == MODELS.keys()
+
+
+@pytest.mark.parametrize("mode", ["analytic", "finite-difference"])
+def test_point_contents_writes_only_the_tabled_formula_ids(mode):
+    materials = [Gent(mu=1.0, jm=10.0), NeoHookean(mu=1.0),
+                 MooneyRivlin(mu=1.0, chi=0.4), CiarletGeymonat.from_lame(1.0, 1.0),
+                 SaintVenantKirchhoff(lam=1.0, mu=1.0)]
+    assert {type(m) for m in materials} == set(MODELS.values())
+    seen = set()
+    for name in CATALOG:
+        surface = catalog_surface(name, derivative_mode=mode)
+        (u0, u1), (v0, v1) = surface.domain
+        t = np.array([0.3, 0.5, 0.7])
+        jets = evaluate_jets(surface, np.column_stack([u0 + t * (u1 - u0),
+                                                       v0 + t[::-1] * (v1 - v0)]))
+        for material in materials:
+            try:
+                ids = point_contents(jets, material).formula_id
+            except (MaterialDomainError, StiffeningLimitError):
+                continue  # SVK off an isometry
+            assert set(ids) <= FORMULA_IDS, (name, material)
+            seen |= set(ids)
+    assert seen == FORMULA_IDS
+
+
+def test_point_contents_rejects_a_model_the_table_does_not_name():
+    class Unnamed(MaterialModel):
+        pass
+
+    class Renamed(NeoHookean):
+        name = "renamed"
+
+    jet = jet_of("cylinder", (0.05, -0.3))
+    for material in (Unnamed(), Renamed(mu=1.0)):
+        with pytest.raises(TypeError, match="no contents rule for"):
+            point_contents(jet, material)
 
 
 def test_point_contents_svk_needs_an_unstretched_surface():

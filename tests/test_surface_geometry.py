@@ -261,6 +261,16 @@ def test_catalog_surface_validation():
         catalog_surface("uniform_stretch", l1=-2.0)
 
 
+@pytest.mark.parametrize("s", [1e20, 1.2e77, 1.3e154])
+def test_bump_width_past_double_precision_names_the_width(s):
+    # w = s * s: w ** 8 overflows, then w ** 2, then s * s is inf
+    with pytest.raises(OverflowError) as err:
+        catalog_surface("gaussian_bump", A=0.5, s=s)
+    assert str(err.value) == f"the bump width s = {s:g}"
+    # a flat bump never uses the width
+    assert catalog_surface("gaussian_bump", A=0.0, s=s).map(np.zeros(2)).tolist() == [0, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # fiber deformation gradient, orientation and injectivity
 
