@@ -175,7 +175,7 @@ def _check_theorema_egregium(ctx):
     for lam1 in (2.0, 1.5):
         cone = uniform_stretch_cone(lam1)
         x = np.array([1.0, 0.0])
-        frame = connectors.compute_frame(cone, x, c12_step=5e-5)
+        frame = connectors.compute_frame(cone, x)
         k_red = connectors.gauss_uniform_stretch(frame, lam1)
         cone_errs[f"lambda1_{lam1:g}"] = abs(k_red - evaluate_jet(cone, x).K)
 
@@ -353,13 +353,12 @@ def _check_cg_profile_minimality(ctx):
             acc += w * row
         return acc / (180.0 * delta * delta) / 2.0
 
-    alpha_hat, _ = oracle.minimize_scalar(f_alpha, (np.full(100, 0.3), 1.8), tol=1e-10)
+    alpha_hat, _ = oracle.minimize_scalar(f_alpha, (np.full(100, 0.3), 1.8))
     alpha_hat = oracle.parabolic_refine(f_alpha, alpha_hat, 1e-4)
     worst_alpha = np.max(np.abs(alpha_hat - profile.alpha))
 
     beta_hat = oracle.parabolic_refine(f_beta, np.zeros(100), 1.0)
-    beta_hat, _ = oracle.minimize_scalar(
-        f_beta, (beta_hat - 0.5, beta_hat + 0.5), tol=1e-10)
+    beta_hat, _ = oracle.minimize_scalar(f_beta, (beta_hat - 0.5, beta_hat + 0.5))
     beta_hat = oracle.parabolic_refine(f_beta, beta_hat, 1e-2)
     worst_beta = np.max(np.abs(beta_hat - profile.beta))
 
@@ -457,14 +456,19 @@ def _check_thickness_formula(ctx):
                             "thickness remainder orders")
 
 
-def _linspace_argmin(f, stop, num, block=8192):
+# points per scan block: the eigenframe scan then peaks under 1 MiB
+_SCAN_BLOCK = 8192
+
+
+def _linspace_argmin(f, stop, num):
     """The first point of np.linspace(0, stop, num) where ``f`` is least;
-    ``f`` sees the grid as bit-identical blocks of at most ``block`` points."""
+    ``f`` sees the grid as bit-identical blocks of at most ``_SCAN_BLOCK``
+    points."""
     step = stop / (num - 1)
     best, arg = np.inf, 0.0
-    for i0 in range(0, num, block):
-        phis = np.arange(i0, min(i0 + block, num), dtype=float) * step
-        if i0 + block >= num:
+    for i0 in range(0, num, _SCAN_BLOCK):
+        phis = np.arange(i0, min(i0 + _SCAN_BLOCK, num), dtype=float) * step
+        if i0 + _SCAN_BLOCK >= num:
             phis[-1] = stop
         values = f(phis)
         i = int(np.argmin(values))

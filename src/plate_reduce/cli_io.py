@@ -271,11 +271,9 @@ def _fmt(value):
     return _FLOAT_FORMAT % (value + 0.0)
 
 
-def _format_column(name, values):
-    """The ``_fmt`` text of each value, formatting each distinct one once;
-    a non-finite value is a ConfigError naming the column."""
+def _format_column(values):
+    """The ``_fmt`` text of each value, formatting each distinct one once."""
     distinct, index = np.unique(values + 0.0, return_inverse=True)
-    _require_finite(name, distinct)
     text = [_FLOAT_FORMAT % v for v in distinct.tolist()]
     return list(map(text.__getitem__, index.tolist()))
 
@@ -337,8 +335,7 @@ def cmd_evaluate(config, out_dir):
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for start in range(0, n_points, GRID_BLOCK):
             rows = slice(start, start + GRID_BLOCK)
-            text = [_format_column(name, values[rows])
-                    for name, values in zip(CSV_COLUMNS, columns)]
+            text = [_format_column(values[rows]) for values in columns]
             fh.writelines(",".join(row) + "\n"
                           for row in zip(*text, formula_id[rows]))
     _write_json(os.path.join(out_dir, "summary.json"), summary)

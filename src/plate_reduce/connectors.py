@@ -42,8 +42,8 @@ class ConnectorFrame:
     c1, c2 : float
         Components of c in the r-frame.
     c12 : float
-        r1 . (grad c) r2, from central differences of the c-field; nan
-        when not computed.
+        r1 . (grad c) r2, from central differences of the c-field with
+        step 5e-5; nan on a sampled grid, which does not compute it.
     ill_conditioned : bool
         True when an umbilic stretch made the c-division unreliable.
     """
@@ -99,9 +99,10 @@ def _c_vector(jet):
     return np.where(ill, umbilic_c, num / gap), ill
 
 
-def _frame_fields(surface, points, c12_step, with_c12):
+def _frame_fields(surface, points, with_c12):
     """Every ConnectorFrame field at the points (N, 2), the point axis
-    trailing each field's own shape; warns once per umbilic point."""
+    trailing each field's own shape, c12 only ``with_c12``; warns once
+    per umbilic point."""
     jet = evaluate_jets(surface, points)
     c, ill = _c_vector(jet)
     for x in points[ill]:
@@ -117,12 +118,12 @@ def _frame_fields(surface, points, c12_step, with_c12):
 
     c12 = np.full(len(points), np.nan)
     if with_c12:
-        grad_c = []  # d_k c, central differences of the c-field
-        for e in c12_step * np.eye(2):
+        grad_c, step = [], 5e-5  # d_k c, central differences of the c-field
+        for e in step * np.eye(2):
             minus, ill_minus = _c_vector(evaluate_jets(surface, points - e))
             plus, ill_plus = _c_vector(evaluate_jets(surface, points + e))
             ill = ill | ill_minus | ill_plus
-            grad_c.append((plus - minus) / (2.0 * c12_step))
+            grad_c.append((plus - minus) / (2.0 * step))
         c12 = _dot2(r1, grad_c[0] * r2[0] + grad_c[1] * r2[1])
 
     return dict(x=points.T, lambda1=jet.lambda1, lambda2=jet.lambda2,
@@ -140,7 +141,7 @@ def _frame_at(fields, n):
     return ConnectorFrame(**frame)
 
 
-def compute_frame(surface, x, c12_step=1e-4, with_c12=True):
+def compute_frame(surface, x):
     """Connector fields of the stretch eigenframe at a point.
 
     Parameters
@@ -149,11 +150,8 @@ def compute_frame(surface, x, c12_step=1e-4, with_c12=True):
         Its callables must broadcast over point axes (see
         ParametricSurface); the point is evaluated as a batch of one.
     x : (2,) array_like
-        Evaluation point; must leave room for the c12 stencil.
-    c12_step : float
-        Central-difference step for the gradient of the c-field.
-    with_c12 : bool
-        Skip the (four-point) c12 stencil when False; c12 is then nan.
+        Evaluation point; must leave room for the four-point c12 stencil
+        of step 5e-5.
 
     Warns
     -----
@@ -162,7 +160,7 @@ def compute_frame(surface, x, c12_step=1e-4, with_c12=True):
         rate is ill-conditioned; the output is flagged.
     """
     x = np.asarray(x, dtype=float)
-    return _frame_at(_frame_fields(surface, x[None, :], c12_step, with_c12), 0)
+    return _frame_at(_frame_fields(surface, x[None, :], with_c12=True), 0)
 
 
 def c_star_from_metric(frame, jet, grad_lambdas):
@@ -245,27 +243,22 @@ class FrameGrid:
         return value.reshape(self.shape + value.shape[1:]).copy()
 
 
-def sample_frame_grid(surface, grid=(9, 9), bounds=None, with_c12=False):
+def sample_frame_grid(surface, grid, bounds):
     """Sample connector frames on a uniform grid.
 
-    The grid covers ``bounds`` when given, otherwise the surface domain
-    shrunk by 8% of its width on each side (room for difference
-    stencils).  Eigenvector signs are made continuous by propagating from
-    the first node down the first column and then along rows, flipping
-    frames whose r1 opposes its predecessor's.  The fields are computed
-    in one batch and kept batched.
+    ``grid`` = (nx, ny) nodes cover ``bounds`` = ((u0, u1), (v0, v1));
+    c12 is not computed (nan).  Eigenvector signs are made continuous by
+    propagating from the first node down the first column and then along
+    rows, flipping frames whose r1 opposes its predecessor's.  The fields
+    are computed in one batch and kept batched.
     """
     nx, ny = int(grid[0]), int(grid[1])
-    if bounds is None:
-        (u0, u1), (v0, v1) = surface.domain
-        du, dv = (u1 - u0) * 0.08, (v1 - v0) * 0.08
-        bounds = ((u0 + du, u1 - du), (v0 + dv, v1 - dv))
     (u0, u1), (v0, v1) = bounds
     xs = np.linspace(u0, u1, nx)
     ys = np.linspace(v0, v1, ny)
 
     points = np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)])
-    fields = _frame_fields(surface, points, 1e-4, with_c12)
+    fields = _frame_fields(surface, points, with_c12=False)
     # FrameGrid checks the node counts before the sign pass flips ``fields``
     frame_grid = FrameGrid(xs=xs, ys=ys, fields=fields)
 
@@ -290,17 +283,15 @@ def _curl(grid, name):
             - (v[1:-1, 2:, 0] - v[1:-1, :-2, 0]) / (2 * dy))
 
 
-def gauss_from_connectors(grid, jet=None):
+def gauss_from_connectors(grid, jet):
     """Gaussian curvature from the skew gradient of the surface connector.
 
     Central-differences curl(c*) at the grid's center node (i, j) =
-    (nx // 2, ny // 2) and divides by -lambda1*lambda2 there; ``jet``,
-    when given, supplies the stretches instead of the node.
+    (nx // 2, ny // 2) and divides by -lambda1*lambda2 of ``jet``, the
+    SurfaceJet at that node.
     """
     i, j = grid.shape[0] // 2, grid.shape[1] // 2
-    l1, l2 = ((jet.lambda1, jet.lambda2) if jet is not None else
-              (grid.field("lambda1")[i, j], grid.field("lambda2")[i, j]))
-    return float(-_curl(grid, "c_star")[i - 1, j - 1] / (l1 * l2))
+    return float(-_curl(grid, "c_star")[i - 1, j - 1] / (jet.lambda1 * jet.lambda2))
 
 
 def gauss_uniform_stretch(frame, lambda1):

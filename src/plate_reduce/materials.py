@@ -135,32 +135,28 @@ class MooneyRivlin(MaterialModel):
 class CiarletGeymonat(MaterialModel):
     """Compressible model a*I1 + b*I3 - (c/2) ln I3 + d.
 
-    The pair (c, d) is locked to c = 2(a+b), d = -(3a+b) so the reference
-    state is stress free with energy zero; supplying inconsistent values
-    is rejected.  Array parameters are lanes, one model each, that
-    ``energy``, ``partials`` and ``cg_profile`` broadcast over.
+    c = 2(a+b) and d = -(3a+b) are derived, so that the reference state
+    is stress free with energy zero.  Array parameters are lanes, one
+    model each, that ``energy``, ``partials`` and ``cg_profile``
+    broadcast over.
     """
 
     a: float
     b: float
-    c: float = None
-    d: float = None
 
-    name = "ciarlet_geymonat"
+    name, params = "ciarlet_geymonat", ("a", "b")
 
     def __post_init__(self):
         positive(self.a, "CiarletGeymonat requires a > 0 and b > 0")
         positive(self.b, "CiarletGeymonat requires a > 0 and b > 0")
-        c_ref = 2.0 * (self.a + self.b)
-        d_ref = -(3.0 * self.a + self.b)
-        if self.c is None:
-            object.__setattr__(self, "c", c_ref)
-        elif not np.all(abs(self.c - c_ref) <= 1e-12 * c_ref):
-            raise ValueError("c must equal 2(a+b) for a stress-free reference state")
-        if self.d is None:
-            object.__setattr__(self, "d", d_ref)
-        elif not np.all(abs(self.d - d_ref) <= 1e-12 * abs(d_ref)):
-            raise ValueError("d must equal -(3a+b) for zero reference energy")
+
+    @property
+    def c(self):
+        return 2.0 * (self.a + self.b)
+
+    @property
+    def d(self):
+        return -(3.0 * self.a + self.b)
 
     @classmethod
     def from_lame(cls, lam, mu):
@@ -169,13 +165,10 @@ class CiarletGeymonat(MaterialModel):
 
     @classmethod
     def from_config(cls, spec):
-        """From "lambda" and "mu", or from "a", "b" and optional "c", "d"."""
+        """From "lambda" and "mu", or from "a" and "b"."""
         if "lambda" in spec or "mu" in spec:
             return cls.from_lame(*_pop_numbers(spec, ("lambda", "mu")))
-        c, d = spec.pop("c", None), spec.pop("d", None)
-        return cls(*_pop_numbers(spec, ("a", "b")),
-                   c=None if c is None else finite_number(c, "c"),
-                   d=None if d is None else finite_number(d, "d"))
+        return super().from_config(spec)
 
     def energy(self, I1, I2, I3):
         raise_first_failure((I3 <= 0.0, lambda i: MaterialDomainError(

@@ -17,7 +17,7 @@ from typing import Tuple
 from . import materials as _materials
 from .surface_geometry import (_gauss_legendre, evaluate_jet, float_if_scalar,
                                fiber_deformation_gradient, half_thickness,
-                               positive)
+                               positive, raise_first_failure)
 
 GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 
@@ -123,19 +123,20 @@ def _lanes(f, *values):
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in values)))
 
 
-def minimize_scalar(f, bracket, tol=1e-12):
+def minimize_scalar(f, bracket):
     """Golden-section minimization on a bracket, or on lanes of brackets.
 
     Scalar ends: ``f`` gets and the result holds Python floats.  Array
     ends: one search per element, run as lanes in lockstep (``f`` maps an
     array of probes to their values); a lane freezes once its width is
-    <= tol.  Returns (argmin, fmin).  BracketError if any lane has
-    lo >= hi or its midpoint above both ends (no descent to follow).
+    <= 1e-10.  Returns (argmin, fmin).  BracketError if any lane has a
+    non-finite end or lo >= hi (before ``f`` is called), or its midpoint
+    above both ends (no descent to follow).
     """
-    positive(tol, "tol must be positive, got {:g}")
+    tol = 1e-10
     scalar, f, a, b = _lanes(f, *bracket)
-    if not np.all(b > a):
-        raise BracketError("bracket must satisfy lo < hi")
+    if not np.all(np.isfinite(a) & np.isfinite(b) & (b > a)):
+        raise BracketError("bracket must have finite ends with lo < hi")
     fa, fb = f(a), f(b)
     f_mid = f(0.5 * (a + b))
     if np.any((f_mid > fa) & (f_mid > fb)):
@@ -164,8 +165,12 @@ def minimize_scalar(f, bracket, tol=1e-12):
 def parabolic_refine(f, x0, delta):
     """One exact-for-quadratics refinement of a minimizer estimate, or of
     lanes of them as in ``minimize_scalar``; an estimate whose three
-    values do not curve upward is kept."""
+    values do not curve upward is kept.  ValueError for a non-finite
+    ``x0`` or a ``delta`` outside (0, inf)."""
+    positive(delta, "parabolic_refine needs delta > 0, got {:g}")
     scalar, f, x0, delta = _lanes(f, x0, delta)
+    raise_first_failure((~np.isfinite(x0), lambda i: ValueError(
+        f"parabolic_refine needs a finite x0, got {np.ravel(x0)[i]:g}")))
     fm, f0, fp = f(x0 - delta), f(x0), f(x0 + delta)
     denom = fm - 2.0 * f0 + fp
     keep = denom <= 0.0
@@ -238,7 +243,7 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400):
     def fiber_energy(s):
         return profile_energy(*profile_for(s))
 
-    slope, _ = minimize_scalar(fiber_energy, (0.5, 1.5), tol=1e-10)
+    slope, _ = minimize_scalar(fiber_energy, (0.5, 1.5))
     slope = parabolic_refine(fiber_energy, slope, 1e-5)
     phi, psi = profile_for(slope)
     energy = profile_energy(phi, psi)

@@ -72,9 +72,9 @@ def energy_series_coefficients(material, series):
     return float_if_scalar(w0), float_if_scalar(w2)
 
 
-def series_contents(jet, material, profile, formula_id="series"):
+def series_contents(jet, material, profile, formula_id):
     """Stretching/bending contents from the quadratic invariant expansion
-    along ``profile``.
+    along ``profile``, under the caller's ``formula_id``.
 
     Exact as the h- and h^3-contents for any cubic profile, since the
     discarded invariant orders only enter at h^5.

@@ -653,13 +653,13 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
         _map = lambda x: np.array(
             [R * np.sin(x[0] / R), x[1], R * (1.0 - np.cos(x[0] / R))])
 
-        def _grad(x, R=R):
+        def _grad(x):
             g = _constant(((0.0, 0.0), (0.0, 1.0), (0.0, 0.0)), x)
             g[0, 0] = np.cos(x[0] / R)
             g[2, 0] = np.sin(x[0] / R)
             return g
 
-        def _hess(x, R=R):
+        def _hess(x):
             hh = _zero_hess(x)
             hh[0, 0, 0] = -np.sin(x[0] / R) / R
             hh[2, 0, 0] = np.cos(x[0] / R) / R
@@ -672,10 +672,10 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
         R = finite_number(params.get("R", 2.0), "R")
         positive(R, "sphere radius must be positive")
 
-        def _root(x, R=R):
+        def _root(x):
             return np.sqrt(R * R - _pow(x[0], 2) - _pow(x[1], 2))
 
-        def _map(x, R=R):
+        def _map(x):
             return np.array([x[0], x[1], R - _root(x)])
 
         def _grad(x):
@@ -700,13 +700,13 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
         a = finite_number(params.get("a", 1.0), "a")
         _map = lambda x: np.array([x[0], x[1], a * x[0] * x[1]])
 
-        def _grad(x, a=a):
+        def _grad(x):
             g = _constant(_IDENTITY_GRAD, x)
             g[2, 0] = a * x[1]
             g[2, 1] = a * x[0]
             return g
 
-        def _hess(x, a=a):
+        def _hess(x):
             hh = _zero_hess(x)
             hh[2, 0, 1] = a
             hh[2, 1, 0] = a
@@ -727,9 +727,10 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
     )
 
 
-def uniform_stretch_cone(lambda1, bounds=((0.55, 1.45), (-0.45, 0.45))):
+def uniform_stretch_cone(lambda1):
     """Developable cone whose principal stretches are (lambda1, 1/lambda1)
-    at every point of the (apex-free) parameter box.
+    at every point of the apex-free parameter box (0.55, 1.45) x
+    (-0.45, 0.45).
 
     The image of x is (s x1, s x2, k |x|) with s = 1/lambda1 and
     k^2 = lambda1^2 - s^2, so the radial direction stretches by lambda1
@@ -742,7 +743,6 @@ def uniform_stretch_cone(lambda1, bounds=((0.55, 1.45), (-0.45, 0.45))):
         raise ValueError("cone construction needs lambda1 > 1")
     s = 1.0 / lambda1
     k = np.sqrt(lambda1 ** 2 - s ** 2)
-    positive(bounds[0][0], "parameter box must exclude the apex (x1 > 0)")
 
     def _map(x):
         return np.array([s * x[0], s * x[1], k * np.hypot(x[0], x[1])])
@@ -765,7 +765,8 @@ def uniform_stretch_cone(lambda1, bounds=((0.55, 1.45), (-0.45, 0.45))):
 
     return ParametricSurface(map=_map, grad=_grad, hess=_hess,
                              derivative_mode="analytic", step=1e-4,
-                             domain=bounds, name="uniform_stretch_cone")
+                             domain=((0.55, 1.45), (-0.45, 0.45)),
+                             name="uniform_stretch_cone")
 
 
 def _reject_unknown(params, allowed, name):

@@ -57,29 +57,33 @@ class HyperbolicProfile:
     """Stationary fiber profile of the Saint Venant-Kirchhoff sheet.
 
     Member of the family phi_p (1 - cosh(2 H x3)) + xi sinh(2 H x3) with
-    phi_p = lam / (2 H (2 mu + lam)); evaluated through sinh(z)/z so small
-    curvature (and H = 0, where xi alone is meaningless) stays stable.
+    phi_p = lam / (2 H (2 mu + lam)) and mid-plane slope alpha_bar =
+    2 H xi; evaluated through sinh(z)/z so small curvature (and H = 0,
+    where xi alone is meaningless) stays stable.
     """
 
     H: float
     lam: float
     mu: float
     h: float
-    xi: float
-    alpha_bar: float = None
+    alpha_bar: float
 
     kind = "hyperbolic"
 
     def __post_init__(self):
         positive((self.lam, self.mu), "Lame constants must be positive")
         half_thickness(self.h)
-        if self.alpha_bar is None:
-            object.__setattr__(self, "alpha_bar", 2.0 * self.H * self.xi)
         positive(self.alpha_bar, "mid-plane slope 2 H xi must be positive")
 
     @property
     def alpha(self):
         return self.alpha_bar
+
+    @property
+    def xi(self):
+        """alpha_bar / (2 H); inf at H = 0."""
+        with np.errstate(divide="ignore"):
+            return _where(self.H != 0.0, np.divide(self.alpha_bar, 2.0 * self.H), np.inf)
 
     @property
     def beta(self):
@@ -223,12 +227,11 @@ def svk_profile(H, lam, mu, h):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c = np.cosh(2.0 * H * half_thickness(h))
         alpha_bar = (lam * lam * c + 4.0 * mu * (lam + mu)) / ((2.0 * mu + lam) ** 2 * c)
-        xi = _where(H != 0.0, alpha_bar / (2.0 * H), np.inf)
     # cosh(2 H h) overflows, or lam and mu underflow to 0 / 0
     raise_first_failure((~((0.0 < alpha_bar) & (alpha_bar < np.inf)), lambda i:
                          OverflowError(f"the SVK profile at H = {at(H, i):g}, "
                                        f"h = {at(h, i):g}")))
-    return HyperbolicProfile(H=H, lam=lam, mu=mu, h=h, xi=xi,
+    return HyperbolicProfile(H=H, lam=lam, mu=mu, h=h,
                              alpha_bar=float_if_scalar(alpha_bar))
 
 

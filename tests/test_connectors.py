@@ -31,6 +31,13 @@ def bump_frame():
     return surface, compute_frame(surface, BUMP_X)
 
 
+def inset(surface):
+    """The surface domain shrunk by 8% of its width on each side."""
+    (u0, u1), (v0, v1) = surface.domain
+    du, dv = (u1 - u0) * 0.08, (v1 - v0) * 0.08
+    return (u0 + du, u1 - du), (v0 + dv, v1 - dv)
+
+
 # ---------------------------------------------------------------------------
 # single-point frames
 
@@ -140,9 +147,10 @@ def test_bump_frame_emits_no_warning():
 
 
 def test_c12_skipped_is_nan():
-    surface = catalog_surface("gaussian_bump", A=0.5, s=1.0)
-    frame = compute_frame(surface, BUMP_X, with_c12=False)
-    assert np.isnan(frame.c12)
+    # a sampled grid skips the four-point c12 stencil of every node
+    _, grid = bump_grid()
+    assert np.all(np.isnan(grid.field("c12")))
+    assert np.isnan(grid.frames[2][2].c12)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +175,7 @@ def test_cone_is_flat_under_uniform_stretch():
     assert jet.lambda2 == pytest.approx(0.5, abs=1e-12)
     assert abs(jet.K) <= 1e-12
     assert jet.detC == pytest.approx(1.0, abs=1e-12)
-    frame = compute_frame(surface, np.array([1.0, 0.0]), c12_step=5e-5)
+    frame = compute_frame(surface, np.array([1.0, 0.0]))
     assert abs(gauss_uniform_stretch(frame, 2.0)) <= 1e-6
 
 
@@ -204,15 +212,13 @@ def test_sample_frame_grid_too_small():
     surface = catalog_surface("gaussian_bump", A=0.5, s=1.0)
     for grid in ((2, 5), (0, 0)):
         with pytest.raises(ValueError, match="too small for central differences"):
-            sample_frame_grid(surface, grid=grid)
+            sample_frame_grid(surface, grid=grid, bounds=inset(surface))
 
 
 def test_gauss_from_connectors_matches_jet():
     surface, grid = bump_grid(n=11, half=0.01)
     jet = evaluate_jet(surface, BUMP_X)
-    for got in (gauss_from_connectors(grid),
-                gauss_from_connectors(grid, jet=jet)):
-        assert got == pytest.approx(jet.K, rel=2e-3)
+    assert gauss_from_connectors(grid, jet) == pytest.approx(jet.K, rel=2e-3)
 
 
 @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (1, 1)])
@@ -246,7 +252,8 @@ def test_codazzi_plane_is_exact():
     surface = catalog_surface("plane")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        report = check_codazzi(sample_frame_grid(surface, grid=(5, 5)))
+        report = check_codazzi(sample_frame_grid(surface, grid=(5, 5),
+                                                 bounds=inset(surface)))
     assert report.curl_c_star == 0.0
     assert report.curl_d1_star == 0.0
     assert report.curl_d2_star == 0.0
@@ -302,8 +309,7 @@ def matrix_route_frame(surface, x, c12_step):
 ODD_FIELDS = ("r1", "r2", "d1_star", "d2_star", "c1", "c2")
 # fields compared against a common scale: components of one vector field
 # (c1, c2 of c; dij of the d-fields) may vanish up to its rounding
-SCALE_GROUPS = (("c", "c1", "c2"), ("c_star",), ("d1_star", "d2_star", "dij"),
-                ("c12",))
+SCALE_GROUPS = (("c", "c1", "c2"), ("c_star",), ("d1_star", "d2_star", "dij"))
 
 
 @pytest.mark.parametrize("name", ["plane", "uniform_stretch", "cylinder",
@@ -312,10 +318,14 @@ SCALE_GROUPS = (("c", "c1", "c2"), ("c_star",), ("d1_star", "d2_star", "dij"),
 def test_frame_grid_matches_matrix_route(name):
     surface = (uniform_stretch_cone(2.0) if name == "uniform_stretch_cone"
                else catalog_surface(name))
+    # a grid does not compute c12: compute_frame's, at every fifth node
+    nodes = [(i, j) for i in range(0, 11, 5) for j in range(0, 11, 5)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        grid = sample_frame_grid(surface, grid=(11, 11), with_c12=True)
-        ref = [[matrix_route_frame(surface, np.array([x, y]), 1e-4)
+        grid = sample_frame_grid(surface, grid=(11, 11), bounds=inset(surface))
+        c12 = np.array([compute_frame(surface, np.array([grid.xs[i], grid.ys[j]])).c12
+                        for i, j in nodes])
+        ref = [[matrix_route_frame(surface, np.array([x, y]), 5e-5)
                 for y in grid.ys] for x in grid.xs]
     # gauge: propagate r1 signs down the first column, then along rows
     sign = np.ones((11, 11))
@@ -342,6 +352,10 @@ def test_frame_grid_matches_matrix_route(name):
             assert np.array_equal(np.isnan(got), np.isnan(want)), field
             gap = np.nanmax(np.abs(got - want), initial=0.0)
             assert gap <= 1e-12 * scale, f"{field}: gap {gap:.3g} of {scale:.3g}"
+    want = np.array([ref[i][j]["c12"] for i, j in nodes])
+    assert np.array_equal(np.isnan(c12), np.isnan(want))
+    scale = np.nanmax(np.abs(want), initial=0.0)
+    assert np.nanmax(np.abs(c12 - want), initial=0.0) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("name", ["gaussian_bump", "sphere_cap", "cylinder",
@@ -352,8 +366,8 @@ def test_sampled_fields_equal_stacked_frames(name):
     # flags included
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        grid = sample_frame_grid(catalog_surface(name), grid=(7, 6),
-                                 with_c12=True)
+        surface = catalog_surface(name)
+        grid = sample_frame_grid(surface, grid=(7, 6), bounds=inset(surface))
     assert len(grid.frames) == 7 and all(len(row) == 6 for row in grid.frames)
     assert grid.frames is grid.frames
     for f in fields(ConnectorFrame):
@@ -366,10 +380,11 @@ def test_sampled_fields_equal_stacked_frames(name):
 
 def test_frame_grids_compare_by_identity():
     # the 3x3 grid samples the saddle's umbilic origin
+    saddle = catalog_surface("saddle")
     with pytest.warns(RuntimeWarning, match="umbilic"):
-        a = sample_frame_grid(catalog_surface("saddle"), grid=(3, 3))
+        a = sample_frame_grid(saddle, grid=(3, 3), bounds=inset(saddle))
     with pytest.warns(RuntimeWarning, match="umbilic"):
-        b = sample_frame_grid(catalog_surface("saddle"), grid=(3, 3))
+        b = sample_frame_grid(saddle, grid=(3, 3), bounds=inset(saddle))
     assert (a == a) is True and (a == b) is False and (a != b) is True
     assert len({a, b, a}) == 2
 

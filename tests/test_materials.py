@@ -27,8 +27,8 @@ from plate_reduce import (
     invariant_series,
     lame_constants,
     material_from_config,
-    minimize_scalar,
     molecular_params,
+    parabolic_refine,
     small_strain_energy,
     symmetric_sqrt,
     volumetric_energy,
@@ -134,11 +134,12 @@ def test_cg_constants_are_locked():
     material = CiarletGeymonat.from_lame(1.0, 1.0)
     assert material.a == 0.5 and material.b == 0.25
     assert material.c == 1.5 and material.d == -1.75
-    assert CiarletGeymonat(a=0.5, b=0.25, c=1.5, d=-1.75) == material
-    with pytest.raises(ValueError, match="c must equal"):
-        CiarletGeymonat(a=0.5, b=0.25, c=2.0)
-    with pytest.raises(ValueError, match="d must equal"):
-        CiarletGeymonat(a=0.5, b=0.25, d=-2.0)
+    assert CiarletGeymonat(a=0.5, b=0.25) == material
+    # c and d are derived from a and b: they take no value of their own
+    with pytest.raises(TypeError):
+        CiarletGeymonat(a=0.5, b=0.25, c=1.5)
+    with pytest.raises(AttributeError):
+        material.d = -1.75
     with pytest.raises(ValueError, match="Lame"):
         CiarletGeymonat.from_lame(-1.0, 1.0)
 
@@ -169,14 +170,12 @@ def test_array_parameter_cg_rejects_any_bad_lane():
     with pytest.raises(ValueError, match="a > 0"):
         CiarletGeymonat(a=np.array([1.0, 1.0]), b=np.array([-1.0, 1.0]))
     a, b = np.array([0.5, 1.0]), np.array([0.25, 0.5])
-    CiarletGeymonat(a=a, b=b, c=2.0 * (a + b), d=-(3.0 * a + b))
-    with pytest.raises(ValueError, match="c must equal"):
-        CiarletGeymonat(a=a, b=b, c=np.array([1.5, 2.0]))
-    with pytest.raises(ValueError, match="d must equal"):
-        CiarletGeymonat(a=a, b=b, d=np.array([-1.75, -2.0]))
+    lanes = CiarletGeymonat(a=a, b=b)
+    assert lanes.c.tolist() == [1.5, 3.0] and lanes.d.tolist() == [-1.75, -3.5]
 
 
 NAN, INF = float("nan"), float("inf")
+CG_CONFIG = {"model": "ciarlet_geymonat", "a": 1.0, "b": 1.0}
 
 
 @pytest.mark.parametrize("make,message", [
@@ -190,8 +189,9 @@ NAN, INF = float("nan"), float("inf")
      "a > 0 and b > 0"),
     (lambda x: CiarletGeymonat(a=np.array([1.0, 1.0]), b=np.array([x, 1.0])),
      "a > 0 and b > 0"),
-    (lambda x: CiarletGeymonat(a=1.0, b=1.0, c=x), "c must equal"),
-    (lambda x: CiarletGeymonat(a=1.0, b=1.0, d=x), "d must equal"),
+    # c and d are derived, so a config naming either is rejected
+    (lambda x: material_from_config(CG_CONFIG | {"c": x}), "unknown material parameters"),
+    (lambda x: material_from_config(CG_CONFIG | {"d": x}), "unknown material parameters"),
     (lambda x: CiarletGeymonat.from_lame(x, 1.0), "Lame constants"),
     (lambda x: CiarletGeymonat.from_lame(1.0, x), "Lame constants"),
     (lambda x: SaintVenantKirchhoff(lam=x, mu=1.0), "lam > 0 and mu > 0"),
@@ -209,11 +209,11 @@ def test_models_reject_non_finite_parameters(make, message, value):
 # (make, error, message with {} for the value, index or None); each of
 # these once let NaN or an infinity through, or failed only later
 POSITIVE_GUARDS = {
-    "hyperbolic-lam": (lambda x: HyperbolicProfile(H=0.5, lam=x, mu=1.0, h=0.1, xi=1.0),
+    "hyperbolic-lam": (lambda x: HyperbolicProfile(H=0.5, lam=x, mu=1.0, h=0.1, alpha_bar=1.0),
                        ValueError, "Lame constants must be positive", 0),
-    "hyperbolic-mu": (lambda x: HyperbolicProfile(H=0.5, lam=1.0, mu=x, h=0.1, xi=1.0),
+    "hyperbolic-mu": (lambda x: HyperbolicProfile(H=0.5, lam=1.0, mu=x, h=0.1, alpha_bar=1.0),
                       ValueError, "Lame constants must be positive", 1),
-    "hyperbolic-xi": (lambda x: HyperbolicProfile(H=0.5, lam=1.0, mu=1.0, h=0.1, xi=x),
+    "hyperbolic-xi": (lambda x: HyperbolicProfile(H=0.5, lam=1.0, mu=1.0, h=0.1, alpha_bar=x),
                       ValueError, "mid-plane slope 2 H xi must be positive", 0),
     "poly-alpha": (lambda x: PolyProfile(x), ValueError,
                    "profile slope alpha at the mid-plane must be positive", 0),
@@ -232,8 +232,8 @@ POSITIVE_GUARDS = {
     "surface-step": (lambda x: ParametricSurface(
         map=lambda p: p, derivative_mode="finite-difference", step=x),
         ValueError, "step must be positive", 0),
-    "minimize_scalar-tol": (lambda x: minimize_scalar(lambda t: t * t, (-1.0, 1.0), tol=x),
-                            ValueError, "tol must be positive, got {:g}", 0),
+    "parabolic_refine-delta": (lambda x: parabolic_refine(lambda t: t * t, 0.5, x),
+                               ValueError, "parabolic_refine needs delta > 0, got {:g}", 0),
     "uniform_stretch_cone": (uniform_stretch_cone, ValueError,
                              "cone construction needs lambda1 > 1", None),
 }
@@ -260,8 +260,7 @@ def test_positivity_guards_reject_nan_and_infinities(guard, value):
 
 def test_cg_from_config_gives_scalars():
     for spec in ({"model": "ciarlet_geymonat", "lambda": 1.0, "mu": 1.0},
-                 {"model": "ciarlet_geymonat", "a": 0.5, "b": 0.25,
-                  "c": 1.5, "d": -1.75}):
+                 {"model": "ciarlet_geymonat", "a": 0.5, "b": 0.25}):
         material = material_from_config(spec)
         assert all(type(v) is float for v in
                    (material.a, material.b, material.c, material.d))

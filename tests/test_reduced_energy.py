@@ -92,7 +92,7 @@ def test_gent_general_form_against_series_and_quadrature():
     assert closed.formula_id == "gent_general"
 
     by_series = series_contents(jet, material,
-                                incompressible_profile_general(jet))
+                                incompressible_profile_general(jet), "series")
     assert by_series.stretching == pytest.approx(closed.stretching, rel=1e-10)
     assert by_series.bending == pytest.approx(closed.bending, rel=1e-12)
 

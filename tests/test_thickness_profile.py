@@ -169,10 +169,10 @@ def test_cg_profile_quadratic_coefficient_minimizes_bending():
     material = CiarletGeymonat.from_lame(1.0, 1.0)
     jet = jet_of("sphere_cap", (0.25, -0.15))
     best = cg_profile(jet, material)
-    w_best = series_contents(jet, material, best).bending
+    w_best = series_contents(jet, material, best, "series").bending
     for delta in (1e-3, -1e-3):
         worse = PolyProfile(best.alpha, best.beta + delta, best.gamma)
-        assert series_contents(jet, material, worse).bending > w_best
+        assert series_contents(jet, material, worse, "series").bending > w_best
 
 
 def test_svk_profile_closed_coefficients():
@@ -185,8 +185,10 @@ def test_svk_profile_closed_coefficients():
 
 
 def test_svk_profile_flat_limit():
-    profile = svk_profile(0.0, 1.0, 1.0, 0.1)
-    assert profile.xi == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = svk_profile(0.0, 1.0, 1.0, 0.1)
+        assert profile.xi == np.inf
     assert profile.alpha == pytest.approx(1.0, abs=1e-15)
     assert profile.phi(0.05) == pytest.approx(0.05, abs=1e-15)
     assert profile.dphi(0.05) == pytest.approx(1.0, abs=1e-15)
@@ -231,11 +233,16 @@ def test_hyperbolic_profile_consistency_and_validation():
         fd = (profile.phi(x3 + d) - profile.phi(x3 - d)) / (2.0 * d)
         assert fd == pytest.approx(profile.dphi(x3), abs=1e-9)
     with pytest.raises(ValueError, match="Lame"):
-        HyperbolicProfile(H=-0.5, lam=-1.0, mu=1.0, h=0.05, xi=1.0)
+        HyperbolicProfile(H=-0.5, lam=-1.0, mu=1.0, h=0.05, alpha_bar=1.0)
     with pytest.raises(ValueError, match="half thickness"):
-        HyperbolicProfile(H=-0.5, lam=1.0, mu=1.0, h=0.0, xi=1.0)
+        HyperbolicProfile(H=-0.5, lam=1.0, mu=1.0, h=0.0, alpha_bar=1.0)
     with pytest.raises(ValueError, match="slope"):
-        HyperbolicProfile(H=0.0, lam=1.0, mu=1.0, h=0.05, xi=5.0)
+        HyperbolicProfile(H=0.0, lam=1.0, mu=1.0, h=0.05, alpha_bar=0.0)
+    # xi is derived from the slope: alpha_bar / (2 H), and inf at H = 0
+    assert profile.xi == profile.alpha_bar / (2.0 * profile.H)
+    assert HyperbolicProfile(H=-0.0, lam=1.0, mu=1.0, h=0.05, alpha_bar=1.0).xi == np.inf
+    with pytest.raises(TypeError):
+        HyperbolicProfile(H=-0.5, lam=1.0, mu=1.0, h=0.05, xi=-1.0)
 
 
 @pytest.mark.parametrize("profile", [
@@ -276,7 +283,7 @@ def test_deformed_thickness_linear_profile():
 
 HALF_THICKNESS_USERS = {
     "HyperbolicProfile": lambda h: HyperbolicProfile(
-        H=-0.5, lam=1.0, mu=1.0, h=h, xi=-1.0),
+        H=-0.5, lam=1.0, mu=1.0, h=h, alpha_bar=1.0),
     "svk_profile": lambda h: svk_profile(-0.5, 1.0, 1.0, h),
     "deformed_thickness": lambda h: deformed_thickness(PolyProfile(1.0), h),
     "integrate_contents": lambda h: integrate_contents(
