@@ -2,16 +2,14 @@
 
 Each check compares a closed form of the reduced energy with independent
 numerics (the through-thickness oracle, connector fields, finite
-differences) and returns one verdict mapping for ``verdicts.json``.
-``CHECKS`` pairs each check id with its check, in the order ``verify
---all`` runs them.  ``cli_io`` imports this module on demand, for
+differences).  ``@_check`` declares it, and ``CHECKS`` keeps definition
+order, the order ``verify --all`` runs.  ``cli_io`` imports this module for
 ``verify`` and for a config that names a check id.  This module never
 imports ``cli_io``: under ``python -m plate_reduce.cli_io`` that module
 runs as ``__main__``, and the import would run it a second time.
 """
 
 import warnings
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,17 +34,6 @@ H_STRETCH = (1e-2, 5e-3, 2e-3, 1e-3, 5e-4)
 H_BEND = (1e-3, 5e-4, 2e-4, 1e-4, 5e-5)
 
 
-@dataclass
-class VerifyContext:
-    """The tolerances of a verify run, by check id; a check not named
-    uses its default."""
-
-    tolerances: dict = field(default_factory=dict)
-
-    def tol(self, check_id, default):
-        return float(self.tolerances.get(check_id, default))
-
-
 def _verdict(check_id, passed, observed, expected, tolerance, detail):
     # values are written as Python floats; a non-finite observed value is
     # written as null and fails the check
@@ -59,6 +46,27 @@ def _verdict(check_id, passed, observed, expected, tolerance, detail):
     return {"check_id": check_id, "passed": bool(passed) and None not in values,
             "observed": observed, "expected": expected,
             "tolerance": tolerance, "detail": detail}
+
+
+# each check id's default tolerance (None: the check takes none), and the
+# (check id, check) pairs in run order; each ``@_check`` adds one of each
+_DEFAULT_TOL, CHECKS = {}, ()
+
+
+def _check(check_id, default_tol):
+    """Declare a check: it gets ``tolerances[check_id]``, else ``default_tol``
+    (0.0 if None), and returns (passed, observed, expected, detail); the
+    check registered and returned maps ``tolerances`` to its verdict."""
+    def declare(check):
+        global CHECKS
+        def run(tolerances):
+            tol = float(tolerances.get(check_id, default_tol or 0.0))
+            passed, observed, expected, detail = check(tol)
+            return _verdict(check_id, passed, observed, expected, tol, detail)
+        _DEFAULT_TOL[check_id] = default_tol
+        CHECKS += ((check_id, run),)
+        return run
+    return declare
 
 
 def _jet(name, point):
@@ -82,10 +90,9 @@ def _loglog_slope(xs, ys):
                       np.log(np.asarray(ys, dtype=float)), 1)[0]
 
 
-def _remainder_order(ctx, check_id, default_tol, order, hs, remainders, label):
+def _remainder_order(tol, order, hs, remainders, label):
     # remainders(jet), one per h in hs, must shrink like h^order at the
     # cylinder and bump points: each log-log slope within tol of order
-    tol = ctx.tol(check_id, default_tol)
     slopes = {name: _loglog_slope(hs, remainders(_jet(name, point)))
               for name, point in (("cylinder", (0.05, -0.3)),
                                   ("gaussian_bump", (0.3, 0.2)))}
@@ -93,10 +100,11 @@ def _remainder_order(ctx, check_id, default_tol, order, hs, remainders, label):
     detail = (f"{label} " +
               ", ".join(f"{s:.3f} ({n})" for n, s in sorted(slopes.items())) +
               f" vs {order:g} +/- {tol:g}")
-    return _verdict(check_id, passed, slopes, order, tol, detail)
+    return passed, slopes, order, detail
 
 
-def _check_incompressibility_order(ctx):
+@_check("incompressibility_order", 0.2)
+def _check_incompressibility_order(tol):
     # |det C_f - 1| at x3 = h must shrink like h^3 for the cubic
     # volume-preserving profile on unit-determinant surfaces.
     hs = np.array([1e-2, 10.0 ** -2.5, 1e-3, 10.0 ** -3.5, 1e-4])
@@ -105,14 +113,13 @@ def _check_incompressibility_order(ctx):
         profile = incompressible_profile(jet)
         return [abs(fiber_invariants(jet, profile, h)[2] - 1.0) for h in hs]
 
-    return _remainder_order(ctx, "incompressibility_order", 0.2, 3.0, hs,
-                            residuals, "det C_f residual slopes")
+    return _remainder_order(tol, 3.0, hs, residuals, "det C_f residual slopes")
 
 
-def _check_gent_bending(ctx):
+@_check("gent_bending", 1e-5)
+def _check_gent_bending(rel_tol):
     # Closed bending content of the stiffening model against the
     # through-thickness quadrature, the stiff limit, and the 1/Jm rate.
-    rel_tol = ctx.tol("gent_bending", 1e-5)
     jet = _jet("cylinder", (0.05, -0.3))
     target = 4.0 / 3.0
 
@@ -134,14 +141,13 @@ def _check_gent_bending(ctx):
     passed = max(errs.values()) <= rel_tol and abs(rate + 1.0) <= 0.05
     detail = (f"max rel err {max(errs.values()):.2e} vs 4/3 "
               f"(tol {rel_tol:g}); extensibility-gap rate {rate:.4f} vs -1")
-    return _verdict("gent_bending", passed, dict(errs, jm_gap_rate=rate),
-                    target, rel_tol, detail)
+    return passed, dict(errs, jm_gap_rate=rate), target, detail
 
 
-def _check_gent_stretching(ctx):
+@_check("gent_stretching", 1e-6)
+def _check_gent_stretching(rel_tol):
     # Closed stretching content on a uniform unimodular stretch against
     # the through-thickness quadrature's h-linear coefficient.
-    rel_tol = ctx.tol("gent_stretching", 1e-6)
     jet = _jet("uniform_stretch", (0.1, 0.2))
     target = -10.0 * np.log(0.775)
     fit, closed = _oracle_fit(jet, Gent(mu=1.0, jm=10.0), H_STRETCH)
@@ -152,14 +158,14 @@ def _check_gent_stretching(ctx):
     passed = max(errs.values()) <= rel_tol
     detail = (f"stretching content rel err {max(errs.values()):.2e} "
               f"vs -10 ln 0.775 (tol {rel_tol:g})")
-    return _verdict("gent_stretching", passed, errs, target, rel_tol, detail)
+    return passed, errs, target, detail
 
 
-def _check_theorema_egregium(ctx):
+@_check("theorema_egregium", 1e-3)
+def _check_theorema_egregium(rel_tol):
     # Gauss curvature recovered from connector fields alone: the curl
     # route on a dense patch, and the reduced uniform-stretch identity
     # on cones where it must vanish by cancellation.
-    rel_tol = ctx.tol("theorema_egregium", 1e-3)
     cone_tol = 1e-6
     surface = catalog_surface("gaussian_bump")
     point = (0.3, 0.2)
@@ -184,8 +190,7 @@ def _check_theorema_egregium(ctx):
               f"cone identity err {max(cone_errs.values()):.2e} (tol {cone_tol:g})")
     observed = dict(cone_errs, curl_rel_err=rel_err, curl_value=k_curl,
                     jet_value=jet.K)
-    return _verdict("theorema_egregium", passed, observed, jet.K, rel_tol,
-                    detail)
+    return passed, observed, jet.K, detail
 
 
 _CODAZZI_CENTERS = (("plane", (0.1, -0.1)), ("uniform_stretch", (0.1, 0.2)),
@@ -193,12 +198,12 @@ _CODAZZI_CENTERS = (("plane", (0.1, -0.1)), ("uniform_stretch", (0.1, 0.2)),
                     ("saddle", (0.2, 0.15)), ("gaussian_bump", (0.3, 0.2)))
 
 
-def _check_codazzi_residuals(ctx):
+@_check("codazzi_residuals", 1e-4)
+def _check_codazzi_residuals(tol):
     # The three curl compatibility identities of the connector fields on
     # every catalog surface, not the metric connector's c_compatibility,
     # which max_residual leaves out.  Grid spacing 3e-4 keeps the
     # second-order stencil error of each residual under the tolerance.
-    tol = ctx.tol("codazzi_residuals", 1e-4)
     half = 1.5e-3
     worst = {}
     for name, (cx, cy) in _CODAZZI_CENTERS:
@@ -212,7 +217,7 @@ def _check_codazzi_residuals(ctx):
     passed = max(worst.values()) <= tol
     detail = (f"max compatibility residual {max(worst.values()):.2e} "
               f"over {len(worst)} surfaces (tol {tol:g})")
-    return _verdict("codazzi_residuals", passed, worst, 0.0, tol, detail)
+    return passed, worst, 0.0, detail
 
 
 # The 100 (a, b, trC, detC, H, K, b1) probe tuples of the profile-minimality
@@ -326,13 +331,13 @@ _MINIMALITY_PROBES = np.array([
 ])
 
 
-def _check_cg_profile_minimality(ctx):
+@_check("cg_profile_minimality", 1e-8)
+def _check_cg_profile_minimality(tol):
     # The closed-form profile coefficients must sit at the minima of the
     # fiber energy: alpha for the h-term, beta for the h^3-term.  Probed
     # on the 100 tuples of _MINIMALITY_PROBES, searched as lanes
     # with derivative-free minimization, then the closed h^3 content is
     # checked against quadrature on two curved surfaces.
-    tol = ctx.tol("cg_profile_minimality", 1e-8)
     rel_tol = 1e-5
     a, b, trC, detC, H, K, b1 = _MINIMALITY_PROBES.T
     material = CiarletGeymonat(a=a, b=b)
@@ -375,13 +380,13 @@ def _check_cg_profile_minimality(ctx):
               f"(tol {tol:g}); h^3 content rel err {max(rel_errs.values()):.2e} "
               f"(tol {rel_tol:g})")
     observed = dict(rel_errs, alpha_gap=worst_alpha, beta_gap=worst_beta)
-    return _verdict("cg_profile_minimality", passed, observed, 0.0, tol, detail)
+    return passed, observed, 0.0, detail
 
 
-def _check_cg_small_strain(ctx):
+@_check("cg_small_strain", 0.2)
+def _check_cg_small_strain(tol):
     # The stretching content minus its small-strain quadratic form must
     # shrink like strain^3, in 2D (membrane form) and 3D (bulk form).
-    tol = ctx.tol("cg_small_strain", 0.2)
     lam, mu = 1.3, 0.7
     material = CiarletGeymonat.from_lame(lam, mu)
     ts = np.array([1e-1, 10.0 ** -1.5, 1e-2, 10.0 ** -2.5])
@@ -406,14 +411,14 @@ def _check_cg_small_strain(ctx):
     detail = (f"remainder orders {slope2:.3f} (membrane), {slope3:.3f} (bulk) "
               f"vs 3 +/- {tol:g}")
     observed = {"membrane_slope": slope2, "bulk_slope": slope3}
-    return _verdict("cg_small_strain", passed, observed, 3.0, tol, detail)
+    return passed, observed, 3.0, detail
 
 
-def _check_svk_profile(ctx):
+@_check("svk_profile", 1e-6)
+def _check_svk_profile(sup_tol):
     # The shooting solution of the stationarity ODE must match the
     # closed hyperbolic profile, reproduce the h^3 energy content, and
     # the mid-plane slope must have the predicted h^2 defect.
-    sup_tol = ctx.tol("svk_profile", 1e-6)
     lam = mu = 1.0
     curvature = -0.5
 
@@ -438,10 +443,11 @@ def _check_svk_profile(ctx):
               f"slope-defect coefficient rel err {coef_rel:.2e}")
     observed = {"profile_sup_err": sup_err, "content_rel_err": content_rel,
                 "slope_defect_rel_err": coef_rel, "fit_c3": fit.c3}
-    return _verdict("svk_profile", passed, observed, target, sup_tol, detail)
+    return passed, observed, target, detail
 
 
-def _check_thickness_formula(ctx):
+@_check("thickness_formula", 0.3)
+def _check_thickness_formula(tol):
     # Deformed thickness of the exactly volume-preserving profile minus
     # 2h + (2/3)(6H^2 - K) h^3 must vanish at fifth order.
     hs = np.array([0.25, 0.15, 0.08, 0.04, 0.02])
@@ -452,8 +458,7 @@ def _check_thickness_formula(ctx):
         return [abs(deformed_thickness(profile, h) - (2.0 * h + coef * h ** 3))
                 for h in hs]
 
-    return _remainder_order(ctx, "thickness_formula", 0.3, 5.0, hs, remainders,
-                            "thickness remainder orders")
+    return _remainder_order(tol, 5.0, hs, remainders, "thickness remainder orders")
 
 
 # points per scan block: the eigenframe scan then peaks under 1 MiB
@@ -477,11 +482,11 @@ def _linspace_argmin(f, stop, num):
     return arg
 
 
-def _check_eigenframe_coupling(ctx):
+@_check("eigenframe_coupling", 1e-6)
+def _check_eigenframe_coupling(tol):
     # The quartic angular coupling must vanish exactly at the interior
     # stationary angle when the quadratic factor changes sign, and be
     # constant when the two principal factors coincide.
-    tol = ctx.tol("eigenframe_coupling", 1e-6)
     k1, k2 = 1.0, 2.0
     lambda1 = np.sqrt(1.5)
 
@@ -527,7 +532,7 @@ def _check_eigenframe_coupling(ctx):
     observed = {"tan_squared": tan2, "coupling_at_zero": w_star,
                 "stationary_angle_gap": angle_err, "constant_span": const_span,
                 "isotropic_span": iso_span}
-    return _verdict("eigenframe_coupling", passed, observed, 0.25, tol, detail)
+    return passed, observed, 0.25, detail
 
 
 _CROSS_PATH_POINTS = (
@@ -538,10 +543,10 @@ _CROSS_PATH_POINTS = (
 )
 
 
-def _check_cross_path_curvatures(ctx):
+@_check("cross_path_curvatures", 1e-8)
+def _check_cross_path_curvatures(tol):
     # Curvatures from raw Cartesian second derivatives against the
     # shape-operator route, on every unit-determinant catalog surface.
-    tol = ctx.tol("cross_path_curvatures", 1e-8)
     jets = [_jet(name, point)
             for name, points in _CROSS_PATH_POINTS for point in points]
     worst = 0.0
@@ -551,10 +556,11 @@ def _check_cross_path_curvatures(ctx):
     passed = worst <= tol
     detail = (f"max |H, K| gap {worst:.2e} over {len(jets)} points "
               f"(tol {tol:g})")
-    return _verdict("cross_path_curvatures", passed, worst, 0.0, tol, detail)
+    return passed, worst, 0.0, detail
 
 
-def _check_orientation(ctx):
+@_check("orientation", None)
+def _check_orientation(_tol):
     # Fiber Jacobian positivity at working thickness on all catalog
     # surfaces, and loss of orientation at an excessive thickness.
     reports = {name: verify_orientation(catalog_surface(name),
@@ -570,21 +576,7 @@ def _check_orientation(ctx):
               f"{not thick.passed}")
     observed = dict({k: r.min_det_F for k, r in reports.items()},
                     thick_min_det=thick.min_det_F)
-    return _verdict("orientation", passed, observed, 0.0, 0.0, detail)
+    return passed, observed, 0.0, detail
 
 
-CHECKS = (
-    ("incompressibility_order", _check_incompressibility_order),
-    ("gent_bending", _check_gent_bending),
-    ("gent_stretching", _check_gent_stretching),
-    ("theorema_egregium", _check_theorema_egregium),
-    ("codazzi_residuals", _check_codazzi_residuals),
-    ("cg_profile_minimality", _check_cg_profile_minimality),
-    ("cg_small_strain", _check_cg_small_strain),
-    ("svk_profile", _check_svk_profile),
-    ("thickness_formula", _check_thickness_formula),
-    ("eigenframe_coupling", _check_eigenframe_coupling),
-    ("cross_path_curvatures", _check_cross_path_curvatures),
-    ("orientation", _check_orientation),
-)
 CHECK_IDS = tuple(cid for cid, _ in CHECKS)

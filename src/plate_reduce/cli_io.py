@@ -120,10 +120,12 @@ def _reject_unknown_keys(mapping, allowed, where):
 
 
 def _require_check_id(cid, message):
-    # the check table is imported only for a config that names a check
-    from .checks import CHECK_IDS
-    if cid not in CHECK_IDS:
-        raise ConfigError(f"{message}; known checks: {', '.join(CHECK_IDS)}")
+    # the check table is imported only for a config that names a check;
+    # returns the check's default tolerance, None if it takes none
+    from .checks import _DEFAULT_TOL
+    if cid not in _DEFAULT_TOL:
+        raise ConfigError(f"{message}; known checks: {', '.join(_DEFAULT_TOL)}")
+    return _DEFAULT_TOL[cid]
 
 
 def parse_config(data):
@@ -176,9 +178,8 @@ def parse_config(data):
     if not isinstance(tolerances, dict):
         raise ConfigError("'tolerances' must be a mapping of check id to number")
     for key, value in tolerances.items():
-        _require_check_id(key, f"unknown tolerance key '{key}'")
-        if key == "orientation":
-            raise ConfigError("the orientation check takes no tolerance")
+        if _require_check_id(key, f"unknown tolerance key '{key}'") is None:
+            raise ConfigError(f"the {key} check takes no tolerance")
         _as_number(value, f"tolerances.{key}")
 
     options = data.get("options", {})
@@ -351,7 +352,7 @@ def cmd_evaluate(config, out_dir):
 
 def __getattr__(name):
     # defined in .checks, which loads on the first of these lookups
-    if name in ("CHECKS", "CHECK_IDS", "VerifyContext"):
+    if name in ("CHECKS", "CHECK_IDS"):
         from . import checks
         return getattr(checks, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -365,13 +366,11 @@ def cmd_verify(config, out_dir, run_all=False):
     its detail and null values.  Returns 0 only if all selected checks
     pass.
     """
-    from .checks import CHECK_IDS, CHECKS, VerifyContext, _verdict
-    ctx = VerifyContext()
+    from .checks import CHECK_IDS, CHECKS, _verdict
+    tolerances = {} if config is None else config.tolerances
     selection = CHECK_IDS
-    if config is not None:
-        ctx = VerifyContext(tolerances=config.tolerances)
-        if not run_all and "checks" in config.options:
-            selection = tuple(config.options["checks"])
+    if config is not None and not run_all and "checks" in config.options:
+        selection = tuple(config.options["checks"])
     if not selection:
         raise ConfigError("empty check selection: nothing to verify")
 
@@ -383,7 +382,7 @@ def cmd_verify(config, out_dir, run_all=False):
     n_passed = 0
     for cid in selection:
         try:
-            verdict = table[cid](ctx)
+            verdict = table[cid](tolerances)
         except Exception as err:
             verdict = _verdict(cid, False, np.nan, None, None,
                                f"check raised {type(err).__name__}: {err}")

@@ -19,6 +19,11 @@ import numpy as np
 from .surface_geometry import _dot, _eigen_gap, evaluate_jets
 
 
+# the frame fields that change sign when both eigenvectors are negated;
+# c, c_star, dij and c12 are even under this gauge flip
+_GAUGE_ODD = ("r1", "r2", "d1_star", "d2_star", "c1", "c2")
+
+
 @dataclass(frozen=True)
 class ConnectorFrame:
     """Connector data of the stretch eigenframe at one point.
@@ -64,17 +69,9 @@ class ConnectorFrame:
     ill_conditioned: bool = False
 
     def flipped(self):
-        """The same frame with both eigenvectors negated (gauge flip).
-
-        c, c_star, dij and c12 are even under the flip; the d-fields and
-        the r-components of c are odd.
-        """
-        return replace(
-            self,
-            r1=-self.r1, r2=-self.r2,
-            d1_star=-self.d1_star, d2_star=-self.d2_star,
-            c1=-self.c1, c2=-self.c2,
-        )
+        """The same frame with both eigenvectors negated (gauge flip),
+        which negates the ``_GAUGE_ODD`` fields."""
+        return replace(self, **{n: -getattr(self, n) for n in _GAUGE_ODD})
 
 
 def _dot2(a, b):
@@ -269,7 +266,7 @@ def sample_frame_grid(surface, grid, bounds):
     first = np.cumprod(np.append(1.0, keeps(r1[:, 1:, 0], r1[:, :-1, 0])))
     sign = np.cumprod(np.column_stack(
         [first, keeps(r1[:, :, 1:], r1[:, :, :-1])]), axis=1).ravel()
-    for name in ("r1", "r2", "d1_star", "d2_star", "c1", "c2"):
+    for name in _GAUGE_ODD:
         fields[name] = fields[name] * sign
     return frame_grid
 

@@ -130,8 +130,8 @@ def minimize_scalar(f, bracket):
     ends: one search per element, run as lanes in lockstep (``f`` maps an
     array of probes to their values); a lane freezes once its width is
     <= 1e-10.  Returns (argmin, fmin).  BracketError if any lane has a
-    non-finite end or lo >= hi (before ``f`` is called), or its midpoint
-    above both ends (no descent to follow).
+    non-finite end or lo >= hi (before ``f`` is called), its midpoint
+    above both ends (no descent), or a nan value it used (``index``).
     """
     tol = 1e-10
     scalar, f, a, b = _lanes(f, *bracket)
@@ -144,18 +144,22 @@ def minimize_scalar(f, bracket):
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
+    nan = np.isnan([fa, fb, f_mid, fc, fd]).any(axis=0)
     while np.any(b - a > tol):
         # a left lane keeps [a, d], a right lane [c, b]; each probes once
-        left = (b - a > tol) & (fc <= fd)
-        right = (b - a > tol) & ~(fc <= fd)
+        active = b - a > tol
+        left, right = active & (fc <= fd), active & ~(fc <= fd)
         a, fa, b, fb = (np.where(right, c, a), np.where(right, fc, fa),
                         np.where(left, d, b), np.where(left, fd, fb))
         c, fc, d, fd = (np.where(right, d, c), np.where(right, fd, fc),
                         np.where(left, c, d), np.where(left, fc, fd))
         x = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
         fx = f(x)
+        nan |= active & np.isnan(fx)
         c, fc = np.where(left, x, c), np.where(left, fx, fc)
         d, fd = np.where(right, x, d), np.where(right, fx, fd)
+    raise_first_failure((nan, lambda i: BracketError(
+        "f is nan at a probe of the bracket; no minimum to compare")))
     xs, fs = np.stack([a, c, d, b]), np.stack([fa, fc, fd, fb])
     k, lane = np.argmin(fs, axis=0), np.arange(fs.shape[1])
     x, fx = xs[k, lane], fs[k, lane]
@@ -165,13 +169,15 @@ def minimize_scalar(f, bracket):
 def parabolic_refine(f, x0, delta):
     """One exact-for-quadratics refinement of a minimizer estimate, or of
     lanes of them as in ``minimize_scalar``; an estimate whose three
-    values do not curve upward is kept.  ValueError for a non-finite
-    ``x0`` or a ``delta`` outside (0, inf)."""
+    values are not all finite, or do not curve upward, is kept.
+    ValueError for a non-finite ``x0`` or a ``delta`` outside (0, inf)."""
     positive(delta, "parabolic_refine needs delta > 0, got {:g}")
     scalar, f, x0, delta = _lanes(f, x0, delta)
     raise_first_failure((~np.isfinite(x0), lambda i: ValueError(
         f"parabolic_refine needs a finite x0, got {np.ravel(x0)[i]:g}")))
-    fm, f0, fp = f(x0 - delta), f(x0), f(x0 + delta)
+    # a lane with a non-finite value reads as flat (0, 0, 0), which is kept
+    probes = [f(x0 - delta), f(x0), f(x0 + delta)]
+    fm, f0, fp = np.where(np.isfinite(probes).all(axis=0), probes, 0.0)
     denom = fm - 2.0 * f0 + fp
     keep = denom <= 0.0
     x = np.where(keep, x0, x0 + 0.5 * delta * (fm - fp) / np.where(keep, 1.0, denom))

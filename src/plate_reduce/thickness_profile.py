@@ -52,6 +52,11 @@ class PolyProfile:
         return self.alpha + x3 * (2.0 * self.beta + 3.0 * x3 * self.gamma)
 
 
+def _require_finite_H(H):
+    raise_first_failure((~np.isfinite(H), lambda i: ValueError(
+        f"the SVK profile needs a finite H, got {np.ravel(H)[i]:g}")))
+
+
 @dataclass(frozen=True)
 class HyperbolicProfile:
     """Stationary fiber profile of the Saint Venant-Kirchhoff sheet.
@@ -71,6 +76,7 @@ class HyperbolicProfile:
     kind = "hyperbolic"
 
     def __post_init__(self):
+        _require_finite_H(self.H)
         positive((self.lam, self.mu), "Lame constants must be positive")
         half_thickness(self.h)
         positive(self.alpha_bar, "mid-plane slope 2 H xi must be positive")
@@ -222,8 +228,7 @@ def svk_profile(H, lam, mu, h):
     """
     rows = np.broadcast(H, lam, mu, h).shape
     at = lambda v, i: np.broadcast_to(v, rows).ravel()[i]
-    raise_first_failure((~np.isfinite(np.broadcast_to(H, rows)), lambda i:
-                         ValueError(f"the SVK profile needs a finite H, got {at(H, i):g}")))
+    _require_finite_H(np.broadcast_to(H, rows))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c = np.cosh(2.0 * H * half_thickness(h))
         alpha_bar = (lam * lam * c + 4.0 * mu * (lam + mu)) / ((2.0 * mu + lam) ** 2 * c)

@@ -20,7 +20,6 @@ from plate_reduce import (AreaDistortionError, BracketError,
                           eigenframe_coupling, evaluate_jet)
 from plate_reduce.checks import (
     CHECK_IDS,
-    VerifyContext,
     _check_eigenframe_coupling,
     _linspace_argmin,
     _verdict,
@@ -479,7 +478,7 @@ def test_non_finite_config_error_is_the_only_stderr_line(tmp_path, changes):
 
 
 def test_run_that_succeeds_still_shows_its_warnings(tmp_path, monkeypatch):
-    def noisy(ctx):
+    def noisy(tolerances):
         warnings.warn("a noisy check", RuntimeWarning)
         return _verdict("eigenframe_coupling", True, 0.0, 0.0, 1.0, "ok")
 
@@ -682,7 +681,7 @@ def test_verify_writes_non_finite_observations_as_failed_nulls(tmp_path,
                                    TypeError, KeyError])
 def test_verify_check_that_raises_fails_its_verdict(tmp_path, capsys,
                                                     monkeypatch, error):
-    def crash(ctx):
+    def crash(tolerances):
         raise error("no room for the stencil")
 
     monkeypatch.setattr(cli_io, "CHECKS", tuple(
@@ -766,11 +765,10 @@ def test_blocked_argmin_keeps_the_first_minimum(block, monkeypatch):
 
 def test_eigenframe_check_holds_less_than_1_mib():
     # the full 200,001-angle scan and its temporaries peaked near 7.6 MiB
-    ctx = VerifyContext()
-    assert _check_eigenframe_coupling(ctx)["passed"]
+    assert _check_eigenframe_coupling({})["passed"]
     tracemalloc.start()
     try:
-        verdict = _check_eigenframe_coupling(ctx)
+        verdict = _check_eigenframe_coupling({})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -785,18 +783,24 @@ def test_verify_tolerance_override(tmp_path, capsys):
     assert "FAIL cross_path_curvatures:" in capsys.readouterr().out
 
 
+def test_each_tolerance_reaches_its_verdict(tmp_path):
+    # a check runs at, and reports, the config's tolerance for its id;
+    # orientation takes none and reports 0.0
+    ids = [cid for cid in CHECK_IDS if cid != "orientation"]
+    tolerances = {cid: 0.5 + i / 64 for i, cid in enumerate(ids)}
+    code, out = run_cli(tmp_path, dict(BASE, tolerances=tolerances),
+                        command="verify")
+    assert code == 0
+    verdicts = json.loads((out / "verdicts.json").read_text())["checks"]
+    assert ({v["check_id"]: v["tolerance"] for v in verdicts}
+            == dict(tolerances, orientation=0.0))
+
+
 def test_verify_empty_selection(tmp_path, capsys):
     cfg = dict(BASE, options={"checks": []})
     code, _ = run_cli(tmp_path, cfg, command="verify")
     assert code == 2
     assert "empty check selection" in capsys.readouterr().err
-
-
-def test_verify_context_tolerances():
-    assert VerifyContext().tol("gent_bending", 1e-10) == 1e-10
-    ctx = VerifyContext(tolerances={"gent_bending": 5e-3})
-    assert ctx.tol("gent_bending", 1e-10) == 5e-3
-    assert ctx.tol("gent_stretching", 2e-9) == 2e-9
 
 
 def test_check_ids_are_unique():
@@ -806,7 +810,6 @@ def test_check_ids_are_unique():
 def test_cli_io_still_names_the_check_table():
     assert cli_io.CHECKS is checks.CHECKS
     assert cli_io.CHECK_IDS is checks.CHECK_IDS
-    assert cli_io.VerifyContext is checks.VerifyContext
     with pytest.raises(AttributeError, match="_check_orientation"):
         cli_io._check_orientation
 

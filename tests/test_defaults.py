@@ -15,7 +15,6 @@ SRC = os.path.dirname(os.path.abspath(plate_reduce.__file__))
 
 # module, qualified def or class, parameter or field: one default a line
 DEFAULTS = """
-    checks VerifyContext tolerances
     cli_io cmd_verify run_all
     cli_io main argv
     connectors ConnectorFrame ill_conditioned
@@ -76,4 +75,4 @@ def test_the_defaults_in_src_are_frozen():
                 found += _defaults(ast.parse(f.read()), name[:-3])
     frozen = [tuple(line.split()) for line in DEFAULTS.strip().splitlines()]
     assert sorted(found) == sorted(frozen)
-    assert len(frozen) == 31
+    assert len(frozen) == 30

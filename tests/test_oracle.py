@@ -190,6 +190,51 @@ def test_minimize_scalar_rejects_a_bad_lane():
                         (np.array([-1.0, 5.0]), np.array([1.0, 7.0])))
 
 
+def test_minimize_scalar_rejects_a_nan_probe():
+    # every comparison with nan is false: the search once returned the
+    # bracket's end with a nan minimum
+    f = lambda x: float("nan") if x > 0.7 else (x - 0.6) ** 2
+    with pytest.raises(BracketError, match="nan at a probe") as err:
+        minimize_scalar(f, (0.0, 1.0))
+    assert err.value.index == 0
+    lanes = lambda x: np.where((x > 0.7) & (np.arange(3) > 0), np.nan,
+                               (x - 0.6) ** 2)
+    with pytest.raises(BracketError, match="nan at a probe") as err:
+        minimize_scalar(lanes, (np.zeros(3), np.ones(3)))
+    assert err.value.index == 1
+
+
+def test_minimize_scalar_ignores_nan_at_a_frozen_lane():
+    # a lane that has frozen is still probed, and that value is dropped
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        values = (x - 0.3) ** 2
+        return np.where(len(calls) > 20, [np.nan, values[1]], values)
+
+    lo, hi = np.array([0.3, 0.0]), np.array([0.3 + 1e-9, 1.0])
+    x, fx = minimize_scalar(f, (lo, hi))
+    for i in range(2):
+        xi, fi = minimize_scalar(lambda x: (x - 0.3) ** 2, (lo[i], hi[i]))
+        assert (x[i], fx[i]) == (xi, fi)
+
+
+def test_parabolic_refine_keeps_an_estimate_with_an_infinite_probe():
+    # an infinite probe once gave nan, after a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parabolic_refine(
+            lambda x: float("inf") if x > 0.55 else x * x, 0.5, 0.1) == 0.5
+        assert parabolic_refine(lambda x: float("inf"), 0.5, 0.1) == 0.5
+        refined = parabolic_refine(
+            lambda x: np.where(x > 0.55, np.inf, 3.0 * (x - 0.2) ** 2),
+            np.array([0.5, 0.1]), 0.1)
+    assert refined[0] == 0.5
+    assert refined[1] == parabolic_refine(lambda x: 3.0 * (x - 0.2) ** 2,
+                                          0.1, 0.1)
+
+
 def test_scalar_search_hands_f_python_floats():
     # numpy scalars would put every probe of an expensive f (the SVK
     # shooting loop) into numpy-scalar arithmetic

@@ -104,6 +104,22 @@ def _src_env():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
+def test_the_tracer_spans_each_check_once(tmp_path):
+    # perfbench/tracer.py rebuilds cli_io.CHECKS from its (id, check)
+    # pairs, one span per check; verify --all calls each check once
+    tracer = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "tracer.py")
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, tracer, "--spans", str(spans), "--", "verify",
+         "--all", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(spans.read_text())["calls"]
+    assert ({k: n for k, n in calls.items() if k.startswith("cli_io.check.")}
+            == {f"cli_io.check.{cid}": 1 for cid in CHECK_IDS})
+
+
 def _run_script(script, env=None):
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
                           capture_output=True, text=True,

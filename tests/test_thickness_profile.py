@@ -209,6 +209,10 @@ def test_svk_profile_rejects_a_non_finite_H_before_cosh(H):
             svk_profile(np.array([0.1, H, 1e4]), 1.0, 1.0, np.array([0.1, 0.2, 0.1]))
         assert info.value.index == 1
         assert str(info.value) == f"the SVK profile needs a finite H, got {H:g}"
+        # the constructor rejects it too: phi and xi were once nan
+        with pytest.raises(ValueError) as info:
+            HyperbolicProfile(H=H, lam=1.0, mu=1.0, h=0.1, alpha_bar=1.0)
+        assert str(info.value) == f"the SVK profile needs a finite H, got {H:g}"
 
 
 def test_svk_profile_overflow_raises_without_a_runtime_warning():
