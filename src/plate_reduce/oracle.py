@@ -205,7 +205,9 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400):
     [0.5, 1.5].  The energy is evaluated from the bulk density on a
     developable fiber (principal curvatures 2H and 0), whose C_f is
     diagonal, so from its principal values, and Simpson-integrated on the
-    RK4 grid.
+    RK4 grid.  ``n_steps`` (at least 100) RK4 steps go each way; an odd
+    count is rounded up to the next even one, so ``x3`` holds
+    2 * n_steps + 1 nodes of the rounded count (405 for n_steps=201).
     """
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100")
@@ -276,5 +278,10 @@ def order_of_residual(residual, h_set):
                       f"excluding {int((~keep).sum())} point(s)", RuntimeWarning)
     if keep.sum() < 2:
         raise ValueError("fewer than 2 usable residuals above the floor")
-    slope = np.polyfit(np.log(hs[keep]), np.log(vals[keep]), 1)[0]
-    return float(slope)
+    return float(_loglog_slope(hs[keep], vals[keep]))
+
+
+def _loglog_slope(xs, ys):
+    # the least-squares slope of log ys against log xs
+    return np.polyfit(np.log(np.asarray(xs, dtype=float)),
+                      np.log(np.asarray(ys, dtype=float)), 1)[0]

@@ -16,12 +16,10 @@ import plate_reduce
 from plate_reduce import (AreaDistortionError, BracketError,
                           DegenerateImmersionError, DomainError, FitError,
                           Gent, PolyProfile, ResolutionError,
-                          StiffeningLimitError, checks, cli_io,
-                          eigenframe_coupling, evaluate_jet)
+                          StiffeningLimitError, checks, cli_io, evaluate_jet)
 from plate_reduce.checks import (
     CHECK_IDS,
     _check_eigenframe_coupling,
-    _linspace_argmin,
     _verdict,
 )
 from plate_reduce.cli_io import (
@@ -286,6 +284,8 @@ BAD_CONFIGS = [
     (_patched(surface={"name": "nope"}), "surface: unknown catalog surface"),
     (_patched(surface={"name": "cylinder", "bogus": 1}),
      "surface: unknown parameters"),
+    (_patched(surface={"name": "gaussian_bump", "A": -0.1}),
+     "surface: bump amplitude must be nonnegative"),
     (_patched(material={"model": "nope"}), "material: unknown material model"),
     (_patched(material={"model": "ciarlet_geymonat", "a": 0.5, "b": 0.25, "c": 1.5}),
      "material: unknown material parameters ['c'] for 'ciarlet_geymonat'"),
@@ -293,12 +293,14 @@ BAD_CONFIGS = [
     (_patched(grid={"nx": 3, "ny": 100000}),
      "'grid.ny' must be at most 1024, got 100000"),
     (_patched(grid={"nx": 3, "ny": 3, "nz": 3}), "unknown grid key 'nz'"),
+    (_patched(grid=[8, 8]), "'grid' must be a mapping"),
     (_patched(quad_order=16), "unknown config key 'quad_order'; allowed keys:"),
     (_patched(tolerances={"bogus": 1e-3}), "unknown tolerance key 'bogus'"),
     (_patched(tolerances={"gent_bending": "x"}),
      "'tolerances.gent_bending' must be a number"),
     (_patched(tolerances={"orientation": 5.0}),
      "the orientation check takes no tolerance"),
+    (_patched(options=[]), "'options' must be a mapping"),
     (_patched(options={"bogus": 1}), "unknown options key 'bogus'"),
     (_patched(options={"perturb_beta": 1e-3}),
      "unknown options key 'perturb_beta'"),
@@ -307,6 +309,7 @@ BAD_CONFIGS = [
     (_patched(options={"checks": ["nope"]}), "unknown check id 'nope'"),
     (_patched(options={"checks": ["cg_small_strain", "cg_small_strain"]}),
      "list of check ids, each once"),
+    (_patched(options={"sweep": [1]}), "'options.sweep' must be a mapping"),
     (_patched(options={"sweep": {"param": "h"}}),
      "'options.sweep' needs 'param' and 'values'"),
     (_patched(options={"sweep": {"param": "h", "values": []}}),
@@ -489,6 +492,28 @@ def test_run_that_succeeds_still_shows_its_warnings(tmp_path, monkeypatch):
         code, _ = run_cli(tmp_path, cfg, command="verify")
     assert code == 0
     assert [str(w.message) for w in caught] == ["a noisy check"]
+
+
+def test_codazzi_check_shows_warnings_other_than_umbilic_ones(tmp_path):
+    # the check drops the umbilic-stretch warnings of plane and cylinder;
+    # any other RuntimeWarning of the connector numerics reaches stderr
+    script = (
+        "import sys, warnings\n"
+        "from plate_reduce import cli_io, connectors\n"
+        "check = connectors.check_codazzi\n"
+        "def noisy(grid):\n"
+        "    warnings.warn('overflow in a connector', RuntimeWarning)\n"
+        "    return check(grid)\n"
+        "connectors.check_codazzi = noisy\n"
+        "sys.exit(cli_io.main(sys.argv[1:]))\n")
+    cfg = dict(BASE, options={"checks": ["codazzi_residuals"]})
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--config",
+         write_config(tmp_path, cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning: overflow in a connector" in proc.stderr
+    assert "umbilic stretch" not in proc.stderr
 
 
 @pytest.mark.parametrize("changes,message", [
@@ -733,34 +758,13 @@ def test_minimality_probes_are_the_seeded_draw():
     assert stored.tobytes() == drawn.tobytes()
 
 
-def test_blocked_scan_matches_a_one_shot_argmin():
-    stop, num = 0.5 * np.pi, 200001
-    k1, k2, lambda1 = 1.0, 2.0, np.sqrt(1.5)
-    grid = np.linspace(0.0, stop, num)
-    values = eigenframe_coupling(k1, k2, lambda1, grid)
-    blocks = []
-
-    def coupling(phis):
-        blocks.append(phis.copy())
-        return eigenframe_coupling(k1, k2, lambda1, phis)
-
-    got = _linspace_argmin(coupling, stop, num)
-    assert got == grid[int(np.argmin(values))]
-    assert max(len(b) for b in blocks) == 8192 and len(blocks) == 25
-    joined = np.concatenate(blocks)
-    assert np.array_equal(joined.view(np.int64), grid.view(np.int64))
-
-
-@pytest.mark.parametrize("block", [1, 2, 3, 7, 8])
-def test_blocked_argmin_keeps_the_first_minimum(block, monkeypatch):
-    # ties inside a block and across blocks: np.argmin takes the first
-    values = np.array([3.0, 1.0, 2.0, 1.0, 0.5, 4.0, 0.5, 0.5])
-    grid = np.linspace(0.0, 1.0, len(values))
-    lookup = dict(zip(grid.tolist(), values))
-    monkeypatch.setattr(checks, "_SCAN_BLOCK", block)
-    got = _linspace_argmin(lambda p: np.array([lookup[x] for x in p.tolist()]),
-                           1.0, len(values))
-    assert got == grid[int(np.argmin(values))]
+def test_eigenframe_check_fails_on_a_shifted_coupling(monkeypatch):
+    # a coupling whose zero sits 1e-7 off the bisected angle must fail
+    coupling = checks.eigenframe_coupling
+    monkeypatch.setattr(checks, "eigenframe_coupling",
+                        lambda k1, k2, lambda1, phi:
+                        coupling(k1, k2, lambda1, phi + 1e-7))
+    assert not _check_eigenframe_coupling({})["passed"]
 
 
 def test_eigenframe_check_holds_less_than_1_mib():

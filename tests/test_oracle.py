@@ -67,6 +67,13 @@ def test_fit_rejects_bad_samples():
         fit_h_powers((1e-2, 1e-3, 1e-4, 1e-5), (1.0, 2.0))
 
 
+def test_fit_rejects_an_h_cubed_column_that_underflows():
+    # h^3 rounds to 0.0 at every sample: the h^3 column carries no rank
+    hs = [1e-110, 3e-110, 1e-109, 3e-109]
+    with pytest.raises(FitError, match="rank-deficient design matrix"):
+        fit_h_powers(hs, [2.0 * h for h in hs])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["h", "energy"])
 def test_fit_rejects_non_finite_samples(bad, where):
@@ -412,6 +419,8 @@ def test_svk_ode_resolution_guards():
         solve_svk_profile_ode(-0.5, 1.0, 1.0, 0.05, n_steps=50)
     with pytest.raises(ResolutionError, match="step count"):
         solve_svk_profile_ode(30.0, 1.0, 1.0, 1.0, n_steps=400)
+    # an odd step count is rounded up to the next even one
+    assert len(solve_svk_profile_ode(-0.5, 1.0, 1.0, 0.05, n_steps=201).x3) == 405
 
 
 # ---------------------------------------------------------------------------
