@@ -205,14 +205,11 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400):
     [0.5, 1.5].  The energy is evaluated from the bulk density on a
     developable fiber (principal curvatures 2H and 0), whose C_f is
     diagonal, so from its principal values, and Simpson-integrated on the
-    RK4 grid.  ``n_steps`` (at least 100) RK4 steps go each way; an odd
-    count is rounded up to the next even one, so ``x3`` holds
-    2 * n_steps + 1 nodes of the rounded count (405 for n_steps=201).
+    RK4 grid.  ``n_steps`` (at least 100) RK4 steps go each way, so ``x3``
+    holds 2 * n_steps + 1 nodes, an even number of intervals for Simpson.
     """
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100")
-    if n_steps % 2:
-        n_steps += 1
     if 2.0 * abs(H) * half_thickness(h) / n_steps > 0.05:
         raise ResolutionError("curvature too large for this step count; raise n_steps")
     material = _materials.SaintVenantKirchhoff(lam=lam, mu=mu)

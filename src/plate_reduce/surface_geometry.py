@@ -194,7 +194,9 @@ def positive(value, message, error=ValueError):
 
 
 def half_thickness(h):
-    return positive(h, "half thickness must be positive and finite, got {:g}")
+    # read as floats, so a missing h (None) is NaN and fails like a bad one
+    return positive(np.asarray(h, dtype=float),
+                    "half thickness must be positive and finite, got {:g}")
 
 
 def float_if_scalar(value):
@@ -552,37 +554,36 @@ def _bump_height(v, amp, w):
     return 0.5 * v * np.add.accumulate(np.reshape(weights, axis) * zv)[-1]
 
 
-def _make_bump(amp, s):
-    w = s * s
+def _gaussian_bump(amp, s):
+    positive(s, "bump width must be positive")
     if amp < 0:
         raise ValueError("bump amplitude must be nonnegative")
-    if amp > 0:
-        if not w < 2.0 ** 128:  # so w ** 8 in _bump_scalars stays finite
-            raise OverflowError(f"the bump width s = {s:g}")
-        vs = np.linspace(1e-6, 8.0 * w, 2000)
-        q = vs / w
-        gp = 2.0 * amp * vs * np.exp(-q * q) / w ** 2
-        n = -amp * np.expm1(-q * q) / vs
-        # not <=, so NaN maxima (w = s*s underflowed to 0) fail too
-        if not (gp.max() <= 1.8 and n.max() <= 0.9):
-            raise ValueError(
-                f"bump with A={amp:g}, s={s:g} is too steep to stay an immersion; "
-                "reduce A or increase s"
-            )
+    box = ((-0.75, 0.75), (-0.75, 0.75))
+    if amp == 0:
+        return _uniform_stretch(1.0, 1.0)[0], box
+    w = s * s
+    if not w < 2.0 ** 128:  # so w ** 8 in _bump_scalars stays finite
+        raise OverflowError(f"the bump width s = {s:g}")
+    vs = np.linspace(1e-6, 8.0 * w, 2000)
+    q = vs / w
+    gp = 2.0 * amp * vs * np.exp(-q * q) / w ** 2
+    n = -amp * np.expm1(-q * q) / vs
+    # not <=, so NaN maxima (w = s*s underflowed to 0) fail too
+    if not (gp.max() <= 1.8 and n.max() <= 0.9):
+        raise ValueError(
+            f"bump with A={amp:g}, s={s:g} is too steep to stay an immersion; "
+            "reduce A or increase s"
+        )
 
     def _radius(x):
         return 0.5 * (_pow(x[0], 2) + _pow(x[1], 2))
 
     def _map(x):
-        if amp == 0.0:
-            return np.array([x[0], x[1], np.zeros_like(x[0])])
         v = _radius(x)
         m = _bump_scalars(v, amp, w, derivatives=False)[0]
         return np.array([x[0] * m, x[1] * m, _bump_height(v, amp, w)])
 
     def _grad(x):
-        if amp == 0.0:
-            return _constant(_IDENTITY_GRAD, x)
         m, m1, _, zv, _ = _bump_scalars(_radius(x), amp, w)
         x1, x2 = x[0], x[1]
         return np.array([[m + _pow(x1, 2) * m1, x1 * x2 * m1],
@@ -591,8 +592,6 @@ def _make_bump(amp, s):
 
     def _hess(x):
         hh = _zero_hess(x)
-        if amp == 0.0:
-            return hh
         m, m1, m2, zv, zvv = _bump_scalars(_radius(x), amp, w)
         x1, x2 = x[0], x[1]
         hh[0, 0, 0] = 3.0 * x1 * m1 + _pow(x1, 3) * m2
@@ -608,10 +607,7 @@ def _make_bump(amp, s):
                 hh[2, i, j] = (1.0 if i == j else 0.0) * zv + x[i] * x[j] * zvv
         return hh
 
-    return _map, _grad, _hess
-
-
-_IDENTITY_GRAD = ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0))
+    return (_map, _grad, _hess), box
 
 
 def _zero_hess(x):
@@ -625,6 +621,98 @@ def _constant(value, x):
                    (1,) * value.ndim + np.shape(x)[1:])
 
 
+def _graph(l1, l2, height, slope, curvature):
+    """map, grad and hess of the graph x -> (l1 x1, l2 x2, height(x)).
+
+    ``slope(x)`` returns the two first partials of the height and
+    ``curvature(x)`` a function (i, j) -> its second partial in x_i, x_j.
+    """
+    def _map(x):
+        return np.array([l1 * x[0], l2 * x[1], height(x)])
+
+    def _grad(x):
+        g = _constant(((l1, 0.0), (0.0, l2), (0.0, 0.0)), x)
+        g[2, 0], g[2, 1] = slope(x)
+        return g
+
+    def _hess(x):
+        hh = _zero_hess(x)
+        second = curvature(x)
+        for i in range(2):
+            for j in range(2):
+                hh[2, i, j] = second(i, j)
+        return hh
+
+    return _map, _grad, _hess
+
+
+_BOX = ((-0.5, 0.5), (-0.5, 0.5))
+
+
+def _uniform_stretch(l1, l2):
+    positive((l1, l2), "stretch factors must be positive")
+    return _graph(l1, l2, lambda x: np.zeros_like(x[0]), lambda x: (0.0, 0.0),
+                  lambda x: lambda i, j: 0.0), _BOX
+
+
+def _cylinder(R):
+    positive(R, "cylinder radius must be positive")
+    _map = lambda x: np.array(
+        [R * np.sin(x[0] / R), x[1], R * (1.0 - np.cos(x[0] / R))])
+
+    def _grad(x):
+        g = _constant(((0.0, 0.0), (0.0, 1.0), (0.0, 0.0)), x)
+        g[0, 0] = np.cos(x[0] / R)
+        g[2, 0] = np.sin(x[0] / R)
+        return g
+
+    def _hess(x):
+        hh = _zero_hess(x)
+        hh[0, 0, 0] = -np.sin(x[0] / R) / R
+        hh[2, 0, 0] = np.cos(x[0] / R) / R
+        return hh
+
+    half = min(0.5, 1.4 * R)
+    return (_map, _grad, _hess), ((-half, half), (-0.5, 0.5))
+
+
+def _sphere_cap(R):
+    positive(R, "sphere radius must be positive")
+
+    def _root(x):
+        return np.sqrt(R * R - _pow(x[0], 2) - _pow(x[1], 2))
+
+    def _slope(x):
+        root = _root(x)
+        return x[0] / root, x[1] / root
+
+    def _curvature(x):
+        root = _root(x)
+        return lambda i, j: (1.0 if i == j else 0.0) / root + x[i] * x[j] / _pow(root, 3)
+
+    half = 0.45 * R
+    return (_graph(1.0, 1.0, lambda x: R - _root(x), _slope, _curvature),
+            ((-half, half), (-half, half)))
+
+
+def _saddle(a):
+    return _graph(1.0, 1.0, lambda x: a * x[0] * x[1], lambda x: (a * x[1], a * x[0]),
+                  lambda x: lambda i, j: 0.0 if i == j else a), _BOX
+
+
+# config name -> (builder, its parameters' defaults in the order they are
+# read); a builder takes the parameters as finite floats and returns
+# ((map, grad, hess), domain)
+_CATALOG = {
+    "plane": (lambda: _uniform_stretch(1.0, 1.0), {}),
+    "uniform_stretch": (_uniform_stretch, {"l1": 2.0, "l2": 0.5}),
+    "cylinder": (_cylinder, {"R": 1.0}),
+    "sphere_cap": (_sphere_cap, {"R": 2.0}),
+    "saddle": (_saddle, {"a": 1.0}),
+    "gaussian_bump": (_gaussian_bump, {"A": 0.5, "s": 1.0}),
+}
+
+
 def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
     """Build one of the named benchmark surfaces.
 
@@ -632,99 +720,16 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
     saddle{a}, gaussian_bump{A,s}.  Their callables broadcast over
     trailing point axes (see ParametricSurface).
     """
-    box = ((-0.5, 0.5), (-0.5, 0.5))
-    if name == "plane":
-        _reject_unknown(params, set(), name)
-        _map = lambda x: np.array([x[0], x[1], np.zeros_like(x[0])])
-        _grad = lambda x: _constant(_IDENTITY_GRAD, x)
-        _hess = _zero_hess
-    elif name == "uniform_stretch":
-        _reject_unknown(params, {"l1", "l2"}, name)
-        l1 = finite_number(params.get("l1", 2.0), "l1")
-        l2 = finite_number(params.get("l2", 0.5), "l2")
-        positive((l1, l2), "stretch factors must be positive")
-        _map = lambda x: np.array([l1 * x[0], l2 * x[1], np.zeros_like(x[0])])
-        _grad = lambda x: _constant(((l1, 0.0), (0.0, l2), (0.0, 0.0)), x)
-        _hess = _zero_hess
-    elif name == "cylinder":
-        _reject_unknown(params, {"R"}, name)
-        R = finite_number(params.get("R", 1.0), "R")
-        positive(R, "cylinder radius must be positive")
-        _map = lambda x: np.array(
-            [R * np.sin(x[0] / R), x[1], R * (1.0 - np.cos(x[0] / R))])
-
-        def _grad(x):
-            g = _constant(((0.0, 0.0), (0.0, 1.0), (0.0, 0.0)), x)
-            g[0, 0] = np.cos(x[0] / R)
-            g[2, 0] = np.sin(x[0] / R)
-            return g
-
-        def _hess(x):
-            hh = _zero_hess(x)
-            hh[0, 0, 0] = -np.sin(x[0] / R) / R
-            hh[2, 0, 0] = np.cos(x[0] / R) / R
-            return hh
-
-        half = min(0.5, 1.4 * R)
-        box = ((-half, half), (-0.5, 0.5))
-    elif name == "sphere_cap":
-        _reject_unknown(params, {"R"}, name)
-        R = finite_number(params.get("R", 2.0), "R")
-        positive(R, "sphere radius must be positive")
-
-        def _root(x):
-            return np.sqrt(R * R - _pow(x[0], 2) - _pow(x[1], 2))
-
-        def _map(x):
-            return np.array([x[0], x[1], R - _root(x)])
-
-        def _grad(x):
-            g = _constant(_IDENTITY_GRAD, x)
-            root = _root(x)
-            g[2, 0] = x[0] / root
-            g[2, 1] = x[1] / root
-            return g
-
-        def _hess(x):
-            root = _root(x)
-            hh = _zero_hess(x)
-            for i in range(2):
-                for j in range(2):
-                    hh[2, i, j] = (1.0 if i == j else 0.0) / root + x[i] * x[j] / _pow(root, 3)
-            return hh
-
-        half = 0.45 * R
-        box = ((-half, half), (-half, half))
-    elif name == "saddle":
-        _reject_unknown(params, {"a"}, name)
-        a = finite_number(params.get("a", 1.0), "a")
-        _map = lambda x: np.array([x[0], x[1], a * x[0] * x[1]])
-
-        def _grad(x):
-            g = _constant(_IDENTITY_GRAD, x)
-            g[2, 0] = a * x[1]
-            g[2, 1] = a * x[0]
-            return g
-
-        def _hess(x):
-            hh = _zero_hess(x)
-            hh[2, 0, 1] = a
-            hh[2, 1, 0] = a
-            return hh
-    elif name == "gaussian_bump":
-        _reject_unknown(params, {"A", "s"}, name)
-        amp = finite_number(params.get("A", 0.5), "A")
-        s = finite_number(params.get("s", 1.0), "s")
-        positive(s, "bump width must be positive")
-        _map, _grad, _hess = _make_bump(amp, s)
-        box = ((-0.75, 0.75), (-0.75, 0.75))
-    else:
+    if not isinstance(name, str) or name not in _CATALOG:
         raise ValueError(f"unknown catalog surface '{name}'")
-
-    return ParametricSurface(
-        map=_map, grad=_grad, hess=_hess,
-        derivative_mode=derivative_mode, step=step, domain=box, name=name,
-    )
+    build, defaults = _CATALOG[name]
+    extra = set(params) - set(defaults)
+    if extra:
+        raise ValueError(f"unknown parameters {sorted(extra)} for surface '{name}'")
+    callables, box = build(*[finite_number(params.get(key, value), key)
+                             for key, value in defaults.items()])
+    return ParametricSurface(*callables, derivative_mode=derivative_mode, step=step,
+                             domain=box, name=name)
 
 
 def uniform_stretch_cone(lambda1):
@@ -744,35 +749,18 @@ def uniform_stretch_cone(lambda1):
     s = 1.0 / lambda1
     k = np.sqrt(lambda1 ** 2 - s ** 2)
 
-    def _map(x):
-        return np.array([s * x[0], s * x[1], k * np.hypot(x[0], x[1])])
-
-    def _grad(x):
+    def _slope(x):
         rho = np.hypot(x[0], x[1])
-        g = _constant(((s, 0.0), (0.0, s), (0.0, 0.0)), x)
-        g[2, 0] = k * x[0] / rho
-        g[2, 1] = k * x[1] / rho
-        return g
+        return k * x[0] / rho, k * x[1] / rho
 
-    def _hess(x):
+    def _curvature(x):
         rho = np.hypot(x[0], x[1])
-        hh = _zero_hess(x)
-        for i in range(2):
-            for j in range(2):
-                hh[2, i, j] = k * ((1.0 if i == j else 0.0) / rho
-                                   - x[i] * x[j] / _pow(rho, 3))
-        return hh
+        return lambda i, j: k * ((1.0 if i == j else 0.0) / rho
+                                 - x[i] * x[j] / _pow(rho, 3))
 
-    return ParametricSurface(map=_map, grad=_grad, hess=_hess,
-                             derivative_mode="analytic", step=1e-4,
-                             domain=((0.55, 1.45), (-0.45, 0.45)),
+    graph = _graph(s, s, lambda x: k * np.hypot(x[0], x[1]), _slope, _curvature)
+    return ParametricSurface(*graph, domain=((0.55, 1.45), (-0.45, 0.45)),
                              name="uniform_stretch_cone")
-
-
-def _reject_unknown(params, allowed, name):
-    extra = set(params) - allowed
-    if extra:
-        raise ValueError(f"unknown parameters {sorted(extra)} for surface '{name}'")
 
 
 def sampled_injectivity(surface):

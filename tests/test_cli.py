@@ -282,6 +282,9 @@ BAD_CONFIGS = [
     (_patched(derivative_mode="symbolic"), "'derivative_mode' must be"),
     (_patched(surface="cylinder"), "'surface' must be a mapping with a 'name' key"),
     (_patched(surface={"name": "nope"}), "surface: unknown catalog surface"),
+    # a name that cannot be a table key is still an unknown name
+    (_patched(surface={"name": [1]}), "surface: unknown catalog surface '[1]'"),
+    (_patched(surface={"name": {"a": 1}}), "surface: unknown catalog surface '{'a': 1}'"),
     (_patched(surface={"name": "cylinder", "bogus": 1}),
      "surface: unknown parameters"),
     (_patched(surface={"name": "gaussian_bump", "A": -0.1}),
@@ -768,7 +771,7 @@ def test_eigenframe_check_fails_on_a_shifted_coupling(monkeypatch):
 
 
 def test_eigenframe_check_holds_less_than_1_mib():
-    # the full 200,001-angle scan and its temporaries peaked near 7.6 MiB
+    # a 1001-angle grid argmin, refined by minimize_scalar, holds no large arrays
     assert _check_eigenframe_coupling({})["passed"]
     tracemalloc.start()
     try:

@@ -419,8 +419,8 @@ def test_svk_ode_resolution_guards():
         solve_svk_profile_ode(-0.5, 1.0, 1.0, 0.05, n_steps=50)
     with pytest.raises(ResolutionError, match="step count"):
         solve_svk_profile_ode(30.0, 1.0, 1.0, 1.0, n_steps=400)
-    # an odd step count is rounded up to the next even one
-    assert len(solve_svk_profile_ode(-0.5, 1.0, 1.0, 0.05, n_steps=201).x3) == 405
+    # an odd step count is kept: 201 steps each way, 2 * 201 + 1 nodes
+    assert len(solve_svk_profile_ode(-0.5, 1.0, 1.0, 0.05, n_steps=201).x3) == 403
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,17 @@ def test_plane_jet_is_trivial():
     assert jet.H == 0.0 and jet.K == 0.0 and jet.b1 == 0.0
 
 
+@pytest.mark.parametrize("mode", ["analytic", "finite-difference"])
+@pytest.mark.parametrize("x", [(0.0, 0.0), (0.3, -0.2), (-0.45, 0.4)])
+def test_flat_bump_is_the_plane_bit_for_bit(mode, x):
+    flat = jet_of("gaussian_bump", x, A=0.0, derivative_mode=mode)
+    plane = jet_of("plane", x, derivative_mode=mode)
+    for f in fields(SurfaceJet):
+        if f.name != "derivative_mode":
+            a, b = np.asarray(getattr(flat, f.name)), np.asarray(getattr(plane, f.name))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+
+
 # ---------------------------------------------------------------------------
 # internal identities of the jet
 

@@ -14,6 +14,7 @@ from plate_reduce import (
     NeoHookean,
     PolyProfile,
     ProfileConstraintError,
+    SaintVenantKirchhoff,
     catalog_surface,
     cg_profile,
     deformed_thickness,
@@ -298,10 +299,12 @@ HALF_THICKNESS_USERS = {
     "order_of_residual": lambda h: order_of_residual(lambda x: x ** 2, [1.0, 0.1, 0.01, h]),
     "verify_orientation": lambda h: verify_orientation(
         catalog_surface("cylinder"), lambda jet: PolyProfile(1.0), h),
+    "SaintVenantKirchhoff.profile": lambda h: SaintVenantKirchhoff(1.0, 1.0).profile(
+        jet_of("cylinder", (0.05, -0.3)), h),
 }
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf, None])
 @pytest.mark.parametrize("user", HALF_THICKNESS_USERS)
 def test_every_half_thickness_user_rejects_a_bad_h(user, h):
     with pytest.raises(ValueError, match="half thickness must be positive and finite"):
