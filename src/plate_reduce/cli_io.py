@@ -432,10 +432,11 @@ def cmd_sweep(config, out_dir):
         total_s, total_b, _ = integrate_contents(
             config.surface, config.material, values[0], grid=config.grid)
         for h in values:
+            # first: an energy that overflows ends the run before its invariants warn
+            energy = plate_energy(h, total_s, total_b)
             rows.append((param, h, "detcf_residual",
                          abs(fiber_invariants(jet, profile, h)[2] - 1.0)))
-            rows.append((param, h, "total_energy",
-                         plate_energy(h, total_s, total_b)))
+            rows.append((param, h, "total_energy", energy))
     elif param == "Jm":
         mu = config.material.mu
         base = point_contents(jet, NeoHookean(mu=mu))

@@ -120,7 +120,7 @@ class MooneyRivlin(MaterialModel):
 
     def __post_init__(self):
         positive(self.mu, "MooneyRivlin requires mu > 0")
-        if not (0.0 < self.chi <= 1.0):
+        if not 0.0 < np.float64(self.chi) <= 1.0:
             raise ValueError("MooneyRivlin requires chi in (0, 1]")
 
     def energy(self, I1, I2, I3):
@@ -259,7 +259,7 @@ def molecular_params(n_chains, n_links, k_boltzmann, temperature):
 
     Returns (mu, jm) = (n k T, 3 (N - 1)).
     """
-    if not 1.0 < n_links < np.inf:
+    if not 1.0 < np.float64(n_links) < np.inf:
         raise MaterialDomainError("chain segment count N must exceed 1")
     positive((n_chains, k_boltzmann, temperature),
              "chain density, k, and temperature must be positive", MaterialDomainError)

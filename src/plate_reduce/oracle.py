@@ -64,6 +64,8 @@ def through_thickness_energy_from_jet(jet, material, profile, h, quad_order=8):
     A scalar ``h`` gives a float; a 1-d array (or sequence) of them gives the
     array of those floats, each equal to its scalar call.
     """
+    if not isinstance(quad_order, (int, np.integer)):
+        raise ValueError(f"quad_order must be an integer, got {quad_order!r}")
     if quad_order < 2:
         raise ValueError("quad_order must be at least 2")
     nodes, weights = _gauss_legendre(quad_order)

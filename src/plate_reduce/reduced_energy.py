@@ -406,7 +406,8 @@ def integrate_contents(surface, material, h, grid=(8, 8)):
         ordered by the first axis, then the second.
     """
     half_thickness(h)
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in grid):
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+               for n in grid):
         raise ValueError(f"grid must be two integers >= 1, got {grid}")
     nx, ny = grid
     (u0, u1), (v0, v1) = surface.domain

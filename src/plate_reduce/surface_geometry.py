@@ -187,14 +187,14 @@ def finite_number(value, key):
 
 def positive(value, message, error=ValueError):
     """``value``, or ``error(message.format(x))``, with ``index``, for its
-    first element x outside (0, inf); NaN fails."""
-    raise_first_failure((~(np.greater(value, 0) & np.less(value, np.inf)),
-                         lambda i: error(message.format(np.ravel(value)[i]))))
+    first element x outside (0, inf); NaN, and so None, fails."""
+    x = np.asarray(value, dtype=float)
+    raise_first_failure((~((x > 0) & (x < np.inf)),
+                         lambda i: error(message.format(np.ravel(x)[i]))))
     return value
 
 
 def half_thickness(h):
-    # read as floats, so a missing h (None) is NaN and fails like a bad one
     return positive(np.asarray(h, dtype=float),
                     "half thickness must be positive and finite, got {:g}")
 
@@ -231,23 +231,21 @@ def _call(surface, what, x, shape):
     return out
 
 
-def _fd_grad(surface, x, step):
-    cols = []
-    for e in step * np.eye(2).reshape((2, 2) + (1,) * (x.ndim - 1)):
-        cols.append((_call(surface, "map", x + e, (3,))
-                     - _call(surface, "map", x - e, (3,))) / (2.0 * step))
-    return np.stack(cols, axis=1)
+def _central(f, x, step):
+    """Central differences of ``f`` along both reference coordinates at
+    the points ``x`` (2, ...)."""
+    return [(f(x + e) - f(x - e)) / (2.0 * step)
+            for e in step * np.eye(2).reshape((2, 2) + (1,) * (x.ndim - 1))]
 
 
-def _fd_hess(surface, x, step):
-    cols = []
-    for e in step * np.eye(2).reshape((2, 2) + (1,) * (x.ndim - 1)):
-        gp = _fd_grad(surface, x + e, step)
-        gm = _fd_grad(surface, x - e, step)
-        cols.append((gp - gm) / (2.0 * step))
-    h = np.stack(cols, axis=2)
+def _fd_derivatives(surface, x, step):
+    """Gradient (3, 2, ...) and Hessian (3, 2, 2, ...) of the surface map
+    at ``x`` (2, ...) by nested central differences."""
+    def grad(p):
+        return np.stack(_central(lambda q: _call(surface, "map", q, (3,)), p, step), axis=1)
+    h = np.stack(_central(grad, x, step), axis=2)
     # nested differences are not exactly symmetric; enforce it
-    return 0.5 * (h + h.swapaxes(1, 2))
+    return grad(x), 0.5 * (h + h.swapaxes(1, 2))
 
 
 def _eigen_gap(C):
@@ -301,8 +299,7 @@ def _jet_fields(surface, x):
                             (2,) + (1,) * (x.ndim - 1))
         xe = np.where(outside, center, x)
     if fd:
-        grad_y = _fd_grad(surface, xe, surface.step)
-        hess_y = _fd_hess(surface, xe, surface.step)
+        grad_y, hess_y = _fd_derivatives(surface, xe, surface.step)
     else:
         grad_y = _call(surface, "grad", xe, (3, 2))
         hess_y = _call(surface, "hess", xe, (3, 2, 2))
@@ -345,10 +342,8 @@ def _jet_fields(surface, x):
     l2 = (a1 * r2[0] + a2 * r2[1]) / lam2
 
     # gradient of the unit normal from the product-rule gradient of a1 x a2
-    cols = []
-    for k in range(2):
-        dw = _cross(hess_y[:, 0, k], a2) + _cross(a1, hess_y[:, 1, k])
-        cols.append((dw - nu * _dot(nu, dw)) / area)
+    dws = [_cross(hess_y[:, 0, k], a2) + _cross(a1, hess_y[:, 1, k]) for k in range(2)]
+    cols = [(dw - nu * _dot(nu, dw)) / area for dw in dws]
     grad_nu = np.array(cols).swapaxes(0, 1)
 
     # surface gradient of the normal in the (l1, l2) frame
@@ -476,9 +471,7 @@ def verify_orientation(surface, profile, h):
     jet = evaluate_jets(surface, points)
 
     x3 = x3s[:, None]  # over (x3, point)
-    grad_phi = [(profile(evaluate_jets(surface, points + e)).phi(x3)
-                 - profile(evaluate_jets(surface, points - e)).phi(x3)) / (2.0 * step)
-                for e in step * np.eye(2)]
+    grad_phi = _central(lambda p: profile(evaluate_jets(surface, p.T)).phi(x3), points.T, step)
     det = np.linalg.det(fiber_deformation_gradient(jet, profile(jet), x3, grad_phi)).T.ravel()
 
     # the first minimum in (x1, x2, x3) loop order; a NaN Jacobian is
@@ -743,7 +736,7 @@ def uniform_stretch_cone(lambda1):
     Requires lambda1 > 1.  Not a config surface name; its callables
     broadcast like the catalog's.
     """
-    lambda1 = float(lambda1)
+    lambda1 = float(np.float64(lambda1))
     if not 1.0 < lambda1 < np.inf:
         raise ValueError("cone construction needs lambda1 > 1")
     s = 1.0 / lambda1

@@ -53,6 +53,7 @@ class PolyProfile:
 
 
 def _require_finite_H(H):
+    H = np.asarray(H, dtype=float)
     raise_first_failure((~np.isfinite(H), lambda i: ValueError(
         f"the SVK profile needs a finite H, got {np.ravel(H)[i]:g}")))
 
@@ -229,6 +230,7 @@ def svk_profile(H, lam, mu, h):
     rows = np.broadcast(H, lam, mu, h).shape
     at = lambda v, i: np.broadcast_to(v, rows).ravel()[i]
     _require_finite_H(np.broadcast_to(H, rows))
+    positive((lam, mu), "Lame constants must be positive")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c = np.cosh(2.0 * H * half_thickness(h))
         alpha_bar = (lam * lam * c + 4.0 * mu * (lam + mu)) / ((2.0 * mu + lam) ** 2 * c)

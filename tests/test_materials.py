@@ -30,6 +30,7 @@ from plate_reduce import (
     molecular_params,
     parabolic_refine,
     small_strain_energy,
+    svk_profile,
     symmetric_sqrt,
     volumetric_energy,
 )
@@ -236,6 +237,26 @@ POSITIVE_GUARDS = {
                                ValueError, "parabolic_refine needs delta > 0, got {:g}", 0),
     "uniform_stretch_cone": (uniform_stretch_cone, ValueError,
                              "cone construction needs lambda1 > 1", None),
+    "gent-mu": (lambda x: Gent(mu=x, jm=1.0), ValueError,
+                "Gent requires mu > 0 and jm > 0", 0),
+    "gent-jm": (lambda x: Gent(mu=1.0, jm=x), ValueError,
+                "Gent requires mu > 0 and jm > 0", 1),
+    "mooney_rivlin-chi": (lambda x: MooneyRivlin(1.0, x), ValueError,
+                          "MooneyRivlin requires chi in (0, 1]", None),
+    "cg-from_lame-lam": (lambda x: CiarletGeymonat.from_lame(x, 1.0), ValueError,
+                         "Lame constants must be positive", 0),
+    "cg-from_lame-mu": (lambda x: CiarletGeymonat.from_lame(1.0, x), ValueError,
+                        "Lame constants must be positive", 1),
+    "catalog-step": (lambda x: catalog_surface("plane", step=x), ValueError,
+                     "step must be positive", 0),
+    "hyperbolic-H": (lambda x: HyperbolicProfile(H=x, lam=1.0, mu=1.0, h=0.1, alpha_bar=1.0),
+                     ValueError, "the SVK profile needs a finite H, got {:g}", 0),
+    "svk_profile-H": (lambda x: svk_profile(x, 1.0, 1.0, 0.1), ValueError,
+                      "the SVK profile needs a finite H, got {:g}", 0),
+    "svk_profile-lam": (lambda x: svk_profile(0.1, x, 1.0, 0.1), ValueError,
+                        "Lame constants must be positive", 0),
+    "svk_profile-mu": (lambda x: svk_profile(0.1, 1.0, x, 0.1), ValueError,
+                       "Lame constants must be positive", 1),
 }
 # an infinite principal value is allowed there; NaN is not
 NAN_GUARDS = {
@@ -255,6 +276,17 @@ def test_positivity_guards_reject_nan_and_infinities(guard, value):
         make(value)
     assert type(err.value) is error
     assert str(err.value) == message.format(value)
+    assert getattr(err.value, "index", None) == index
+
+
+@pytest.mark.parametrize("guard", POSITIVE_GUARDS)
+def test_positivity_guards_reject_none(guard):
+    # a missing value is read as NaN and fails with the guard's own error
+    make, error, message, index = POSITIVE_GUARDS[guard]
+    with pytest.raises(error) as err:
+        make(None)
+    assert type(err.value) is error
+    assert str(err.value) == message.format(NAN)
     assert getattr(err.value, "index", None) == index
 
 

@@ -304,6 +304,14 @@ def test_quadrature_validates_order_and_admissibility():
             stretched, material, incompressible_profile(stretched), 1e-3)
 
 
+def test_quadrature_rejects_a_fractional_order():
+    # numpy's own TypeError would otherwise name its internal 'deg'
+    jet = cylinder_jet()
+    with pytest.raises(ValueError, match=r"^quad_order must be an integer, got 2\.5$"):
+        through_thickness_energy_from_jet(jet, Gent(mu=1.0, jm=10.0),
+                                          incompressible_profile(jet), 1e-3, quad_order=2.5)
+
+
 def test_quadrature_handles_svk_via_full_tensor():
     jet = cylinder_jet()
     material = SaintVenantKirchhoff(lam=1.0, mu=1.0)

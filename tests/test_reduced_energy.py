@@ -383,8 +383,8 @@ def test_integrate_contents_guards():
     with pytest.raises(StiffeningLimitError, match="at grid node"):
         integrate_contents(overstretched, Gent(mu=1.0, jm=10.0), 0.01,
                            grid=(3, 3))
-    # a fractional or zero side is no Gauss-Legendre rule
-    for grid in ((2.5, 3), (0, 8)):
+    # a fractional, zero or boolean side is no Gauss-Legendre rule
+    for grid in ((2.5, 3), (0, 8), (True, 3)):
         with pytest.raises(ValueError, match=r"grid must be two integers >= 1, "
                                              rf"got \({grid[0]}, {grid[1]}\)"):
             integrate_contents(catalog_surface("plane"), Gent(mu=1.0, jm=10.0),

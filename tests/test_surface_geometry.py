@@ -94,6 +94,50 @@ def test_finite_difference_bump_values_are_frozen(x, frozen_map, frozen):
     assert {k: float(getattr(jet, k)) for k in frozen} == frozen
 
 
+def test_fd_jet_values_are_frozen():
+    # every bit of the nested central differences at a height node
+    surface = catalog_surface("gaussian_bump", derivative_mode="finite-difference")
+    jet = evaluate_jet(surface, np.array((0.3, 0.2)))
+    hexed = lambda a: np.vectorize(float.hex)(a).tolist()
+    assert hexed(jet.grad_y) == [
+        ["0x1.ebfddfa193bb8p-1", "-0x1.f087be7a54d00p-7"],
+        ["-0x1.f087be7859000p-7", "0x1.f274f971d3044p-1"],
+        ["0x1.32900498b04aep-2", "0x1.98c006217462cp-3"]]
+    assert hexed(jet.hess_y) == [
+        [["-0x1.d25adaad0f580p-3", "-0x1.a010094a5d200p-5"],
+         ["-0x1.a010094a5d200p-5", "-0x1.3718093631800p-4"]],
+        [["-0x1.a010094a5d200p-5", "-0x1.371808d6d3700p-4"],
+         ["-0x1.371808d6d3700p-4", "-0x1.3695e7b5c6ec0p-3"]],
+        [["0x1.fc063f84d0dc8p-1", "-0x1.f1300fa66d000p-9"],
+         ["-0x1.f1300fa66d000p-9", "0x1.fda4924970498p-1"]]]
+    assert {k: float(getattr(jet, k)).hex() for k in ("H", "K", "b1", "trC", "detC")} == {
+        "H": "-0x1.fcc2cfda4260fp-1", "K": "0x1.f9888026d0a03p-1",
+        "b1": "-0x1.fcf73a4ea1857p+0", "trC": "0x1.00239ed1cf8b2p+1",
+        "detC": "0x1.ffffffd4e8af4p-1"}
+
+
+# worst |FD - analytic| over these points and surfaces at the default step
+# 1e-4: 3.3e-10 for the second-order fields (hess_y, H, K, b1) and 9.4e-13
+# for the first-order ones (grad_y, trC, detC); the bounds allow about 6x
+# and 10x that, and the second-order one stays a tenth of the round-off
+# floor eps / step^2 ~ 2e-8 of a nested difference
+FD_BOUNDS = {"hess_y": 2e-9, "H": 2e-9, "K": 2e-9, "b1": 2e-9,
+             "grad_y": 1e-11, "trC": 1e-11, "detC": 1e-11}
+
+
+@pytest.mark.parametrize("name,params", [
+    ("saddle", {"a": 1.0}), ("saddle", {"a": 0.3}), ("plane", {}), ("uniform_stretch", {})])
+@pytest.mark.parametrize("x", [(0.1, 0.1), (-0.2, 0.3), (0.3, -0.25), (0.0, 0.0)])
+def test_fd_jets_of_quadratic_maps_match_analytic(name, params, x):
+    analytic = jet_of(name, x, **params)
+    fd = jet_of(name, x, derivative_mode="finite-difference", **params)
+    for field, bound in FD_BOUNDS.items():
+        gap = np.max(np.abs(np.asarray(getattr(fd, field)) - getattr(analytic, field)))
+        assert gap <= bound, (field, gap)
+    if name != "saddle":  # an affine map's differences cancel exactly
+        assert np.array_equal(fd.hess_y, np.zeros((3, 2, 2)))
+
+
 @pytest.mark.parametrize("lo,hi", [(-0.75, 0.75), (0.0, 0.01), (0.1, 3.0)],
                          ids=["coordinates", "series", "radii"])
 def test_catalog_powers_round_like_the_scalar_power(lo, hi):
