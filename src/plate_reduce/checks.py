@@ -216,110 +216,110 @@ def _check_codazzi_residuals(tol):
 #     np.random.default_rng(170831).uniform(
 #         (0.2, 0.2, 1.5, 0.4, -1.5, -2.0, -3.0),
 #         (3.0, 3.0, 5.0, 3.0, 1.5, 2.0, 3.0), size=(100, 7))
-# and stored so that verify never imports numpy.random; each repr
-# round-trips to the drawn double.
-_MINIMALITY_PROBES = np.array([
-    [2.697260435827826, 2.9981983723156547, 3.4859739163293995, 0.6918717644792204, -0.17791927525724427, -1.109101686051965, 2.838560620345083],
-    [1.7432141623059363, 1.6499458325064404, 2.034987205191199, 2.5622550144758987, 1.2988688569559401, -0.3878185264052214, -2.0612553327292513],
-    [0.3010732055390667, 0.45582176749341596, 1.9066267596272413, 2.245626735196358, 1.0243013781086296, 0.6979050948003889, -0.8238127731923037],
-    [0.5503500832703774, 2.0755576145811205, 1.6967098898549862, 1.8825299401636055, 0.3382784142268431, -0.38623691826603057, 0.8363564222828108],
-    [2.2083214364176036, 1.8852282412969905, 4.091340075912743, 2.672244422332379, -0.8231430983853588, 0.9156798311908987, 0.040477761982451455],
-    [1.8996228378152926, 1.8777848646005288, 2.738056542013002, 1.9086442001547952, 0.05755270428268444, -0.7460146330164723, -2.1384171176158824],
-    [0.7591265827158482, 0.538515134561255, 4.486275374180292, 0.9954476976352371, -0.09563429987341321, -0.6566827191109996, 2.1202309584544423],
-    [0.5750161591053535, 2.0551280018799987, 2.5420778784673845, 1.8979577356757527, 0.5094854539802678, -0.5867744131781292, -2.742809804953535],
-    [2.983066102918457, 2.146172248945784, 2.911544986335312, 1.1167854677616402, -1.2675233712498137, -0.523728710677176, -1.566625316633906],
-    [2.909202644497932, 1.3787062983106708, 1.8122923905855188, 2.6205111174934195, 1.3597639254093474, -1.6557243613106376, 2.9433709726369752],
-    [2.134156259709586, 0.7797133039605002, 4.336409725718886, 2.415720277556878, 1.319512559351602, -0.9736114318524254, -1.00743626402824],
-    [2.2143164980509913, 1.1179704290244494, 3.8313773116445593, 2.641905870397727, 1.1528467283656267, 0.19161581390818672, 1.4970402407071335],
-    [0.9372238025012474, 1.2854808571804488, 2.9055637241971874, 0.7975336051424662, 0.5276416772109753, -1.1317780148659615, 2.0885036114101423],
-    [2.194279670592386, 1.1367813165089211, 4.127721573726536, 1.9416648173215494, -1.1276745631771123, -0.18095750114788434, -1.4701409275573079],
-    [0.9519288166913837, 2.2427801493920967, 1.6603620572172586, 2.45884731549593, 0.4361768796491614, -1.9953464029271761, -0.9865313803383708],
-    [2.507890662303952, 2.4903635758581717, 4.666898854534002, 1.6385984758659764, 0.9686877291155143, -1.1750898168136708, 1.0385370285131073],
-    [2.6898416897914763, 0.41140460722437405, 3.088889147018856, 1.8124315608455088, 0.7465686712455115, -1.1573347865193733, 0.2701988319812276],
-    [2.917144990025428, 1.831089086386659, 1.8125920564474027, 2.523867923713735, 0.5195470768236747, 1.2354301648416528, 1.0200733378866982],
-    [2.289001103245369, 2.614489670368788, 3.2767858949886355, 1.3921643715339944, -0.9077705569949682, 1.6712625437955948, 2.958367498439051],
-    [2.9353837949935393, 2.085853020096677, 2.354245844305461, 1.3958965401615229, -0.689542782900508, -1.9942776009615417, -2.8300060022989446],
-    [0.6598121131981048, 1.8792000410833838, 2.2254333913545983, 0.8253505840683942, 1.1170900707103462, 1.6809146477103623, 2.5829620554362647],
-    [0.6235727147919989, 1.4693930009319898, 1.7550200301461336, 2.982351053581745, -1.489931340259193, -0.697428345410954, -2.2444774591700507],
-    [1.768400472226907, 1.2110114629011943, 3.578985251134998, 0.487521802416066, 0.5263025604973346, -1.049565440868681, -2.5218418566827756],
-    [2.00539559632567, 1.968987491186557, 4.993366881354401, 1.1407176749335997, 1.4374948141584536, 0.26866599296805393, -0.8673643941094848],
-    [1.7224840620762674, 1.6505069604726976, 1.850813235804615, 1.7347263902203953, 1.0095837980180593, 0.9429734432002355, 1.0217850378770947],
-    [0.7637452282832744, 2.3934250683576614, 2.3356626191425485, 2.886666374002532, -0.9923654906624181, -1.9927646598994482, -1.2070254619045757],
-    [2.295219561098872, 1.9971204718332314, 1.671988853327545, 2.85509159651457, -0.9941106065303514, -0.8665899726798814, 0.23618675764873576],
-    [2.1457249604154867, 2.4937824810818756, 3.106524920752385, 0.5268665819162972, -0.14203394939563996, -0.6910258543392254, -2.8329478094373495],
-    [0.20003644555528333, 0.8993793429500352, 3.065847853363362, 1.1436485911631205, -0.7141477111749545, -0.8796836198958973, 2.537814717839007],
-    [2.7018499112777405, 0.6487350731639527, 2.529157791389062, 2.374843361787907, -0.46940431775474134, 1.0971885999325663, -2.2168293860029586],
-    [1.199962713010804, 2.5582704664790645, 2.1644122114677504, 2.4077028352115266, -1.1147893184501863, 0.4855999227320318, -2.770799371307664],
-    [2.604239643146819, 1.5570709971460128, 4.01534733333557, 2.621087764330321, 0.7346169888001945, 1.776613605159961, 1.282743317962776],
-    [2.420855209141297, 1.2520767846326568, 2.431643195554043, 1.1342927792165884, 0.5826788830198715, -1.9789668707866999, 0.5793981771506913],
-    [1.929389701686611, 1.9813314488585212, 3.663323957453145, 2.8285981379327856, -0.19645125190503832, -0.004142800245806377, 2.8171855859988932],
-    [0.46939890183964517, 1.5065813411651092, 3.1770319188455773, 0.9170054847861144, -1.0519440756431209, 1.390631483870635, 1.1220154031387306],
-    [1.2825394797835532, 1.5234895719090384, 2.1366548947211568, 2.0144043274252432, -0.9946999263992635, -1.617967078109905, -0.77552724526298],
-    [2.0206355462682324, 2.692691142383775, 3.236096592800015, 1.1490014729253168, 1.3168851574750624, -0.690417474106531, 0.26843450527067114],
-    [2.9851039047653116, 1.7603044128502556, 2.2680835327487543, 1.4955143030941538, 1.2406263955833041, 0.1390430476902198, 2.382051229492408],
-    [2.527052788632275, 0.7712857109102205, 3.72871491544313, 2.9473100257200002, -1.297567605802565, -1.5739188446492944, 1.0807022520614664],
-    [2.219683813811203, 2.96296158178435, 4.592219159782747, 1.2539089117375202, -0.13143504918247584, 0.6701099391772956, 2.175018310938479],
-    [0.8414357477711512, 2.456386262698333, 2.377007811413042, 0.9567410159795552, -0.9902933346096412, 1.3094537651619311, -1.0701642671948632],
-    [1.125795572291168, 1.2696838442062812, 3.7991766401665257, 1.2071520516568004, 0.5810941609565896, 0.37676334591520844, -2.0034942609522366],
-    [2.581686613066518, 0.3000618527094551, 4.374529850222874, 2.2973622926319557, 0.17770323281599554, -1.6149694199842175, 0.23658881111070684],
-    [2.3582958992015572, 2.471494863267239, 4.296034752365549, 1.3039165156036023, -0.5755370126305623, 0.6200136275710486, 2.0502931453392126],
-    [0.9680541830684755, 1.7389460294761494, 3.7561020251442994, 1.7606931406752353, 0.252150097082537, 1.0151024863752203, -0.2052812901350558],
-    [1.2595652589217745, 0.32909852661755057, 3.7687504244371395, 1.53988446606327, -0.6175324222479227, -0.6512030223387759, -0.6767413531145996],
-    [2.0659843685462578, 2.7301650907315462, 3.7495547639459215, 2.663129792066516, 0.5859541725352546, -0.6525471524528026, 2.451688989817826],
-    [0.8671714220088069, 1.990434636588252, 4.374219466414251, 0.9413142743804331, 0.3341749737156272, -1.325376553174498, 0.0038138701517178575],
-    [2.6728753380124037, 2.2394871972774775, 4.800338480386645, 0.9110143633266576, 0.7529692949293016, 0.44368952623732794, 1.169413388387313],
-    [1.600708115404281, 0.3336404046455385, 4.435844916067392, 0.5101304339240246, 0.9117806699866629, 1.7532630967511587, 1.2630979777848257],
-    [1.7063793368471363, 2.1074124347465113, 1.8254373338597025, 2.1962454742786788, -1.1262540762396949, 0.19011382025945567, 2.134461653622811],
-    [0.930385361758149, 1.5141300063735283, 2.7241753861178255, 0.7911402746969891, -0.9446885493710309, -1.5731909922460092, 1.014449064045614],
-    [2.0629765799885478, 2.114856285447755, 1.8300776369766556, 2.4940012954718176, -0.6152692518343988, 1.7017869177741671, 1.755816636005176],
-    [0.9790419160740989, 2.9981892623608353, 4.779622568201761, 2.200346670278069, 0.7356400717843417, -1.9401979716016964, 0.4569978642558947],
-    [1.1997102258361334, 1.4511921712440528, 3.7239035616038176, 2.5840697416138627, 0.8774162270792258, -0.04602793430352525, -0.255395474363878],
-    [1.7920396850906084, 2.768166523570286, 2.638470257194681, 1.1090246801814225, -0.6958141272434714, 0.4136577777754251, 0.9039093489739121],
-    [0.9532730424087499, 2.0595726220251063, 3.3814778136407293, 1.2506067326488899, -0.8095765556904074, -0.9385981454022647, -2.279928368173517],
-    [2.3360367203327077, 0.8149912426808572, 2.62955010633359, 2.1528379222691925, 0.9515706571209952, -0.9029253043326393, 2.23937036734322],
-    [1.0056008007288273, 0.6688538951267193, 1.8051277640128678, 0.9541228321189449, 0.14721431204544322, 0.2722916485267861, -0.2901345909529365],
-    [2.339345673248285, 1.499854820013983, 3.5238633097757783, 1.7273864428988825, 0.3620978805660853, -1.7792493150062803, -0.6533811981083506],
-    [0.9477449394131734, 2.7207739797121584, 3.359135302422738, 0.7552835430203151, -0.7882997634705154, -0.7740704385666906, -0.15275293705141912],
-    [2.7176607235980583, 1.4139176397176625, 2.9262696278705187, 0.8909054550158311, -0.7249756834578199, -0.9799987475402006, 1.453366320893088],
-    [2.5263535455507373, 1.2390390555364652, 3.9228872887109545, 0.9607765105519189, 1.1874874407582507, -1.5880639564243757, -2.163136768493792],
-    [2.0420166530810024, 1.231556756687084, 3.8588858375430934, 0.8806037135780795, -0.2885720570351469, -1.0512396887948663, -0.627614581623742],
-    [2.6647358242805312, 0.3899064548784845, 4.413755350144395, 2.1458474760522543, -1.4038967062341663, -1.5379079396733508, -0.8679764357964865],
-    [0.9781834543413057, 1.1823839691681257, 2.8237754659478216, 1.2961318870718856, 1.4375576363043097, -1.6454818836430705, 0.8037822302141926],
-    [1.3604023981706752, 1.4098219404017953, 3.437139293349534, 1.8908275143382656, 0.30959518029774813, -0.6778694781798422, -2.8766531931944597],
-    [0.23991439833513964, 0.5094405889019313, 1.9554271730676698, 2.06977838469158, 0.7292499226941032, -1.7875822710203786, -0.9574538580862848],
-    [1.3030478831666865, 2.46779017131068, 4.93237750334896, 0.7547233541938511, -1.4020538405457241, 0.6082507671161359, -2.7833519190260754],
-    [2.9300166539350525, 1.6556854057190376, 3.749431408131277, 1.851868389027051, -0.6185164592289862, 1.9277500142362944, 2.0910061101954627],
-    [2.6143946394978803, 1.4803216917671347, 1.922085650621591, 1.0231933693189799, -0.978800253870561, 0.7442175771433313, 1.868291445619068],
-    [1.835867485035681, 0.5716059823681872, 3.3543831396135038, 1.5705737706317477, 1.4183434742185344, 1.0470884393776863, 2.4970143568291396],
-    [1.6672378612961851, 2.6850096532895846, 2.56100184715069, 0.8549383388267014, 0.5382751017821099, 1.3553494340287675, 1.124661797910849],
-    [2.079016303792546, 1.4460964901562665, 4.8934594495249595, 1.941731150599899, 0.3954029629785407, -0.6621159838381518, -0.1808057222941546],
-    [0.9501487960265249, 2.489889727590334, 4.120013748226839, 2.140047555533544, 1.298938891062884, -0.3805834611879564, 0.3962592484837071],
-    [0.7659486928782995, 0.5719510900832662, 4.479114329067906, 2.365231235543759, -0.12592993146885956, 0.8461053312558744, -0.6046479014948352],
-    [1.8774578122797803, 2.6772529532749663, 2.4511735956990215, 0.7836471741390811, 0.6921457675243312, 1.6567141149434903, 0.6272831503796805],
-    [2.9584749273003914, 0.42544572281537263, 3.7753437757483432, 1.7864512718024792, 0.5508699374084909, 0.3669155475169421, -2.891714388275483],
-    [2.830984922839632, 0.24559458018638233, 4.4296601119889125, 0.5317638176764437, -0.16609852805188496, 1.7103763308658824, 1.2753311084563173],
-    [2.7396454176745326, 0.43683473819881613, 3.4789241790373846, 1.3545055563012771, -0.8023854353746251, -1.5192455674992758, 0.8071974409801062],
-    [1.8910529252206403, 2.5923653959506323, 3.1635592324037747, 2.2921295533180706, 0.18150195141377212, -1.332955487465393, 2.6835500430614765],
-    [1.4836198971352825, 1.1982027172797094, 3.9928396044020857, 0.6819997193349543, 0.9388068766882283, -0.5067389815848995, 2.0882113527314914],
-    [1.4289414907700302, 1.4491656261854706, 4.542875722334099, 0.8868123359901341, -1.3226199922804165, 0.3936174386422846, -0.045210504918868466],
-    [1.056608944293232, 2.7890892567274923, 4.327098555732673, 2.407233790726151, 0.07107556216526456, 0.6934996054754219, -0.9925808969856242],
-    [1.682132270272256, 2.74377787293948, 3.1669569941601123, 2.5753604958128262, 1.0473642855218568, 1.1576628749644726, -0.33012889219659236],
-    [0.21917062402598378, 0.7137226359437925, 3.405014756518273, 2.263457974474448, 0.938136885997813, 0.9988292190947923, -2.2219734944368383],
-    [2.636696134722145, 2.611498493696323, 4.173710530455769, 0.48241808629200844, 0.29049145197565296, -0.5795399285461391, -0.7596014323397808],
-    [2.6966287773752584, 0.5436744814038053, 2.3633420626592896, 0.7491431130891597, 1.4237611766583829, -0.23624750315792298, -2.155120402744052],
-    [1.5713320015618522, 1.833126886963753, 4.855713401743003, 1.0322039914840326, -0.41528467743464503, 1.0294366201310314, -0.1866450868233045],
-    [1.2206834455911493, 0.9912401325166171, 2.7646145385012275, 1.2197807542227102, 0.4361072702061237, -1.2887352233051361, 2.714691504322401],
-    [1.1793798241346733, 0.40162151331128065, 2.4902794773521633, 1.1140846158723887, -0.8076079046766729, 1.2895569957974033, -1.681340259297557],
-    [0.6603893299255108, 2.9283556959297385, 4.545825649050298, 1.2258494058872897, -1.1962898284798649, 0.014776562844311947, 1.82672675494375],
-    [2.3632688291468615, 0.5964870341942411, 2.2348124776080236, 2.7194444541124687, -0.14538408574225303, 1.6884598364665115, 1.3613497653187254],
-    [2.123628976698286, 2.204942559719377, 2.0953222892913557, 1.5842479562502123, -0.6294929810520338, 1.5731989689186823, -2.5018827639391485],
-    [0.43054917498587264, 2.03977144532677, 4.748225089180222, 2.276425490428575, -0.45281602309519187, -0.22131787430622474, 0.07501859215416262],
-    [2.1445644744787633, 0.5032399007915799, 1.7337642612351611, 2.0923550959459436, 1.256170759227384, -0.8865981909974194, -2.3130107038997263],
-    [1.5787194418436359, 1.5693093194000363, 4.9068915785635845, 0.4624363850695071, 1.06998366993207, -1.5715965340357423, 0.28483697177440703],
-    [2.3819900176407227, 0.7277971233301994, 2.1855315071253907, 1.80542379318317, -0.9194038577607255, 1.9032625948171171, 1.0545281693298634],
-    [1.0336809337899735, 2.7713953136015212, 1.9293542227702112, 2.926909001812285, -0.01818800321583658, 1.8104098145583505, 1.3806689098799136],
-    [1.228999316336014, 0.24568621545715696, 1.594849700127129, 0.9434781874152968, -0.6449862546867943, 1.510942948353426, 2.121825342596188],
-])
+# and stored so that verify never imports numpy.random: each repr round-trips
+# to the drawn double, in one string, which compiles lighter than a list.
+_MINIMALITY_PROBES = np.array("""
+2.697260435827826 2.9981983723156547 3.4859739163293995 0.6918717644792204 -0.17791927525724427 -1.109101686051965 2.838560620345083
+1.7432141623059363 1.6499458325064404 2.034987205191199 2.5622550144758987 1.2988688569559401 -0.3878185264052214 -2.0612553327292513
+0.3010732055390667 0.45582176749341596 1.9066267596272413 2.245626735196358 1.0243013781086296 0.6979050948003889 -0.8238127731923037
+0.5503500832703774 2.0755576145811205 1.6967098898549862 1.8825299401636055 0.3382784142268431 -0.38623691826603057 0.8363564222828108
+2.2083214364176036 1.8852282412969905 4.091340075912743 2.672244422332379 -0.8231430983853588 0.9156798311908987 0.040477761982451455
+1.8996228378152926 1.8777848646005288 2.738056542013002 1.9086442001547952 0.05755270428268444 -0.7460146330164723 -2.1384171176158824
+0.7591265827158482 0.538515134561255 4.486275374180292 0.9954476976352371 -0.09563429987341321 -0.6566827191109996 2.1202309584544423
+0.5750161591053535 2.0551280018799987 2.5420778784673845 1.8979577356757527 0.5094854539802678 -0.5867744131781292 -2.742809804953535
+2.983066102918457 2.146172248945784 2.911544986335312 1.1167854677616402 -1.2675233712498137 -0.523728710677176 -1.566625316633906
+2.909202644497932 1.3787062983106708 1.8122923905855188 2.6205111174934195 1.3597639254093474 -1.6557243613106376 2.9433709726369752
+2.134156259709586 0.7797133039605002 4.336409725718886 2.415720277556878 1.319512559351602 -0.9736114318524254 -1.00743626402824
+2.2143164980509913 1.1179704290244494 3.8313773116445593 2.641905870397727 1.1528467283656267 0.19161581390818672 1.4970402407071335
+0.9372238025012474 1.2854808571804488 2.9055637241971874 0.7975336051424662 0.5276416772109753 -1.1317780148659615 2.0885036114101423
+2.194279670592386 1.1367813165089211 4.127721573726536 1.9416648173215494 -1.1276745631771123 -0.18095750114788434 -1.4701409275573079
+0.9519288166913837 2.2427801493920967 1.6603620572172586 2.45884731549593 0.4361768796491614 -1.9953464029271761 -0.9865313803383708
+2.507890662303952 2.4903635758581717 4.666898854534002 1.6385984758659764 0.9686877291155143 -1.1750898168136708 1.0385370285131073
+2.6898416897914763 0.41140460722437405 3.088889147018856 1.8124315608455088 0.7465686712455115 -1.1573347865193733 0.2701988319812276
+2.917144990025428 1.831089086386659 1.8125920564474027 2.523867923713735 0.5195470768236747 1.2354301648416528 1.0200733378866982
+2.289001103245369 2.614489670368788 3.2767858949886355 1.3921643715339944 -0.9077705569949682 1.6712625437955948 2.958367498439051
+2.9353837949935393 2.085853020096677 2.354245844305461 1.3958965401615229 -0.689542782900508 -1.9942776009615417 -2.8300060022989446
+0.6598121131981048 1.8792000410833838 2.2254333913545983 0.8253505840683942 1.1170900707103462 1.6809146477103623 2.5829620554362647
+0.6235727147919989 1.4693930009319898 1.7550200301461336 2.982351053581745 -1.489931340259193 -0.697428345410954 -2.2444774591700507
+1.768400472226907 1.2110114629011943 3.578985251134998 0.487521802416066 0.5263025604973346 -1.049565440868681 -2.5218418566827756
+2.00539559632567 1.968987491186557 4.993366881354401 1.1407176749335997 1.4374948141584536 0.26866599296805393 -0.8673643941094848
+1.7224840620762674 1.6505069604726976 1.850813235804615 1.7347263902203953 1.0095837980180593 0.9429734432002355 1.0217850378770947
+0.7637452282832744 2.3934250683576614 2.3356626191425485 2.886666374002532 -0.9923654906624181 -1.9927646598994482 -1.2070254619045757
+2.295219561098872 1.9971204718332314 1.671988853327545 2.85509159651457 -0.9941106065303514 -0.8665899726798814 0.23618675764873576
+2.1457249604154867 2.4937824810818756 3.106524920752385 0.5268665819162972 -0.14203394939563996 -0.6910258543392254 -2.8329478094373495
+0.20003644555528333 0.8993793429500352 3.065847853363362 1.1436485911631205 -0.7141477111749545 -0.8796836198958973 2.537814717839007
+2.7018499112777405 0.6487350731639527 2.529157791389062 2.374843361787907 -0.46940431775474134 1.0971885999325663 -2.2168293860029586
+1.199962713010804 2.5582704664790645 2.1644122114677504 2.4077028352115266 -1.1147893184501863 0.4855999227320318 -2.770799371307664
+2.604239643146819 1.5570709971460128 4.01534733333557 2.621087764330321 0.7346169888001945 1.776613605159961 1.282743317962776
+2.420855209141297 1.2520767846326568 2.431643195554043 1.1342927792165884 0.5826788830198715 -1.9789668707866999 0.5793981771506913
+1.929389701686611 1.9813314488585212 3.663323957453145 2.8285981379327856 -0.19645125190503832 -0.004142800245806377 2.8171855859988932
+0.46939890183964517 1.5065813411651092 3.1770319188455773 0.9170054847861144 -1.0519440756431209 1.390631483870635 1.1220154031387306
+1.2825394797835532 1.5234895719090384 2.1366548947211568 2.0144043274252432 -0.9946999263992635 -1.617967078109905 -0.77552724526298
+2.0206355462682324 2.692691142383775 3.236096592800015 1.1490014729253168 1.3168851574750624 -0.690417474106531 0.26843450527067114
+2.9851039047653116 1.7603044128502556 2.2680835327487543 1.4955143030941538 1.2406263955833041 0.1390430476902198 2.382051229492408
+2.527052788632275 0.7712857109102205 3.72871491544313 2.9473100257200002 -1.297567605802565 -1.5739188446492944 1.0807022520614664
+2.219683813811203 2.96296158178435 4.592219159782747 1.2539089117375202 -0.13143504918247584 0.6701099391772956 2.175018310938479
+0.8414357477711512 2.456386262698333 2.377007811413042 0.9567410159795552 -0.9902933346096412 1.3094537651619311 -1.0701642671948632
+1.125795572291168 1.2696838442062812 3.7991766401665257 1.2071520516568004 0.5810941609565896 0.37676334591520844 -2.0034942609522366
+2.581686613066518 0.3000618527094551 4.374529850222874 2.2973622926319557 0.17770323281599554 -1.6149694199842175 0.23658881111070684
+2.3582958992015572 2.471494863267239 4.296034752365549 1.3039165156036023 -0.5755370126305623 0.6200136275710486 2.0502931453392126
+0.9680541830684755 1.7389460294761494 3.7561020251442994 1.7606931406752353 0.252150097082537 1.0151024863752203 -0.2052812901350558
+1.2595652589217745 0.32909852661755057 3.7687504244371395 1.53988446606327 -0.6175324222479227 -0.6512030223387759 -0.6767413531145996
+2.0659843685462578 2.7301650907315462 3.7495547639459215 2.663129792066516 0.5859541725352546 -0.6525471524528026 2.451688989817826
+0.8671714220088069 1.990434636588252 4.374219466414251 0.9413142743804331 0.3341749737156272 -1.325376553174498 0.0038138701517178575
+2.6728753380124037 2.2394871972774775 4.800338480386645 0.9110143633266576 0.7529692949293016 0.44368952623732794 1.169413388387313
+1.600708115404281 0.3336404046455385 4.435844916067392 0.5101304339240246 0.9117806699866629 1.7532630967511587 1.2630979777848257
+1.7063793368471363 2.1074124347465113 1.8254373338597025 2.1962454742786788 -1.1262540762396949 0.19011382025945567 2.134461653622811
+0.930385361758149 1.5141300063735283 2.7241753861178255 0.7911402746969891 -0.9446885493710309 -1.5731909922460092 1.014449064045614
+2.0629765799885478 2.114856285447755 1.8300776369766556 2.4940012954718176 -0.6152692518343988 1.7017869177741671 1.755816636005176
+0.9790419160740989 2.9981892623608353 4.779622568201761 2.200346670278069 0.7356400717843417 -1.9401979716016964 0.4569978642558947
+1.1997102258361334 1.4511921712440528 3.7239035616038176 2.5840697416138627 0.8774162270792258 -0.04602793430352525 -0.255395474363878
+1.7920396850906084 2.768166523570286 2.638470257194681 1.1090246801814225 -0.6958141272434714 0.4136577777754251 0.9039093489739121
+0.9532730424087499 2.0595726220251063 3.3814778136407293 1.2506067326488899 -0.8095765556904074 -0.9385981454022647 -2.279928368173517
+2.3360367203327077 0.8149912426808572 2.62955010633359 2.1528379222691925 0.9515706571209952 -0.9029253043326393 2.23937036734322
+1.0056008007288273 0.6688538951267193 1.8051277640128678 0.9541228321189449 0.14721431204544322 0.2722916485267861 -0.2901345909529365
+2.339345673248285 1.499854820013983 3.5238633097757783 1.7273864428988825 0.3620978805660853 -1.7792493150062803 -0.6533811981083506
+0.9477449394131734 2.7207739797121584 3.359135302422738 0.7552835430203151 -0.7882997634705154 -0.7740704385666906 -0.15275293705141912
+2.7176607235980583 1.4139176397176625 2.9262696278705187 0.8909054550158311 -0.7249756834578199 -0.9799987475402006 1.453366320893088
+2.5263535455507373 1.2390390555364652 3.9228872887109545 0.9607765105519189 1.1874874407582507 -1.5880639564243757 -2.163136768493792
+2.0420166530810024 1.231556756687084 3.8588858375430934 0.8806037135780795 -0.2885720570351469 -1.0512396887948663 -0.627614581623742
+2.6647358242805312 0.3899064548784845 4.413755350144395 2.1458474760522543 -1.4038967062341663 -1.5379079396733508 -0.8679764357964865
+0.9781834543413057 1.1823839691681257 2.8237754659478216 1.2961318870718856 1.4375576363043097 -1.6454818836430705 0.8037822302141926
+1.3604023981706752 1.4098219404017953 3.437139293349534 1.8908275143382656 0.30959518029774813 -0.6778694781798422 -2.8766531931944597
+0.23991439833513964 0.5094405889019313 1.9554271730676698 2.06977838469158 0.7292499226941032 -1.7875822710203786 -0.9574538580862848
+1.3030478831666865 2.46779017131068 4.93237750334896 0.7547233541938511 -1.4020538405457241 0.6082507671161359 -2.7833519190260754
+2.9300166539350525 1.6556854057190376 3.749431408131277 1.851868389027051 -0.6185164592289862 1.9277500142362944 2.0910061101954627
+2.6143946394978803 1.4803216917671347 1.922085650621591 1.0231933693189799 -0.978800253870561 0.7442175771433313 1.868291445619068
+1.835867485035681 0.5716059823681872 3.3543831396135038 1.5705737706317477 1.4183434742185344 1.0470884393776863 2.4970143568291396
+1.6672378612961851 2.6850096532895846 2.56100184715069 0.8549383388267014 0.5382751017821099 1.3553494340287675 1.124661797910849
+2.079016303792546 1.4460964901562665 4.8934594495249595 1.941731150599899 0.3954029629785407 -0.6621159838381518 -0.1808057222941546
+0.9501487960265249 2.489889727590334 4.120013748226839 2.140047555533544 1.298938891062884 -0.3805834611879564 0.3962592484837071
+0.7659486928782995 0.5719510900832662 4.479114329067906 2.365231235543759 -0.12592993146885956 0.8461053312558744 -0.6046479014948352
+1.8774578122797803 2.6772529532749663 2.4511735956990215 0.7836471741390811 0.6921457675243312 1.6567141149434903 0.6272831503796805
+2.9584749273003914 0.42544572281537263 3.7753437757483432 1.7864512718024792 0.5508699374084909 0.3669155475169421 -2.891714388275483
+2.830984922839632 0.24559458018638233 4.4296601119889125 0.5317638176764437 -0.16609852805188496 1.7103763308658824 1.2753311084563173
+2.7396454176745326 0.43683473819881613 3.4789241790373846 1.3545055563012771 -0.8023854353746251 -1.5192455674992758 0.8071974409801062
+1.8910529252206403 2.5923653959506323 3.1635592324037747 2.2921295533180706 0.18150195141377212 -1.332955487465393 2.6835500430614765
+1.4836198971352825 1.1982027172797094 3.9928396044020857 0.6819997193349543 0.9388068766882283 -0.5067389815848995 2.0882113527314914
+1.4289414907700302 1.4491656261854706 4.542875722334099 0.8868123359901341 -1.3226199922804165 0.3936174386422846 -0.045210504918868466
+1.056608944293232 2.7890892567274923 4.327098555732673 2.407233790726151 0.07107556216526456 0.6934996054754219 -0.9925808969856242
+1.682132270272256 2.74377787293948 3.1669569941601123 2.5753604958128262 1.0473642855218568 1.1576628749644726 -0.33012889219659236
+0.21917062402598378 0.7137226359437925 3.405014756518273 2.263457974474448 0.938136885997813 0.9988292190947923 -2.2219734944368383
+2.636696134722145 2.611498493696323 4.173710530455769 0.48241808629200844 0.29049145197565296 -0.5795399285461391 -0.7596014323397808
+2.6966287773752584 0.5436744814038053 2.3633420626592896 0.7491431130891597 1.4237611766583829 -0.23624750315792298 -2.155120402744052
+1.5713320015618522 1.833126886963753 4.855713401743003 1.0322039914840326 -0.41528467743464503 1.0294366201310314 -0.1866450868233045
+1.2206834455911493 0.9912401325166171 2.7646145385012275 1.2197807542227102 0.4361072702061237 -1.2887352233051361 2.714691504322401
+1.1793798241346733 0.40162151331128065 2.4902794773521633 1.1140846158723887 -0.8076079046766729 1.2895569957974033 -1.681340259297557
+0.6603893299255108 2.9283556959297385 4.545825649050298 1.2258494058872897 -1.1962898284798649 0.014776562844311947 1.82672675494375
+2.3632688291468615 0.5964870341942411 2.2348124776080236 2.7194444541124687 -0.14538408574225303 1.6884598364665115 1.3613497653187254
+2.123628976698286 2.204942559719377 2.0953222892913557 1.5842479562502123 -0.6294929810520338 1.5731989689186823 -2.5018827639391485
+0.43054917498587264 2.03977144532677 4.748225089180222 2.276425490428575 -0.45281602309519187 -0.22131787430622474 0.07501859215416262
+2.1445644744787633 0.5032399007915799 1.7337642612351611 2.0923550959459436 1.256170759227384 -0.8865981909974194 -2.3130107038997263
+1.5787194418436359 1.5693093194000363 4.9068915785635845 0.4624363850695071 1.06998366993207 -1.5715965340357423 0.28483697177440703
+2.3819900176407227 0.7277971233301994 2.1855315071253907 1.80542379318317 -0.9194038577607255 1.9032625948171171 1.0545281693298634
+1.0336809337899735 2.7713953136015212 1.9293542227702112 2.926909001812285 -0.01818800321583658 1.8104098145583505 1.3806689098799136
+1.228999316336014 0.24568621545715696 1.594849700127129 0.9434781874152968 -0.6449862546867943 1.510942948353426 2.121825342596188
+""".split(), dtype=float).reshape(100, 7)
 
 
 @_check("cg_profile_minimality", 1e-8)
@@ -418,8 +418,8 @@ def _check_svk_profile(sup_tol):
     sup_err = np.max(np.abs(solution.phi - closed.phi(solution.x3)))
 
     hs = (2e-3, 1e-3, 5e-4, 2e-4, 1e-4)
-    energies = [oracle.solve_svk_profile_ode(curvature, lam, mu, h,
-                                             n_steps=200).energy for h in hs]
+    energies = [s.energy for s in oracle.solve_svk_profile_ode(curvature, lam, mu, hs,
+                                                               n_steps=200)]
     fit = oracle.fit_h_powers(hs, energies)
     target = svk_content(curvature, 0.0, lam, mu).bending
     content_rel = abs(fit.c3 - target) / target

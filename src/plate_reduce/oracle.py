@@ -7,7 +7,6 @@ profiles or energy contents it is used to verify.
 
 from __future__ import annotations
 
-import functools
 import warnings
 
 import numpy as np
@@ -198,6 +197,18 @@ class SvkProfileSolution:
     ode_residual: float
 
 
+def _rk4_step(p, q, step, coef, forcing):
+    # one classical RK4 step of phi' = psi, psi' = coef phi + forcing: the
+    # same operations on Python floats and elementwise on lanes
+    half = 0.5 * step
+    k1p, k1q = q, coef * p + forcing
+    k2p, k2q = q + half * k1q, coef * (p + half * k1p) + forcing
+    k3p, k3q = q + half * k2q, coef * (p + half * k2p) + forcing
+    k4p, k4q = q + step * k3q, coef * (p + step * k3p) + forcing
+    return (p + step * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0,
+            q + step * (k1q + 2 * k2q + 2 * k3q + k4q) / 6.0)
+
+
 def solve_svk_profile_ode(H, lam, mu, h, n_steps=400):
     """Shoot the SVK profile stationarity ODE and scan its free slope.
 
@@ -209,56 +220,95 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400):
     diagonal, so from its principal values, and Simpson-integrated on the
     RK4 grid.  ``n_steps`` (at least 100) RK4 steps go each way, so ``x3``
     holds 2 * n_steps + 1 nodes, an even number of intervals for Simpson.
+    The search's probes are predicted on the superposition of the runs
+    from slopes 0 and 1 and shot as lanes; the search shoots any other
+    probe itself.  A 1-d array ``h`` gives a tuple, each its scalar call's.
     """
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100")
-    if 2.0 * abs(H) * half_thickness(h) / n_steps > 0.05:
+    hs = np.ravel(half_thickness(h))
+    if np.any(2.0 * abs(H) * hs / n_steps > 0.05):
         raise ResolutionError("curvature too large for this step count; raise n_steps")
     material = _materials.SaintVenantKirchhoff(lam=lam, mu=mu)
-    coef = 4.0 * H * H
-    forcing = -2.0 * lam * H / (2.0 * mu + lam)
-    dt = h / n_steps
+    coef, forcing = 4.0 * H * H, -2.0 * lam * H / (2.0 * mu + lam)
+    dts = hs / n_steps
 
-    def profile_for(s):
-        # RK4 on the first-order system (phi, psi) from the mid-plane out,
-        # in Python floats: phi' = psi, psi' = coef phi + forcing
+    def profile_for(s, dt):
+        # RK4 on (phi, psi) from the mid-plane out, in Python floats
         phi, psi = [], []
         for step in (-dt, dt):
             p, q = 0.0, s
             for _ in range(n_steps):
-                k1p, k1q = q, coef * p + forcing
-                k2p, k2q = q + 0.5 * step * k1q, coef * (p + 0.5 * step * k1p) + forcing
-                k3p, k3q = q + 0.5 * step * k2q, coef * (p + 0.5 * step * k2p) + forcing
-                k4p, k4q = q + step * k3q, coef * (p + step * k3p) + forcing
-                p += step * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
-                q += step * (k1q + 2 * k2q + 2 * k3q + k4q) / 6.0
+                p, q = _rk4_step(p, q, step, coef, forcing)
                 phi.append(p)
                 psi.append(q)
             if step < 0.0:
                 phi, psi = phi[::-1] + [0.0], psi[::-1] + [s]
         return np.array(phi), np.array(psi)
 
-    def profile_energy(phi, psi):
+    def density(phi, psi):
         # C_f on this fiber is diag((1 + 2H phi)^2, 1, psi^2)
-        c = np.stack([(1.0 + 2.0 * H * phi) ** 2, np.ones_like(phi), psi ** 2], -1)
-        dens = material.principal_energy(c)
-        # composite Simpson on the uniform grid
-        total = dens[0] + dens[-1] + 4.0 * dens[1:-1:2].sum() + 2.0 * dens[2:-2:2].sum()
-        return total * dt / 3.0
+        return material.principal_energy(
+            np.stack([(1.0 + 2.0 * H * phi) ** 2, np.ones_like(phi), psi ** 2], -1))
 
-    @functools.cache  # parabolic_refine probes the golden-section argmin again
-    def fiber_energy(s):
-        return profile_energy(*profile_for(s))
+    def simpson(dens, dt):
+        # composite Simpson along the last axis; each row keeps a 1-d sum order
+        odd, even = (np.ascontiguousarray(dens[..., k:-k:2]) for k in (1, 2))
+        return (dens[..., 0] + dens[..., -1] + 4.0 * odd.sum(axis=-1)
+                + 2.0 * even.sum(axis=-1)) * dt / 3.0
 
-    slope, _ = minimize_scalar(fiber_energy, (0.5, 1.5))
-    slope = parabolic_refine(fiber_energy, slope, 1e-5)
-    phi, psi = profile_for(slope)
-    energy = profile_energy(phi, psi)
-    second = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt ** 2
-    residual = float(np.max(np.abs(second - (coef * phi[1:-1] + forcing))))
-    return SvkProfileSolution(x3=np.linspace(-h, h, 2 * n_steps + 1), phi=phi,
-                              dphi=psi, slope=float(slope),
-                              energy=float(energy), ode_residual=residual)
+    def shoot(slopes, steps):
+        # row 0 runs each slope forward, row 1 its negative: the backward
+        # half with psi negated, bit for bit; densities 8 steps at a time
+        q = np.stack([slopes, -slopes])
+        p, dens = np.zeros_like(q), np.empty((2 * n_steps + 1, len(slopes)))
+        for j in range(0, n_steps + 1, 8):
+            nodes = []
+            for i in range(j, min(j + 8, n_steps + 1)):
+                p, q = _rk4_step(p, q, steps, coef, forcing) if i else (p, q)
+                nodes.append((p, q))
+            d = density(*np.swapaxes(nodes, 0, 1))
+            dens[n_steps + j:n_steps + i + 1] = d[:, 0]
+            dens[n_steps - i:n_steps - j + 1] = d[::-1, 1]
+        return np.concatenate([simpson(dens[:, k:k + 64].T, steps[k:k + 64])
+                               for k in range(0, len(steps), 64)])
+
+    def predict_and_shoot():
+        # per thickness, {slope: energy} of the search's probes on phi_0 + s (phi_1 - phi_0)
+        zero, one = np.array([[profile_for(s, dt) for dt in dts.tolist()]
+                              for s in (0.0, 1.0)]).transpose(0, 2, 1, 3)
+        probes = []
+
+        def model(s):
+            probes.append(s)
+            return simpson(density(*(zero + s[:, None] * (one - zero))), dts)
+
+        parabolic_refine(model, minimize_scalar(model, (np.full(len(hs), 0.5), 1.5))[0], 1e-5)
+        per = [sorted(set(col)) for col in np.array(probes).T.tolist()]
+        lane = np.repeat(np.arange(len(hs)), [len(u) for u in per])
+        energies = shoot(np.concatenate(per), dts[lane])
+        return [dict(zip(u, energies[lane == k])) for k, u in enumerate(per)]
+
+    try:  # a predicted slope the exact search never probes may leave the domain
+        prefills = predict_and_shoot() if len(hs) else []
+    except (BracketError, _materials.MaterialDomainError):
+        prefills = [{} for _ in hs]
+    solutions = []
+    for h_k, dt, energies in zip(hs.tolist(), dts.tolist(), prefills):
+
+        def fiber_energy(s):
+            if s not in energies:  # a probe the prediction missed
+                energies[s] = simpson(density(*profile_for(s, dt)), dt)
+            return energies[s]
+
+        slope = parabolic_refine(fiber_energy, minimize_scalar(fiber_energy, (0.5, 1.5))[0], 1e-5)
+        phi, psi = profile_for(slope, dt)
+        second = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt ** 2
+        residual = float(np.max(np.abs(second - (coef * phi[1:-1] + forcing))))
+        solutions.append(SvkProfileSolution(
+            x3=np.linspace(-h_k, h_k, 2 * n_steps + 1), phi=phi, dphi=psi, slope=float(slope),
+            energy=float(simpson(density(phi, psi), dt)), ode_residual=residual))
+    return tuple(solutions) if np.ndim(h) else solutions[0]
 
 
 def order_of_residual(residual, h_set):

@@ -12,6 +12,7 @@ runs it on one point (shape ``()``), ``evaluate_jets`` on N points at once
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 from dataclasses import dataclass
@@ -185,17 +186,29 @@ def finite_number(value, key):
     return value
 
 
+def real_values(value):
+    """``value`` as a float array, in which each element that is not a real
+    number (None, a string, a complex) reads as NaN: the one number rule of
+    the library's guards, which NaN fails."""
+    x = np.asarray(value)
+    if x.dtype.kind in "biuf":
+        return x.astype(float, copy=False)
+    return np.array([v if isinstance(v, numbers.Real) else np.nan for v in
+                     np.asarray(value, dtype=object).ravel()], dtype=float).reshape(x.shape)
+
+
 def positive(value, message, error=ValueError):
     """``value``, or ``error(message.format(x))``, with ``index``, for its
-    first element x outside (0, inf); NaN, and so None, fails."""
-    x = np.asarray(value, dtype=float)
+    first element x outside (0, inf); NaN, and so anything not a real
+    number, fails."""
+    x = real_values(value)
     raise_first_failure((~((x > 0) & (x < np.inf)),
                          lambda i: error(message.format(np.ravel(x)[i]))))
     return value
 
 
 def half_thickness(h):
-    return positive(np.asarray(h, dtype=float),
+    return positive(real_values(h),
                     "half thickness must be positive and finite, got {:g}")
 
 
@@ -736,7 +749,7 @@ def uniform_stretch_cone(lambda1):
     Requires lambda1 > 1.  Not a config surface name; its callables
     broadcast like the catalog's.
     """
-    lambda1 = float(np.float64(lambda1))
+    lambda1 = float(real_values(lambda1))
     if not 1.0 < lambda1 < np.inf:
         raise ValueError("cone construction needs lambda1 > 1")
     s = 1.0 / lambda1

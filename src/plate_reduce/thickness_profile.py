@@ -12,8 +12,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .surface_geometry import (_gauss_legendre, _where, float_if_scalar,
-                               half_thickness, positive,
-                               raise_first_failure, unimodular_tolerance)
+                               half_thickness, positive, raise_first_failure,
+                               real_values, unimodular_tolerance)
 
 SHC_SERIES_CUTOFF = 1e-4
 
@@ -53,7 +53,7 @@ class PolyProfile:
 
 
 def _require_finite_H(H):
-    H = np.asarray(H, dtype=float)
+    H = real_values(H)
     raise_first_failure((~np.isfinite(H), lambda i: ValueError(
         f"the SVK profile needs a finite H, got {np.ravel(H)[i]:g}")))
 

@@ -77,3 +77,18 @@ def test_svk_profile_fails_on_a_wrong_svk_content(monkeypatch):
     verdict = checks._check_svk_profile({})
     assert not verdict["passed"]
     assert verdict["observed"]["content_rel_err"] > 5e-4
+
+
+def test_svk_profile_check_shoots_its_thicknesses_in_one_call(monkeypatch):
+    # one solver call for the profile at h = 0.05 and one for the five
+    # thicknesses of the h^3 fit, whose probes then share one lane pass
+    solve, calls = checks.oracle.solve_svk_profile_ode, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(checks.oracle, "solve_svk_profile_ode", counted)
+    assert checks._check_svk_profile({})["passed"]
+    assert len(calls) == 2
+    assert calls[0] == 0.05 and len(calls[1]) == 5

@@ -200,7 +200,8 @@ CG_CONFIG = {"model": "ciarlet_geymonat", "a": 1.0, "b": 1.0}
 ], ids=["gent-mu", "gent-jm", "neo_hookean-mu", "mooney_rivlin-mu", "cg-a",
         "cg-b", "cg-a-lane", "cg-b-lane", "cg-c", "cg-d", "cg-lame-lambda",
         "cg-lame-mu", "svk-lambda", "svk-mu"])
-@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [NAN, INF, -INF, "2"],
+                         ids=["nan", "inf", "-inf", "numeric-string"])
 def test_models_reject_non_finite_parameters(make, message, value):
     # NaN fails every comparison, so `x <= 0` alone let it through
     with pytest.raises(ValueError, match=message):
@@ -285,6 +286,18 @@ def test_positivity_guards_reject_none(guard):
     make, error, message, index = POSITIVE_GUARDS[guard]
     with pytest.raises(error) as err:
         make(None)
+    assert type(err.value) is error
+    assert str(err.value) == message.format(NAN)
+    assert getattr(err.value, "index", None) == index
+
+
+@pytest.mark.parametrize("guard", POSITIVE_GUARDS)
+def test_positivity_guards_reject_a_numeric_string(guard):
+    # a value that is not a real number reads as NaN, even where float()
+    # would parse it, and fails with the guard's own error
+    make, error, message, index = POSITIVE_GUARDS[guard]
+    with pytest.raises(error) as err:
+        make("2")
     assert type(err.value) is error
     assert str(err.value) == message.format(NAN)
     assert getattr(err.value, "index", None) == index

@@ -422,6 +422,72 @@ def test_svk_ode_values_are_frozen():
     assert solution.ode_residual == 8.578457943997364e-10
 
 
+# (H, lam, mu), n_steps and {h: (slope, energy, ode_residual)} of scalar
+# calls, recorded from the scalar golden-section search that shot one probe
+# at a time; the lanes that prefill its energies must leave every bit
+SVK_SETTINGS = [
+    ((-0.5, 1.0, 1.0), 200, {
+        2e-3: (0.9999982222251848, 7.111102103720553e-09, 3.065129150492396e-09),
+        1e-3: (0.9999995555557406, 8.888886074075345e-10, 6.942832808665145e-09),
+        5e-4: (0.9999998888889006, 1.1111110231481307e-10, 1.3735065751419029e-08),
+        2e-4: (0.9999999822222225, 7.111111021037045e-12, 2.6143001208289718e-08),
+        1e-4: (0.9999999955555555, 8.888888860741151e-13, 4.965400857148694e-08)}),
+    ((0.3, 2.0, 0.5), 400, {
+        0.05: (0.9997500937156953, 2.4998502152924596e-05, 6.026038001927247e-10),
+        0.01: (0.9999900001499974, 1.9999952002756565e-07, 2.2990030990044374e-09)}),
+    ((-1.2, 0.7, 1.3), 201, {
+        0.02: (0.9989008898807811, 4.8366464471931196e-05, 3.191721220652255e-09),
+        5e-3: (0.9999312437947994, 7.56323747821366e-07, 1.3448051561226748e-09),
+        1e-3: (0.9999972495933782, 6.0508963258226745e-09, 6.3516483184145045e-09)}),
+]
+
+
+def svk_frozen(solution):
+    return solution.slope, solution.energy, solution.ode_residual
+
+
+def assert_same_svk_solution(a, b):
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+@pytest.mark.parametrize("params,n_steps,frozen", SVK_SETTINGS,
+                         ids=["check", "saddle-like", "odd-steps"])
+def test_svk_ode_of_an_array_h_equals_its_scalar_calls(params, n_steps, frozen):
+    hs = list(frozen)
+    solutions = solve_svk_profile_ode(*params, np.array(hs), n_steps=n_steps)
+    assert type(solutions) is tuple and len(solutions) == len(hs)
+    for h, solution in zip(hs, solutions):
+        scalar = solve_svk_profile_ode(*params, h, n_steps=n_steps)
+        assert svk_frozen(scalar) == frozen[h]
+        assert_same_svk_solution(solution, scalar)
+    (single,) = solve_svk_profile_ode(*params, [hs[-1]], n_steps=n_steps)
+    assert_same_svk_solution(single, solutions[-1])
+
+
+def test_svk_ode_of_a_0d_h_is_one_solution():
+    solution = solve_svk_profile_ode(-0.5, 1.0, 1.0, np.array(1e-3), n_steps=200)
+    assert isinstance(solution, plate_reduce.SvkProfileSolution)
+    assert svk_frozen(solution) == SVK_SETTINGS[0][2][1e-3]
+    assert solve_svk_profile_ode(-0.5, 1.0, 1.0, np.array([])) == ()
+
+
+def test_svk_ode_without_the_lane_prefill_keeps_its_bits(monkeypatch):
+    # a lane pass that leaves the density's domain is dropped, and the
+    # search shoots every probe itself: the same solutions
+    principal = SaintVenantKirchhoff.principal_energy
+
+    def lanes_fail(self, c):
+        if np.ndim(c) > 2:  # a table of profiles, not one profile
+            raise materials.MaterialDomainError("matrix is not positive definite")
+        return principal(self, c)
+
+    monkeypatch.setattr(SaintVenantKirchhoff, "principal_energy", lanes_fail)
+    params, n_steps, frozen = SVK_SETTINGS[2]
+    solutions = solve_svk_profile_ode(*params, np.array(list(frozen)), n_steps=n_steps)
+    assert [svk_frozen(s) for s in solutions] == list(frozen.values())
+
+
 def test_svk_ode_resolution_guards():
     with pytest.raises(ValueError, match="n_steps"):
         solve_svk_profile_ode(-0.5, 1.0, 1.0, 0.05, n_steps=50)

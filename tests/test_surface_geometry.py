@@ -138,6 +138,50 @@ def test_fd_jets_of_quadratic_maps_match_analytic(name, params, x):
         assert np.array_equal(fd.hess_y, np.zeros((3, 2, 2)))
 
 
+def random_quadratic_maps(count=60, seed=1):
+    # (A, B) of y(x) = A x + B[x, x] / 2: A = Q[:, :2] U with Q orthogonal
+    # and U = I + uniform(-0.25, 0.25), B uniform(-1, 1) symmetrised
+    rng = np.random.default_rng(seed)
+    maps = []
+    for _ in range(count):
+        U = np.eye(2) + rng.uniform(-0.25, 0.25, (2, 2))
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        B = rng.uniform(-1.0, 1.0, (3, 2, 2))
+        maps.append((Q[:, :2] @ U, 0.5 * (B + B.swapaxes(1, 2))))
+    return maps
+
+
+def quadratic_map_surface(A, B, derivative_mode):
+    points = lambda x: (1,) * (np.ndim(x) - 1)  # trailing point axes of x
+    return ParametricSurface(
+        map=lambda x: (np.einsum("ij,j...->i...", A, x)
+                       + 0.5 * np.einsum("ijk,j...,k...->i...", B, x, x)),
+        grad=lambda x: A.reshape(A.shape + points(x)) + np.einsum("ijk,k...->ij...", B, x),
+        hess=lambda x: np.broadcast_to(B.reshape(B.shape + points(x)),
+                                       B.shape + np.shape(x)[1:]).copy(),
+        derivative_mode=derivative_mode)
+
+
+# worst |FD - analytic| over the 60 draws at x = 0: 1.6e-12 (hess_y),
+# 1.2e-12 (K), 8.5e-13 (b1), 5.3e-13 (H), 8.9e-16 (trC), 6.7e-16 (detC) and
+# 1.1e-16 (grad_y); the bounds allow at least 11x the worst of each order
+RANDOM_FD_BOUNDS = {"hess_y": 2e-11, "H": 2e-11, "K": 2e-11, "b1": 2e-11,
+                    "grad_y": 1e-14, "trC": 1e-14, "detC": 1e-14}
+
+
+def test_fd_jets_of_random_quadratic_maps_match_analytic():
+    # a quadratic map's central differences have no truncation error, so
+    # the finite-difference jet differs from the analytic one by round-off
+    origin = np.zeros(2)
+    for k, (A, B) in enumerate(random_quadratic_maps()):
+        analytic = evaluate_jet(quadratic_map_surface(A, B, "analytic"), origin)
+        fd = evaluate_jet(quadratic_map_surface(A, B, "finite-difference"), origin)
+        assert np.array_equal(analytic.hess_y, B)
+        for field, bound in RANDOM_FD_BOUNDS.items():
+            gap = np.max(np.abs(np.asarray(getattr(fd, field)) - getattr(analytic, field)))
+            assert gap <= bound, (k, field, gap)
+
+
 @pytest.mark.parametrize("lo,hi", [(-0.75, 0.75), (0.0, 0.01), (0.1, 3.0)],
                          ids=["coordinates", "series", "radii"])
 def test_catalog_powers_round_like_the_scalar_power(lo, hi):
