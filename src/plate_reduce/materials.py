@@ -208,7 +208,7 @@ class SaintVenantKirchhoff(MaterialModel):
         """Density (lam/2) (sum e_i)^2 + mu sum e_i^2, e_i = sqrt(c_i) - 1,
         of the principal values c (..., 3) of C_f: E = U - I in U's
         eigenbasis."""
-        c = np.asarray(c, dtype=float)
+        c = real_values(c)
         if not np.all(c > 0.0):
             raise MaterialDomainError("matrix is not positive definite")
         e = np.sqrt(c) - 1.0
@@ -270,13 +270,15 @@ def molecular_params(n_chains, n_links, k_boltzmann, temperature):
 def symmetric_sqrt(A):
     """Principal square root of a symmetric positive-definite matrix, or
     of each matrix in a stack of shape (..., n, n)."""
-    vals, vecs = np.linalg.eigh(np.asarray(A, dtype=float))
+    A = real_values(A)
+    # a NaN fails without eigh, which need not converge on one
+    vals, vecs = (np.nan, None) if np.isnan(A).any() else np.linalg.eigh(A)
     if not np.all(vals > 0.0):  # all, not vals[..., 0]: eigh does not sort a NaN first
         raise MaterialDomainError("matrix is not positive definite")
     return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
-def volumetric_energy(material, I1=None, I2=None, I3=None, C_f=None):
+def volumetric_energy(material, *invariants, C_f=None):
     """Energy density per unit reference volume.
 
     Every model takes the right Cauchy-Green matrix ``C_f``, one 3x3 or a
@@ -288,7 +290,7 @@ def volumetric_energy(material, I1=None, I2=None, I3=None, C_f=None):
         return as_model(material).density(C_f)
     if as_model(material).needs_C_f:
         raise ValueError(f"{type(material).__name__} energy needs C_f")
-    return material.energy(I1, I2, I3)
+    return material.energy(*invariants)
 
 
 def small_strain_energy(material, E_f):

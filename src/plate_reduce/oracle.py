@@ -8,6 +8,7 @@ profiles or energy contents it is used to verify.
 from __future__ import annotations
 
 import warnings
+from itertools import islice
 
 import numpy as np
 from dataclasses import dataclass
@@ -220,9 +221,10 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400):
     diagonal, so from its principal values, and Simpson-integrated on the
     RK4 grid.  ``n_steps`` (at least 100) RK4 steps go each way, so ``x3``
     holds 2 * n_steps + 1 nodes, an even number of intervals for Simpson.
-    The search's probes are predicted on the superposition of the runs
-    from slopes 0 and 1 and shot as lanes; the search shoots any other
-    probe itself.  A 1-d array ``h`` gives a tuple, each its scalar call's.
+    Every shot reads one RK4 node loop: in Python floats for one slope,
+    on lanes for the search's probes, predicted on the superposition of
+    the runs from slopes 0 and 1.  The search shoots any other probe
+    itself.  A 1-d array ``h`` gives a tuple, each its scalar call's.
     """
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100")
@@ -233,18 +235,18 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400):
     coef, forcing = 4.0 * H * H, -2.0 * lam * H / (2.0 * mu + lam)
     dts = hs / n_steps
 
+    def nodes(q, dt):
+        # the RK4 nodes (phi, psi) from the mid-plane out at slope q
+        p = q - q  # +0.0, a Python float or lanes like q
+        for _ in range(n_steps):
+            yield p, q
+            p, q = _rk4_step(p, q, dt, coef, forcing)
+        yield p, q
+
     def profile_for(s, dt):
-        # RK4 on (phi, psi) from the mid-plane out, in Python floats
-        phi, psi = [], []
-        for step in (-dt, dt):
-            p, q = 0.0, s
-            for _ in range(n_steps):
-                p, q = _rk4_step(p, q, step, coef, forcing)
-                phi.append(p)
-                psi.append(q)
-            if step < 0.0:
-                phi, psi = phi[::-1] + [0.0], psi[::-1] + [s]
-        return np.array(phi), np.array(psi)
+        # in Python floats; the run from -s is the backward half, psi negated, bit for bit
+        (p0, q0), (p1, q1) = (np.array(list(nodes(q, dt))).T for q in (-s, s))
+        return np.concatenate([p0[:0:-1], p1]), np.concatenate([-q0[:0:-1], q1])
 
     def density(phi, psi):
         # C_f on this fiber is diag((1 + 2H phi)^2, 1, psi^2)
@@ -258,20 +260,16 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400):
                 + 2.0 * even.sum(axis=-1)) * dt / 3.0
 
     def shoot(slopes, steps):
-        # row 0 runs each slope forward, row 1 its negative: the backward
-        # half with psi negated, bit for bit; densities 8 steps at a time
-        q = np.stack([slopes, -slopes])
-        p, dens = np.zeros_like(q), np.empty((2 * n_steps + 1, len(slopes)))
+        # lanes [slopes, -slopes]: each slope's forward half, then its
+        # backward half as above; densities 8 nodes at a time
+        L, run = len(slopes), nodes(np.concatenate([slopes, -slopes]), np.tile(steps, 2))
+        dens = np.empty((2 * n_steps + 1, L))
+        fwd, back = dens[n_steps:], dens[n_steps::-1]  # rows from the mid-plane out
         for j in range(0, n_steps + 1, 8):
-            nodes = []
-            for i in range(j, min(j + 8, n_steps + 1)):
-                p, q = _rk4_step(p, q, steps, coef, forcing) if i else (p, q)
-                nodes.append((p, q))
-            d = density(*np.swapaxes(nodes, 0, 1))
-            dens[n_steps + j:n_steps + i + 1] = d[:, 0]
-            dens[n_steps - i:n_steps - j + 1] = d[::-1, 1]
+            d = density(*np.swapaxes(list(islice(run, 8)), 0, 1))
+            fwd[j:j + 8], back[j:j + 8] = d[:, :L], d[:, L:]
         return np.concatenate([simpson(dens[:, k:k + 64].T, steps[k:k + 64])
-                               for k in range(0, len(steps), 64)])
+                               for k in range(0, L, 64)])
 
     def predict_and_shoot():
         # per thickness, {slope: energy} of the search's probes on phi_0 + s (phi_1 - phi_0)
@@ -285,9 +283,8 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400):
 
         parabolic_refine(model, minimize_scalar(model, (np.full(len(hs), 0.5), 1.5))[0], 1e-5)
         per = [sorted(set(col)) for col in np.array(probes).T.tolist()]
-        lane = np.repeat(np.arange(len(hs)), [len(u) for u in per])
-        energies = shoot(np.concatenate(per), dts[lane])
-        return [dict(zip(u, energies[lane == k])) for k, u in enumerate(per)]
+        energies = iter(shoot(np.concatenate(per), np.repeat(dts, [len(u) for u in per])))
+        return [dict(zip(u, energies)) for u in per]
 
     try:  # a predicted slope the exact search never probes may leave the domain
         prefills = predict_and_shoot() if len(hs) else []

@@ -8,7 +8,7 @@ material models, exposes the eigenframe-coupling analysis of the bending
 content, and integrates contents over a surface patch.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -335,12 +335,9 @@ def point_contents(jet, material):
     if rule is None:
         raise TypeError(f"no contents rule for {type(material).__name__}")
     contents = rule(jet, material)
-    if isinstance(jet, JetBatch):
-        n = len(jet)
-        return EnergyContents(
-            np.broadcast_to(contents.stretching, (n,)).astype(float),
-            np.broadcast_to(contents.bending, (n,)).astype(float),
-            np.broadcast_to(np.asarray(contents.formula_id, dtype=object), (n,)).copy())
+    if isinstance(jet, JetBatch):  # every rule's stretching and bending are (N,) floats
+        return replace(contents, formula_id=np.broadcast_to(
+            np.asarray(contents.formula_id, dtype=object), (len(jet),)).copy())
     return contents
 
 

@@ -177,24 +177,27 @@ def finite_number(value, key):
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"'{key}' must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer past the double range, like 1e400
-        value = np.inf if value > 0 else -np.inf
+    value = float(real_values(value))
     if not np.isfinite(value):
         raise ValueError(f"'{key}' must be finite, got {value!r}")
     return value
 
 
+def _real(v):
+    try:
+        return float(v) if isinstance(v, numbers.Real) else np.nan
+    except OverflowError:  # an integer past the double range, like 10**400
+        return np.inf if v > 0 else -np.inf
+
+
 def real_values(value):
-    """``value`` as a float array, in which each element that is not a real
-    number (None, a string, a complex) reads as NaN: the one number rule of
-    the library's guards, which NaN fails."""
+    """``value`` as a float array: an element that is not a real number
+    (None, a string, a complex) reads as NaN, an integer past the double
+    range as the infinity of its sign.  The one number rule of the guards."""
     x = np.asarray(value)
     if x.dtype.kind in "biuf":
         return x.astype(float, copy=False)
-    return np.array([v if isinstance(v, numbers.Real) else np.nan for v in
-                     np.asarray(value, dtype=object).ravel()], dtype=float).reshape(x.shape)
+    return np.vectorize(_real, otypes=[float])(np.asarray(value, dtype=object))
 
 
 def positive(value, message, error=ValueError):

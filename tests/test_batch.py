@@ -182,6 +182,9 @@ def test_batched_contents_match_per_point_contents(name, mode, material):
         assert_close(values, [getattr(c, field) for c in singles],
                      f"{name} {mode} {type(material).__name__} {field}")
     assert list(contents.formula_id) == [c.formula_id for c in singles]
+    # the batch contents contract: float64 values, one formula id per point
+    assert (contents.stretching.dtype, contents.bending.dtype, contents.formula_id.dtype,
+            contents.formula_id.shape) == (np.float64, np.float64, object, (len(points),))
     # a batch of jets gives the same contents as point_contents on it
     again = point_contents(batch, material)
     np.testing.assert_array_equal(again.bending, contents.bending)

@@ -23,9 +23,6 @@ DEFAULTS = """
     materials MaterialModel.profile h
     materials SaintVenantKirchhoff.profile h
     materials volumetric_energy C_f
-    materials volumetric_energy I1
-    materials volumetric_energy I2
-    materials volumetric_energy I3
     oracle solve_svk_profile_ode n_steps
     oracle through_thickness_energy quad_order
     oracle through_thickness_energy_from_jet quad_order
@@ -75,4 +72,4 @@ def test_the_defaults_in_src_are_frozen():
                 found += _defaults(ast.parse(f.read()), name[:-3])
     frozen = [tuple(line.split()) for line in DEFAULTS.strip().splitlines()]
     assert sorted(found) == sorted(frozen)
-    assert len(frozen) == 30
+    assert len(frozen) == 27

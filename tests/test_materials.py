@@ -270,13 +270,17 @@ NAN_GUARDS = {
 
 @pytest.mark.parametrize("guard,value", [
     *((g, v) for g in POSITIVE_GUARDS for v in (NAN, INF, -INF)),
+    *(pytest.param(g, v, id=f"{g}-{name}") for g in POSITIVE_GUARDS
+      for v, name in ((10 ** 400, "10**400"), (-10 ** 400, "-10**400"))),
     *((g, NAN) for g in NAN_GUARDS)])
 def test_positivity_guards_reject_nan_and_infinities(guard, value):
     make, error, message, index = {**POSITIVE_GUARDS, **NAN_GUARDS}[guard]
     with pytest.raises(error) as err:
         make(value)
     assert type(err.value) is error
-    assert str(err.value) == message.format(value)
+    # an integer past the double range reads as the infinity of its sign
+    shown = value if isinstance(value, float) else (INF if value > 0 else -INF)
+    assert str(err.value) == message.format(shown)
     assert getattr(err.value, "index", None) == index
 
 
@@ -291,11 +295,11 @@ def test_positivity_guards_reject_none(guard):
     assert getattr(err.value, "index", None) == index
 
 
-@pytest.mark.parametrize("guard", POSITIVE_GUARDS)
+@pytest.mark.parametrize("guard", [*POSITIVE_GUARDS, *NAN_GUARDS])
 def test_positivity_guards_reject_a_numeric_string(guard):
     # a value that is not a real number reads as NaN, even where float()
     # would parse it, and fails with the guard's own error
-    make, error, message, index = POSITIVE_GUARDS[guard]
+    make, error, message, index = {**POSITIVE_GUARDS, **NAN_GUARDS}[guard]
     with pytest.raises(error) as err:
         make("2")
     assert type(err.value) is error

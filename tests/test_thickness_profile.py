@@ -304,7 +304,8 @@ HALF_THICKNESS_USERS = {
 }
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf, None, "0.1"])
+@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf, None, "0.1",
+                               pytest.param(10 ** 400, id="10**400")])
 @pytest.mark.parametrize("user", HALF_THICKNESS_USERS)
 def test_every_half_thickness_user_rejects_a_bad_h(user, h):
     with pytest.raises(ValueError, match="half thickness must be positive and finite"):
