@@ -44,7 +44,7 @@ from .reduced_energy import (cg_small_strain_contents, cg_stretching_closed,
                              GRID_BLOCK, grid_columns, integrate_contents,
                              plate_energy, point_contents)
 from .surface_geometry import (DegenerateImmersionError, DomainError,
-                               ParametricSurface, catalog_surface,
+                               ParametricSurface, _lattice, catalog_surface,
                                evaluate_jet, positive)
 from .thickness_profile import (ProfileConstraintError,
                                 incompressible_profile_general)
@@ -244,10 +244,9 @@ def load_config(path):
 
 
 def _evaluation_nodes(surface, nx, ny):
+    """The rows (x1, x2) of points.csv: x1 outer, x2 inner."""
     margin = 3.0 * surface.step if surface.derivative_mode == "finite-difference" else 0.0
-    (u0, u1), (v0, v1) = surface.domain
-    return (np.linspace(u0 + margin, u1 - margin, nx),
-            np.linspace(v0 + margin, v1 - margin, ny))
+    return _lattice(surface.domain, nx, ny, margin)[2]
 
 
 def _write_json(path, payload):
@@ -287,9 +286,7 @@ def cmd_evaluate(config, out_dir):
     center, and the set of formula ids used.  A non-finite result writes
     no file and is a configuration error.
     """
-    xs, ys = _evaluation_nodes(config.surface, *config.grid)
-    # x1 outer, x2 inner, as the rows of points.csv
-    points = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
+    points = _evaluation_nodes(config.surface, *config.grid)
     try:
         *columns, formula_id = grid_columns(
             config.surface, config.material, points, lambda jets, contents: (
@@ -358,7 +355,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def cmd_verify(config, out_dir, run_all=False):
+def cmd_verify(config, out_dir, run_all):
     """Run verification checks; write verdicts.json.
 
     With ``run_all`` (or no check selection in the config) every

@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .surface_geometry import _dot, _eigen_gap, evaluate_jets
+from .surface_geometry import _central, _dot, _eigen_gap, _lattice, evaluate_jets
 
 
 # the frame fields that change sign when both eigenvectors are negated;
@@ -96,10 +96,10 @@ def _c_vector(jet):
     return np.where(ill, umbilic_c, num / gap), ill
 
 
-def _frame_fields(surface, points, with_c12):
+def _frame_fields(surface, points):
     """Every ConnectorFrame field at the points (N, 2), the point axis
-    trailing each field's own shape, c12 only ``with_c12``; warns once
-    per umbilic point."""
+    trailing each field's own shape, with c12 nan (``compute_frame``
+    differences it); warns once per umbilic point."""
     jet = evaluate_jets(surface, points)
     c, ill = _c_vector(jet)
     for x in points[ill]:
@@ -113,20 +113,11 @@ def _frame_fields(surface, points, with_c12):
     d1, d2 = (-np.array([_dot(jet.grad_nu[:, k], l) for k in range(2)])
               for l in (jet.l1, jet.l2))
 
-    c12 = np.full(len(points), np.nan)
-    if with_c12:
-        grad_c, step = [], 5e-5  # d_k c, central differences of the c-field
-        for e in step * np.eye(2):
-            minus, ill_minus = _c_vector(evaluate_jets(surface, points - e))
-            plus, ill_plus = _c_vector(evaluate_jets(surface, points + e))
-            ill = ill | ill_minus | ill_plus
-            grad_c.append((plus - minus) / (2.0 * step))
-        c12 = _dot2(r1, grad_c[0] * r2[0] + grad_c[1] * r2[1])
-
     return dict(x=points.T, lambda1=jet.lambda1, lambda2=jet.lambda2,
                 r1=r1, r2=r2, c=c, c_star=c_star, d1_star=d1, d2_star=d2,
                 dij=np.array([[_dot2(d, r1), _dot2(d, r2)] for d in (d1, d2)]),
-                c1=_dot2(c, r1), c2=_dot2(c, r2), c12=c12, ill_conditioned=ill)
+                c1=_dot2(c, r1), c2=_dot2(c, r2), c12=np.full(len(points), np.nan),
+                ill_conditioned=ill)
 
 
 def _frame_at(fields, n):
@@ -148,7 +139,8 @@ def compute_frame(surface, x):
         ParametricSurface); the point is evaluated as a batch of one.
     x : (2,) array_like
         Evaluation point; must leave room for the four-point c12 stencil
-        of step 5e-5.
+        of step 5e-5 (``surface_geometry._central`` of the c-field), any
+        umbilic point of which flags the frame ``ill_conditioned`` too.
 
     Warns
     -----
@@ -156,8 +148,18 @@ def compute_frame(surface, x):
         At umbilic points of the stretch, where the eigenframe rotation
         rate is ill-conditioned; the output is flagged.
     """
-    x = np.asarray(x, dtype=float)
-    return _frame_at(_frame_fields(surface, x[None, :], with_c12=True), 0)
+    x = np.asarray(x, dtype=float)[:, None]
+    fields = _frame_fields(surface, x.T)
+
+    def c_field(p):
+        c, umbilic = _c_vector(evaluate_jets(surface, p.T))
+        fields["ill_conditioned"] = fields["ill_conditioned"] | umbilic
+        return c
+
+    grad_c = _central(c_field, x, 5e-5)
+    r1, r2 = fields["r1"], fields["r2"]
+    fields["c12"] = _dot2(r1, grad_c[0] * r2[0] + grad_c[1] * r2[1])
+    return _frame_at(fields, 0)
 
 
 def c_star_from_metric(frame, jet, grad_lambdas):
@@ -250,12 +252,8 @@ def sample_frame_grid(surface, grid, bounds):
     are computed in one batch and kept batched.
     """
     nx, ny = int(grid[0]), int(grid[1])
-    (u0, u1), (v0, v1) = bounds
-    xs = np.linspace(u0, u1, nx)
-    ys = np.linspace(v0, v1, ny)
-
-    points = np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)])
-    fields = _frame_fields(surface, points, with_c12=False)
+    xs, ys, points = _lattice(bounds, nx, ny, 0.0)
+    fields = _frame_fields(surface, points)
     # FrameGrid checks the node counts before the sign pass flips ``fields``
     frame_grid = FrameGrid(xs=xs, ys=ys, fields=fields)
 

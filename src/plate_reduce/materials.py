@@ -200,7 +200,9 @@ class SaintVenantKirchhoff(MaterialModel):
     def energy(self, C_f):
         """Density of C_f, one 3x3 or a stack (..., 3, 3), from its
         principal values (eigvalsh)."""
-        return self.principal_energy(np.linalg.eigvalsh(np.asarray(C_f, dtype=float)))
+        C_f = real_values(C_f)
+        # a NaN fails without eigvalsh, which need not converge on one
+        return self.principal_energy(np.nan if np.isnan(C_f).any() else np.linalg.eigvalsh(C_f))
 
     density = energy
 
@@ -297,7 +299,7 @@ def small_strain_energy(material, E_f):
     """Quadratic strain energy (lambda/2) tr^2 E + mu tr E^2 of a model's
     Lame pair: a float for one 3x3 strain, an array for a stack (..., 3, 3)."""
     lam, mu = lame_constants(material)
-    E_f = np.asarray(E_f, dtype=float)
+    E_f = real_values(E_f)
     tr = lambda A: np.trace(A, axis1=-2, axis2=-1)
     return float_if_scalar(0.5 * lam * tr(E_f) ** 2 + mu * tr(E_f @ E_f))
 
@@ -309,7 +311,7 @@ def small_strain_energy(material, E_f):
 def matrix_invariants(C):
     """Principal invariants (tr C, (tr^2 C - tr C^2) / 2, det C) of one 3x3
     matrix, or of each matrix in a stack of shape (..., 3, 3)."""
-    C = np.asarray(C, dtype=float)
+    C = real_values(C)
     i1 = np.trace(C, axis1=-2, axis2=-1)
     return i1, 0.5 * (i1 * i1 - np.trace(C @ C, axis1=-2, axis2=-1)), np.linalg.det(C)
 

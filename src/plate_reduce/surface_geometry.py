@@ -254,6 +254,15 @@ def _central(f, x, step):
             for e in step * np.eye(2).reshape((2, 2) + (1,) * (x.ndim - 1))]
 
 
+def _lattice(bounds, nx, ny, inset):
+    """(xs, ys, points): the nx x ny linspace nodes of ``bounds``, ends
+    ``inset`` inside, and their (nx * ny, 2) rows, x1 outer, x2 inner."""
+    (u0, u1), (v0, v1) = bounds
+    xs = np.linspace(u0 + inset, u1 - inset, nx)
+    ys = np.linspace(v0 + inset, v1 - inset, ny)
+    return xs, ys, np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)])
+
+
 def _fd_derivatives(surface, x, step):
     """Gradient (3, 2, ...) and Hessian (3, 2, 2, ...) of the surface map
     at ``x`` (2, ...) by nested central differences."""
@@ -308,12 +317,9 @@ def _jet_fields(surface, x):
     (lo1, hi1), (lo2, hi2) = surface.domain
     outside = ~((lo1 + margin <= x[0]) & (x[0] <= hi1 - margin)
                 & (lo2 + margin <= x[1]) & (x[1] <= hi2 - margin))
-    xe = x
-    if outside.any():
-        # evaluate those points at the domain center; they raise below
-        center = np.reshape([0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)],
-                            (2,) + (1,) * (x.ndim - 1))
-        xe = np.where(outside, center, x)
+    # points outside are evaluated at the domain center; they raise below
+    center = np.reshape([0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)], (2,) + (1,) * (x.ndim - 1))
+    xe = np.where(outside, center, x)
     if fd:
         grad_y, hess_y = _fd_derivatives(surface, xe, surface.step)
     else:
@@ -479,11 +485,8 @@ def verify_orientation(surface, profile, h):
     half_thickness(h)
     step = surface.step
     margin = 2.0 * step + (2.0 * step if surface.derivative_mode == "finite-difference" else 0.0)
-    (lo1, hi1), (lo2, hi2) = surface.domain
-    xs = np.linspace(lo1 + margin, hi1 - margin, 5)
-    ys = np.linspace(lo2 + margin, hi2 - margin, 5)
+    points = _lattice(surface.domain, 5, 5, margin)[2]
     x3s = np.linspace(-h, h, 9)
-    points = np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
     jet = evaluate_jets(surface, points)
 
     x3 = x3s[:, None]  # over (x3, point)
@@ -600,7 +603,7 @@ def _gaussian_bump(amp, s):
                          [x1 * zv, x2 * zv]])
 
     def _hess(x):
-        hh = _zero_hess(x)
+        hh = _zeros(x, 3, 2, 2)
         m, m1, m2, zv, zvv = _bump_scalars(_radius(x), amp, w)
         x1, x2 = x[0], x[1]
         hh[0, 0, 0] = 3.0 * x1 * m1 + _pow(x1, 3) * m2
@@ -619,15 +622,9 @@ def _gaussian_bump(amp, s):
     return (_map, _grad, _hess), box
 
 
-def _zero_hess(x):
-    return np.zeros((3, 2, 2) + np.shape(x)[1:])
-
-
-def _constant(value, x):
-    """A fresh array holding ``value`` at every point of ``x`` (2, ...)."""
-    value = np.asarray(value, dtype=float)
-    return np.tile(value.reshape(value.shape + (1,) * (np.ndim(x) - 1)),
-                   (1,) * value.ndim + np.shape(x)[1:])
+def _zeros(x, *shape):
+    """A fresh zero array of ``shape`` at every point of ``x`` (2, ...)."""
+    return np.zeros(shape + np.shape(x)[1:])
 
 
 def _graph(l1, l2, height, slope, curvature):
@@ -640,12 +637,14 @@ def _graph(l1, l2, height, slope, curvature):
         return np.array([l1 * x[0], l2 * x[1], height(x)])
 
     def _grad(x):
-        g = _constant(((l1, 0.0), (0.0, l2), (0.0, 0.0)), x)
+        g = _zeros(x, 3, 2)
+        g[0, 0] = l1
+        g[1, 1] = l2
         g[2, 0], g[2, 1] = slope(x)
         return g
 
     def _hess(x):
-        hh = _zero_hess(x)
+        hh = _zeros(x, 3, 2, 2)
         second = curvature(x)
         for i in range(2):
             for j in range(2):
@@ -670,13 +669,14 @@ def _cylinder(R):
         [R * np.sin(x[0] / R), x[1], R * (1.0 - np.cos(x[0] / R))])
 
     def _grad(x):
-        g = _constant(((0.0, 0.0), (0.0, 1.0), (0.0, 0.0)), x)
+        g = _zeros(x, 3, 2)
         g[0, 0] = np.cos(x[0] / R)
+        g[1, 1] = 1.0
         g[2, 0] = np.sin(x[0] / R)
         return g
 
     def _hess(x):
-        hh = _zero_hess(x)
+        hh = _zeros(x, 3, 2, 2)
         hh[0, 0, 0] = -np.sin(x[0] / R) / R
         hh[2, 0, 0] = np.cos(x[0] / R) / R
         return hh
@@ -773,13 +773,10 @@ def uniform_stretch_cone(lambda1):
 
 
 def sampled_injectivity(surface):
-    """Sampling check (not a proof) that the map does not self-intersect
-    on a 12 x 12 grid of the domain."""
-    (lo1, hi1), (lo2, hi2) = surface.domain
-    xs = np.linspace(lo1, hi1, 12)
-    ys = np.linspace(lo2, hi2, 12)
-    pts = np.array([surface.map(np.array([a, b])) for a in xs for b in ys])
-    ref = np.array([[a, b] for a in xs for b in ys])
+    """Sampling check (not a proof) that the map, called one point at a
+    time, does not self-intersect on a 12 x 12 grid of the domain."""
+    ref = _lattice(surface.domain, 12, 12, 0.0)[2]
+    pts = np.array([surface.map(p) for p in ref])
     d_img = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     d_ref = np.linalg.norm(ref[:, None, :] - ref[None, :, :], axis=2)
     mask = d_ref > 1e-12

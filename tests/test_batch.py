@@ -421,8 +421,7 @@ def evaluate_blocked(tmp_path, surface, material):
 
 
 def evaluation_points(surface):
-    xs, ys = cli_io._evaluation_nodes(surface, *BLOCKED_GRID)
-    return np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
+    return cli_io._evaluation_nodes(surface, *BLOCKED_GRID)
 
 
 def test_blocked_points_csv_equals_one_shot_grid_contents(tmp_path):

@@ -121,8 +121,7 @@ def test_points_csv_round_trips_the_grid_values(tmp_path):
     code, out = run_cli(tmp_path, cfg)
     assert code == 0
     config = parse_config(cfg)
-    xs, ys = _evaluation_nodes(config.surface, 5, 4)
-    points = np.column_stack([np.repeat(xs, 4), np.tile(ys, 5)])
+    points = _evaluation_nodes(config.surface, 5, 4)
     jets, contents = grid_contents(config.surface, config.material, points)
     expected = {"x1": points[:, 0], "x2": points[:, 1], "w_s": contents.stretching,
                 "w_b": contents.bending}
@@ -147,8 +146,7 @@ def test_points_csv_text_equals_per_row_formatting(tmp_path, changes):
     code, out = run_cli(tmp_path, cfg)
     assert code == 0
     config = parse_config(cfg)
-    xs, ys = _evaluation_nodes(config.surface, 5, 5)
-    points = np.column_stack([np.repeat(xs, 5), np.tile(ys, 5)])
+    points = _evaluation_nodes(config.surface, 5, 5)
     jets, contents = grid_contents(config.surface, config.material, points)
     columns = [points[:, 0], points[:, 1]] + [getattr(jets, k) for k in
                                               CSV_COLUMNS[2:9]]

@@ -146,6 +146,18 @@ def test_bump_frame_emits_no_warning():
     assert caught == []
 
 
+@pytest.mark.parametrize("x1,flagged", [(5e-5, True), (1e-3, False)])
+def test_an_umbilic_stencil_point_flags_the_frame(x1, flagged):
+    # the bump's origin is umbilic; at x1 = 5e-5 it is the -x1 point of
+    # the c12 stencil, though the frame's own point is not umbilic
+    surface = catalog_surface("gaussian_bump")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        frame = compute_frame(surface, (x1, 0.0))
+    assert caught == []
+    assert frame.ill_conditioned is flagged
+
+
 def test_c12_skipped_is_nan():
     # a sampled grid skips the four-point c12 stencil of every node
     _, grid = bump_grid()

@@ -34,6 +34,7 @@ from plate_reduce import (
     symmetric_sqrt,
     volumetric_energy,
 )
+from plate_reduce.materials import matrix_invariants
 from plate_reduce.surface_geometry import uniform_stretch_cone
 
 ALL_MODELS = (Gent(mu=1.0, jm=10.0), NeoHookean(mu=1.0),
@@ -265,6 +266,9 @@ NAN_GUARDS = {
         [1.0, 1.0, x]), MaterialDomainError, "matrix is not positive definite", None),
     "symmetric_sqrt": (lambda x: symmetric_sqrt(np.diag([1.0, x, 1.0])),
                        MaterialDomainError, "matrix is not positive definite", None),
+    # eigvalsh did not converge on a NaN matrix: LinAlgError
+    "svk-energy": (lambda x: SaintVenantKirchhoff(lam=1.0, mu=1.0).energy(np.full((3, 3), x)),
+                   MaterialDomainError, "matrix is not positive definite", None),
 }
 
 
@@ -305,6 +309,22 @@ def test_positivity_guards_reject_a_numeric_string(guard):
     assert type(err.value) is error
     assert str(err.value) == message.format(NAN)
     assert getattr(err.value, "index", None) == index
+
+
+# diag(4, 1, 1) written as numeric strings, which float() would parse
+STRING_MATRIX = [["4", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+def test_matrix_readers_read_numeric_strings_as_nan():
+    # these read the strings as numbers once: 1.5, (6, 9, 4) and 0.015;
+    # numpy's det warns of the NaN it is given
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(volumetric_energy(NeoHookean(mu=1.0), C_f=STRING_MATRIX))
+        assert np.isnan(matrix_invariants(STRING_MATRIX)).all()
+    strain = [["0.1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+    assert np.isnan(small_strain_energy(CiarletGeymonat.from_lame(1.0, 1.0), strain))
+    with pytest.raises(MaterialDomainError, match="^matrix is not positive definite$"):
+        volumetric_energy(SaintVenantKirchhoff(lam=1.0, mu=1.0), C_f=STRING_MATRIX)
 
 
 def test_cg_from_config_gives_scalars():

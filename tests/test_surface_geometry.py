@@ -24,7 +24,7 @@ from plate_reduce import (
     verify_orientation,
     PolyProfile,
 )
-from plate_reduce.surface_geometry import _pow, unimodular_tolerance
+from plate_reduce.surface_geometry import _lattice, _pow, unimodular_tolerance
 
 
 def jet_of(name, x, **kwargs):
@@ -449,6 +449,14 @@ def test_verify_orientation_rule_matches_a_per_node_loop(h):
     assert report.n_nonpositive == sum(d <= 0.0 for d, _, _ in dets)
     assert report.n_points == len(dets)
     assert report.passed == (h == 0.01)
+
+
+def test_lattice_rows_run_x1_outer_inside_the_inset_bounds():
+    xs, ys, points = _lattice(((-1.0, 2.0), (0.5, 1.5)), 4, 3, 0.25)
+    assert np.array_equal(xs, np.linspace(-0.75, 1.75, 4))
+    assert np.array_equal(ys, np.linspace(0.75, 1.25, 3))
+    assert points.shape == (12, 2)
+    assert points.tolist() == [[x, y] for x in xs.tolist() for y in ys.tolist()]
 
 
 @pytest.mark.parametrize("name", ["plane", "cylinder", "gaussian_bump"])
