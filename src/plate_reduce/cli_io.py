@@ -540,5 +540,18 @@ def _run(args):
     return command(load_config(args.config), args.out)
 
 
+def entry():
+    """The ``plate-reduce`` program: ``main``, then ``os._exit`` once both
+    streams are flushed, which skips only the ~20 ms interpreter teardown
+    (output files are closed by then); a closed stdout ends it by SIGPIPE."""
+    import signal  # here, so that importing cli_io stays as light as before
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -53,6 +53,9 @@ class MaterialModel(object):
         return cls(*_pop_numbers(spec, cls.params))
 
     def density(self, C_f):
+        C_f = real_values(C_f)
+        if np.isnan(C_f).any():  # before det, which warns of a NaN
+            raise MaterialDomainError("matrix is not positive definite")
         return self.energy(*matrix_invariants(C_f))
 
     def partials(self, I1, I2, I3):

@@ -606,13 +606,10 @@ def _gaussian_bump(amp, s):
         hh = _zeros(x, 3, 2, 2)
         m, m1, m2, zv, zvv = _bump_scalars(_radius(x), amp, w)
         x1, x2 = x[0], x[1]
+        # d_i d_j (x_k m) is symmetric in (k, i, j): four distinct entries
         hh[0, 0, 0] = 3.0 * x1 * m1 + _pow(x1, 3) * m2
-        hh[0, 0, 1] = x2 * m1 + _pow(x1, 2) * x2 * m2
-        hh[0, 1, 0] = hh[0, 0, 1]
-        hh[0, 1, 1] = x1 * m1 + x1 * _pow(x2, 2) * m2
-        hh[1, 0, 0] = x2 * m1 + _pow(x1, 2) * x2 * m2
-        hh[1, 0, 1] = x1 * m1 + x1 * _pow(x2, 2) * m2
-        hh[1, 1, 0] = hh[1, 0, 1]
+        hh[0, 0, 1] = hh[0, 1, 0] = hh[1, 0, 0] = x2 * m1 + _pow(x1, 2) * x2 * m2
+        hh[0, 1, 1] = hh[1, 0, 1] = hh[1, 1, 0] = x1 * m1 + x1 * _pow(x2, 2) * m2
         hh[1, 1, 1] = 3.0 * x2 * m1 + _pow(x2, 3) * m2
         for i in range(2):
             for j in range(2):

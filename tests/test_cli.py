@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -958,6 +959,58 @@ def test_console_script(tmp_path):
     assert proc.returncode == 0
     assert (out / "summary.json").exists()
     assert "evaluated 9 points" in proc.stdout
+
+
+def _buffered_env():
+    # stdout to a file or pipe is block-buffered unless PYTHONUNBUFFERED is
+    # set, so only the entry function's flush before os._exit delivers it
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("code,cfg,command,stdout_end,stderr_start", [
+    (0, BASE, "evaluate", "wrote ", None),
+    (1, dict(BASE, tolerances={"cross_path_curvatures": 1e-30},
+             options={"checks": ["cross_path_curvatures"]}),
+     "verify", "0/1 checks passed", None),
+    (2, None, "evaluate", None, "config error: "),
+    (3, dict(BASE, surface={"name": "uniform_stretch", "l1": 4.0, "l2": 0.25}),
+     "evaluate", None, "admissibility failure at point "),
+], ids=["ok", "check-failed", "config", "admissibility"])
+def test_each_exit_code_delivers_its_streams_to_files(tmp_path, code, cfg, command,
+                                                      stdout_end, stderr_start):
+    config = [] if cfg is None else ["--config", write_config(tmp_path, cfg)]
+    out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    with open(out, "w") as out_file, open(err, "w") as err_file:
+        proc = subprocess.run(
+            [sys.executable, "-m", "plate_reduce.cli_io", command, *config,
+             "--out", str(tmp_path / "out")],
+            stdout=out_file, stderr=err_file, env=_buffered_env())
+    assert proc.returncode == code, err.read_text()
+    if stdout_end is None:
+        assert out.read_text() == ""
+        assert err.read_text().count("\n") == 1
+        assert err.read_text().startswith(stderr_start)
+    else:
+        assert out.read_text().splitlines()[-1].startswith(stdout_end)
+        assert err.read_text() == ""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_a_closed_stdout_ends_evaluate_by_sigpipe(tmp_path):
+    # the files are written before the buffered stdout is flushed into a
+    # pipe no one reads; the process ends as cat does, without a traceback
+    out = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "plate_reduce.cli_io", "evaluate", "--config",
+         write_config(tmp_path, BASE), "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffered_env())
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == -signal.SIGPIPE
+    assert stderr == b""
+    assert (out / "points.csv").exists() and (out / "summary.json").exists()
 
 
 def test_import_does_not_load_scipy():

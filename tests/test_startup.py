@@ -84,11 +84,13 @@ CHECK_IDS = ("incompressibility_order", "gent_bending", "gent_stretching",
              "eigenframe_coupling", "cross_path_curvatures", "orientation")
 
 # verify run as ``python -m plate_reduce.cli_io``: the running module is
-# __main__, and an import of plate_reduce.cli_io would run it a second time
+# __main__, and an import of plate_reduce.cli_io would run it a second time;
+# its os._exit raises SystemExit here, so the report below is printed
 VERIFY_SCRIPT = """
-import json, runpy, sys
+import json, os, runpy, sys
 
 sys.argv = ["plate-reduce", "verify", "--all", "--out", {out!r}]
+os._exit = sys.exit
 try:
     runpy.run_module("plate_reduce.cli_io", run_name="__main__")
 except SystemExit as done:
