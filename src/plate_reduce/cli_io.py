@@ -14,8 +14,9 @@ config that names a check id) imports.
 
 Exit codes: 0 success, 1 at least one verification check failed (a
 check that raises fails), 2 usage or configuration error, 3 material
-admissibility failure.  Only ``main`` returns 2, after printing one
-``config error:`` line.
+admissibility failure.  Only ``main`` returns 2 or 3, after printing one
+``config error:`` or ``admissibility failure`` line; a usage error is a
+config error.
 """
 
 import argparse
@@ -39,13 +40,13 @@ import numpy as np
 
 from .materials import (CiarletGeymonat, Gent, MaterialDomainError,
                         NeoHookean, StiffeningLimitError, fiber_invariants,
-                        finite_number, lame_constants, material_from_config)
+                        lame_constants, material_from_config)
 from .reduced_energy import (cg_small_strain_contents, cg_stretching_closed,
                              GRID_BLOCK, grid_columns, integrate_contents,
                              plate_energy, point_contents)
 from .surface_geometry import (DegenerateImmersionError, DomainError,
                                ParametricSurface, _lattice, catalog_surface,
-                               evaluate_jet, positive)
+                               evaluate_jet, finite_number, integer, positive)
 from .thickness_profile import (ProfileConstraintError,
                                 incompressible_profile_general)
 
@@ -95,21 +96,8 @@ MAX_SIZE = 1024
 
 
 def _as_number(value, key):
-    try:
-        value = finite_number(value, key)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    return positive(value, f"'{key}' must be positive, got {{:g}}", ConfigError)
-
-
-def _as_int(value, key, minimum):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"'{key}' must be at least {minimum}, got {value}")
-    if value > MAX_SIZE:
-        raise ConfigError(f"'{key}' must be at most {MAX_SIZE}, got {value}")
-    return value
+    return positive(finite_number(value, key, ConfigError),
+                    f"'{key}' must be positive, got {{:g}}", ConfigError)
 
 
 def _reject_unknown_keys(mapping, allowed, where):
@@ -171,8 +159,8 @@ def parse_config(data):
     if not isinstance(gspec, dict):
         raise ConfigError("'grid' must be a mapping with 'nx' and 'ny'")
     _reject_unknown_keys(gspec, ("nx", "ny"), "grid")
-    nx = _as_int(gspec.get("nx", 8), "grid.nx", 2)
-    ny = _as_int(gspec.get("ny", 8), "grid.ny", 2)
+    nx, ny = (integer(gspec.get(key, 8), f"'grid.{key}'", 2, MAX_SIZE, ConfigError)
+              for key in ("nx", "ny"))
 
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -287,17 +275,11 @@ def cmd_evaluate(config, out_dir):
     no file and is a configuration error.
     """
     points = _evaluation_nodes(config.surface, *config.grid)
-    try:
-        *columns, formula_id = grid_columns(
-            config.surface, config.material, points, lambda jets, contents: (
-                jets.trC, jets.detC, jets.lambda1, jets.lambda2, jets.H,
-                jets.K, jets.b1, contents.stretching, contents.bending,
-                contents.formula_id))
-    except _ADMISSIBILITY_ERRORS as err:
-        x1, x2 = points[err.index]
-        print(f"admissibility failure at point ({x1:.6g}, {x2:.6g}): {err}",
-              file=sys.stderr)
-        return EXIT_ADMISSIBILITY
+    *columns, formula_id = grid_columns(
+        config.surface, config.material, points, lambda jets, contents: (
+            jets.trC, jets.detC, jets.lambda1, jets.lambda2, jets.H,
+            jets.K, jets.b1, contents.stretching, contents.bending,
+            contents.formula_id))
     columns = [points[:, 0], points[:, 1]] + columns
     for name, values in zip(CSV_COLUMNS, columns):
         _require_finite(name, values)
@@ -485,9 +467,14 @@ def cmd_sweep(config, out_dir):
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None):
-    """Parse arguments and dispatch; returns the process exit code."""
-    parser = argparse.ArgumentParser(
+    """Parse arguments and dispatch; returns the exit code, never exits."""
+    parser = _Parser(
         prog="plate-reduce",
         description="Evaluate, verify, and sweep reduced plate energies "
                     "of thin hyperelastic sheets.")
@@ -504,14 +491,16 @@ def main(argv=None):
         if name == "verify":
             cmd.add_argument("--all", action="store_true",
                              help="run every built-in check")
-    args = parser.parse_args(argv)
 
     # warnings are shown once the run is over, unless a config error ends
     # it: its line is then the only line on stderr
     with warnings.catch_warnings(record=True) as caught:
         try:
-            code = _run(args)
-        except (ConfigError, DomainError, DegenerateImmersionError) as err:
+            code = _run(parser.parse_args(argv))
+        except SystemExit as stop:  # --help, once the help is printed
+            return stop.code
+        # an OSError here is an --out that cannot be written, say a file
+        except (ConfigError, DomainError, DegenerateImmersionError, OSError) as err:
             print(f"config error: {err}", file=sys.stderr)
             return EXIT_CONFIG
         except OverflowError as err:
@@ -520,8 +509,10 @@ def main(argv=None):
                   file=sys.stderr)
             return EXIT_CONFIG
         except _ADMISSIBILITY_ERRORS as err:
-            # evaluate names a failing grid point itself; the rest end here
-            print(f"admissibility failure: {err}", file=sys.stderr)
+            # grid_columns names the first failing row of evaluate's grid
+            point = getattr(err, "point", None)
+            where = "" if point is None else " at point ({:.6g}, {:.6g})".format(*point)
+            print(f"admissibility failure{where}: {err}", file=sys.stderr)
             code = EXIT_ADMISSIBILITY
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)

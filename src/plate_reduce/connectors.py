@@ -16,7 +16,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .surface_geometry import _central, _dot, _eigen_gap, _lattice, evaluate_jets
+from .surface_geometry import (_central, _dot, _eigen_gap, _lattice, evaluate_jets,
+                               integer)
 
 
 # the frame fields that change sign when both eigenvectors are negated;
@@ -251,7 +252,7 @@ def sample_frame_grid(surface, grid, bounds):
     rows, flipping frames whose r1 opposes its predecessor's.  The fields
     are computed in one batch and kept batched.
     """
-    nx, ny = int(grid[0]), int(grid[1])
+    nx, ny = (integer(n, "grid side", 0, np.inf, ValueError) for n in grid)
     xs, ys, points = _lattice(bounds, nx, ny, 0.0)
     fields = _frame_fields(surface, points)
     # FrameGrid checks the node counts before the sign pass flips ``fields``

@@ -29,7 +29,7 @@ class MaterialDomainError(ValueError):
 
 
 def _pop_numbers(spec, keys):
-    return [finite_number(spec.pop(key), key) for key in keys]
+    return [finite_number(spec.pop(key), key, ValueError) for key in keys]
 
 
 class MaterialModel(object):

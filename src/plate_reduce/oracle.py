@@ -17,7 +17,7 @@ from typing import Tuple
 from . import materials as _materials
 from .surface_geometry import (_gauss_legendre, evaluate_jet, float_if_scalar,
                                fiber_deformation_gradient, half_thickness,
-                               positive, raise_first_failure)
+                               integer, positive, raise_first_failure)
 
 GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 
@@ -64,11 +64,8 @@ def through_thickness_energy_from_jet(jet, material, profile, h, quad_order=8):
     A scalar ``h`` gives a float; a 1-d array (or sequence) of them gives the
     array of those floats, each equal to its scalar call.
     """
-    if not isinstance(quad_order, (int, np.integer)):
-        raise ValueError(f"quad_order must be an integer, got {quad_order!r}")
-    if quad_order < 2:
-        raise ValueError("quad_order must be at least 2")
-    nodes, weights = _gauss_legendre(quad_order)
+    nodes, weights = _gauss_legendre(
+        integer(quad_order, "quad_order", 2, np.inf, ValueError))
     h = np.asarray(half_thickness(h), dtype=float)
     x3 = np.multiply.outer(h, nodes)
     F = fiber_deformation_gradient(jet, profile, x3)
@@ -226,8 +223,7 @@ def solve_svk_profile_ode(H, lam, mu, h, n_steps=400):
     the runs from slopes 0 and 1.  The search shoots any other probe
     itself.  A 1-d array ``h`` gives a tuple, each its scalar call's.
     """
-    if n_steps < 100:
-        raise ValueError("n_steps must be at least 100")
+    n_steps = integer(n_steps, "n_steps", 100, np.inf, ValueError)
     hs = np.ravel(half_thickness(h))
     if np.any(2.0 * abs(H) * hs / n_steps > 0.05):
         raise ResolutionError("curvature too large for this step count; raise n_steps")

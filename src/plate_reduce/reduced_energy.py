@@ -16,7 +16,7 @@ from .materials import (MaterialDomainError, StiffeningLimitError, as_model,
                         invariant_series, volumetric_energy)
 from .surface_geometry import (DegenerateImmersionError, DomainError, JetBatch,
                                _gauss_legendre, _where, evaluate_jets,
-                               float_if_scalar, half_thickness, positive,
+                               float_if_scalar, half_thickness, integer, positive,
                                raise_first_failure, unimodular_tolerance)
 
 
@@ -366,8 +366,9 @@ GRID_BLOCK = 512
 
 def grid_columns(surface, material, points, keep):
     """The (N,) arrays ``keep(jets, contents)`` of ``grid_contents`` over
-    all rows of ``points``, run on GRID_BLOCK rows at a time.  The error
-    of the first failing row is raised with that row as its ``index``."""
+    all rows of ``points``, run on GRID_BLOCK rows at a time.  The first
+    failing row's error is raised with that row as its ``index`` and the
+    row's (x1, x2) as its ``point``."""
     blocks = []
     for start in range(0, len(points), GRID_BLOCK):
         try:
@@ -376,6 +377,7 @@ def grid_columns(surface, material, points, keep):
         except ValueError as err:
             if hasattr(err, "index"):  # raise_first_failure's row
                 err.index += start
+                err.point = points[err.index]
             raise
     return [np.concatenate(column) for column in zip(*blocks)]
 
@@ -403,10 +405,7 @@ def integrate_contents(surface, material, h, grid=(8, 8)):
         ordered by the first axis, then the second.
     """
     half_thickness(h)
-    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
-               for n in grid):
-        raise ValueError(f"grid must be two integers >= 1, got {grid}")
-    nx, ny = grid
+    nx, ny = (integer(n, "grid side", 1, np.inf, ValueError) for n in grid)
     (u0, u1), (v0, v1) = surface.domain
     xu, wu = _gauss_legendre(nx)
     xv, wv = _gauss_legendre(ny)
@@ -418,9 +417,8 @@ def integrate_contents(surface, material, h, grid=(8, 8)):
         stretching, bending = grid_columns(
             surface, material, points, lambda _, c: (c.stretching, c.bending))
     except (StiffeningLimitError, MaterialDomainError) as err:
-        x = points[err.index]
-        raise type(err)(
-            f"at grid node ({x[0]:.6g}, {x[1]:.6g}): {err}") from err
+        raise type(err)("at grid node ({:.6g}, {:.6g}): {}".format(
+            *err.point, err)) from err
 
     weights = np.outer(wu * su, wv * sv)
     total_stretch = float(np.sum(weights * stretching.reshape(nx, ny)))

@@ -168,19 +168,31 @@ def raise_first_failure(*checks):
             raise err
 
 
-def finite_number(value, key):
-    """``value`` as a float; ValueError unless it is a finite real number.
+def finite_number(value, key, error):
+    """``value`` as a float; ``error`` unless it is a finite real number.
 
     The one number check of config parsing (surface and material
     parameters and top-level numbers): booleans, strings, NaN and
     infinities are all rejected.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"'{key}' must be a number, got {value!r}")
+        raise error(f"'{key}' must be a number, got {value!r}")
     value = float(real_values(value))
     if not np.isfinite(value):
-        raise ValueError(f"'{key}' must be finite, got {value!r}")
+        raise error(f"'{key}' must be finite, got {value!r}")
     return value
+
+
+def integer(value, name, low, high, error):
+    """``value`` as an int; ``error`` unless it is a Python or numpy integer
+    (never a bool) in [low, high].  The one integer rule of the guards."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be at least {low}, got {value}")
+    if value > high:
+        raise error(f"{name} must be at most {high}, got {value}")
+    return int(value)
 
 
 def _real(v):
@@ -732,7 +744,7 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
     extra = set(params) - set(defaults)
     if extra:
         raise ValueError(f"unknown parameters {sorted(extra)} for surface '{name}'")
-    callables, box = build(*[finite_number(params.get(key, value), key)
+    callables, box = build(*[finite_number(params.get(key, value), key, ValueError)
                              for key, value in defaults.items()])
     return ParametricSurface(*callables, derivative_mode=derivative_mode, step=step,
                              domain=box, name=name)

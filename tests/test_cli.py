@@ -594,9 +594,15 @@ def test_main_requires_config(command, message, capsys):
     (["sweep"], {"options": {"sweep": {"param": "quad_order",
                                        "values": [4, 1e300]}}}),
     (["evaluate"], {"grid": {"nx": 100000, "ny": 3}}),
+    # usage errors, which argparse would report in two lines of its own
+    (["evaluate", "--bogus"], None),
+    ([], None),
+    (["bogus"], None),
+    (["verify", "--config"], None),
 ], ids=["evaluate_no_config", "verify_no_config", "sweep_no_config",
         "empty_selection", "no_options_sweep", "param_mu", "Jm_neo_hookean",
-        "quad_order_4.5", "quad_order_1e300", "grid_nx_1e5"])
+        "quad_order_4.5", "quad_order_1e300", "grid_nx_1e5", "unknown_option",
+        "no_command", "unknown_command", "config_without_path"])
 def test_every_config_error_is_one_stderr_line(tmp_path, capsys, argv,
                                                changes):
     if changes is not None:
@@ -608,6 +614,17 @@ def test_every_config_error_is_one_stderr_line(tmp_path, capsys, argv,
     assert captured.err.count("\n") == 1, captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_usage_errors_and_help_return_from_main(capsys):
+    # argparse would end the process with SystemExit; main returns instead
+    assert main(["evaluate", "--bogus"]) == 2
+    assert capsys.readouterr().err == ("config error: unrecognized "
+                                       "arguments: --bogus\n")
+    assert main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: plate-reduce")
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("command", ["evaluate", "verify"])

@@ -5,8 +5,9 @@ Configs are drawn from the schema (surfaces, materials, ``h``, ``grid``,
 ``derivative_mode``, ``fd_step`` and sweeps for ``evaluate`` and ``sweep``;
 ``tolerances`` and ``checks`` for ``verify``), with
 ordinary values mixed with tiny, huge, negative, non-finite and non-numeric
-ones.  ``main`` runs in this process; a traceback is an exception that
-fails the test.
+ones.  Argument lists are drawn from the commands, options and paths the
+parser knows and one it does not.  ``main`` runs in this process; a
+traceback is an exception that fails the test.
 """
 
 import contextlib
@@ -201,3 +202,41 @@ def test_verify_ends_every_config_in_verdicts_or_a_config_error(run):
     _assert_strict_output(files)
     report = json.loads(files["verdicts.json"])
     assert report["all_passed"] is (code == 0)
+
+
+# a config every command runs to the end: one fast check, a two-value sweep
+ARGV_CONFIG = {"surface": {"name": "cylinder"},
+               "material": {"model": "gent", "mu": 1.0, "jm": 10.0},
+               "h": 1e-3, "grid": {"nx": 3, "ny": 3},
+               "options": {"checks": ["gent_stretching"],
+                           "sweep": {"param": "h", "values": [1e-3, 2e-3]}}}
+COMMANDS = ["evaluate", "verify", "sweep"]
+PATHS = ["config.json", "missing.json"]
+tokens = st.sampled_from(COMMANDS + PATHS + ["--config", "--out", "-h", "--bogus"])
+# mostly a command and then options, an option often with a path after it,
+# so that many runs get past the parser; else any tokens in any order
+chunks = st.one_of(tokens.map(lambda t: [t]), st.tuples(
+    st.sampled_from(["--config", "--out"]), st.sampled_from(PATHS)).map(list))
+argvs = _mostly(
+    st.tuples(st.sampled_from(COMMANDS), st.lists(chunks, max_size=3)).map(
+        lambda run: [run[0]] + [t for chunk in run[1] for t in chunk]),
+    st.lists(tokens, max_size=6))
+
+
+@settings(max_examples=150)
+@given(argvs)
+# an --out that names a file: os.makedirs raised FileExistsError out of main
+@example(["evaluate", "--config", "config.json", "--out", "config.json"])
+def test_main_returns_a_documented_code_for_every_argv(argv):
+    # relative paths in a fresh directory: an --out left out writes there
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with open("config.json", "w") as fh:
+            json.dump(ARGV_CONFIG, fh)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2, 3), (code, err)
+    if code == 2:
+        assert err.startswith("config error: ") and err.count("\n") == 1, err

@@ -384,8 +384,9 @@ def test_integrate_contents_guards():
         integrate_contents(overstretched, Gent(mu=1.0, jm=10.0), 0.01,
                            grid=(3, 3))
     # a fractional, zero or boolean side is no Gauss-Legendre rule
-    for grid in ((2.5, 3), (0, 8), (True, 3)):
-        with pytest.raises(ValueError, match=r"grid must be two integers >= 1, "
-                                             rf"got \({grid[0]}, {grid[1]}\)"):
+    for grid, message in (((2.5, 3), "must be an integer, got 2.5"),
+                          ((0, 8), "must be at least 1, got 0"),
+                          ((True, 3), "must be an integer, got True")):
+        with pytest.raises(ValueError, match=f"^grid side {message}$"):
             integrate_contents(catalog_surface("plane"), Gent(mu=1.0, jm=10.0),
                                0.01, grid=grid)

@@ -1,5 +1,7 @@
 """Mid-surface jets: catalog values, internal identities, and guards."""
 
+import pickle
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +11,7 @@ from plate_reduce import (
     AreaDistortionError,
     DegenerateImmersionError,
     DomainError,
+    Gent,
     ParametricSurface,
     ProfileConstraintError,
     SurfaceJet,
@@ -20,10 +23,15 @@ from plate_reduce import (
     gent_contents,
     incompressible_profile,
     incompressible_profile_general,
+    integrate_contents,
+    sample_frame_grid,
     sampled_injectivity,
+    solve_svk_profile_ode,
+    through_thickness_energy_from_jet,
     verify_orientation,
     PolyProfile,
 )
+from plate_reduce.cli_io import ConfigError, parse_config
 from plate_reduce.surface_geometry import _lattice, _pow, unimodular_tolerance
 
 
@@ -472,3 +480,58 @@ def test_sampled_injectivity_detects_a_fold():
                                  [[0.0, 0.0], [0.0, 0.0]],
                                  [[0.0, 0.0], [0.0, 0.0]]]))
     assert not sampled_injectivity(folded)
+
+
+# ---------------------------------------------------------------------------
+# the one integer rule
+
+
+def _config_grid(key):
+    def run(n):
+        cfg = {"surface": {"name": "cylinder"}, "h": 1e-3,
+               "material": {"model": "gent", "mu": 1.0, "jm": 10.0},
+               "grid": dict({"nx": 3, "ny": 3}, **{key: n})}
+        return parse_config(cfg).grid
+    return run
+
+
+def _quadrature(n):
+    jet = jet_of("cylinder", (0.1, -0.2))
+    return through_thickness_energy_from_jet(
+        jet, Gent(mu=1.0, jm=10.0), incompressible_profile(jet), 1e-3,
+        quad_order=n)
+
+
+# each integer parameter: the name its error gives, the error class, a call
+# that reads it, and a valid value
+INTEGER_PARAMETERS = [
+    ("'grid.nx'", ConfigError, _config_grid("nx"), 4),
+    ("'grid.ny'", ConfigError, _config_grid("ny"), 4),
+    ("quad_order", ValueError, _quadrature, 8),
+    ("n_steps", ValueError,
+     lambda n: solve_svk_profile_ode(-0.5, 1.0, 1.0, 0.05, n_steps=n), 200),
+    ("grid side", ValueError, lambda n: integrate_contents(
+        catalog_surface("cylinder"), Gent(mu=1.0, jm=10.0), 1e-3,
+        grid=(n, 3)), 4),
+    ("grid side", ValueError, lambda n: sample_frame_grid(
+        catalog_surface("saddle"), (n, 5), ((0.05, 0.4), (0.05, 0.4))), 5),
+]
+INTEGER_IDS = ["grid.nx", "grid.ny", "quad_order", "n_steps",
+               "integrate_contents", "sample_frame_grid"]
+
+
+@pytest.mark.parametrize("value", [np.nan, 2.5, 400.0, "5", None, True],
+                         ids=["nan", "2.5", "400.0", "str", "None", "True"])
+@pytest.mark.parametrize("name,error,call,valid", INTEGER_PARAMETERS,
+                         ids=INTEGER_IDS)
+def test_every_integer_parameter_rejects_a_non_integer(name, error, call,
+                                                       valid, value):
+    with pytest.raises(error, match=f"^{re.escape(name)} must be an integer, "
+                                    f"got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("name,error,call,valid", INTEGER_PARAMETERS,
+                         ids=INTEGER_IDS)
+def test_a_numpy_integer_gives_the_bits_of_its_int(name, error, call, valid):
+    assert pickle.dumps(call(np.int64(valid))) == pickle.dumps(call(valid))
