@@ -90,6 +90,7 @@ _TOP_KEYS = ("surface", "material", "h", "grid", "derivative_mode",
              "fd_step", "tolerances", "options")
 _OPTION_KEYS = ("checks", "sweep")
 SWEEP_PARAMS = ("h", "Jm", "lambda1", "quad_order")
+_SWEEP_MODELS = {"Jm": Gent, "lambda1": CiarletGeymonat}
 # the largest grid side or quad_order: an n-point Gauss rule is an n x n
 # eigenproblem (0.16 s at 1024, 1.1 s at 2048), and 1e5 would need 80 GB
 MAX_SIZE = 1024
@@ -195,19 +196,13 @@ def parse_config(data):
         if not isinstance(values, list) or not values:
             raise ConfigError("'sweep.values' must be a non-empty list")
         for v in values:
-            v = _as_number(v, "sweep.values")
-            if param == "quad_order" and (v != int(v) or v < 2):
-                raise ConfigError("quad_order sweep values must be integers "
-                                  f">= 2, got {v:g}")
-            if param == "quad_order" and v > MAX_SIZE:
-                raise ConfigError("quad_order sweep values must be at most "
-                                  f"{MAX_SIZE}, got {v:g}")
-        if param == "Jm" and not isinstance(material, Gent):
-            raise ConfigError("Jm sweep requires a gent material in the "
-                              "config")
-        if param == "lambda1" and not isinstance(material, CiarletGeymonat):
-            raise ConfigError("lambda1 sweep requires a ciarlet_geymonat "
-                              "material in the config")
+            if param == "quad_order":
+                integer(v, "'sweep.values'", 2, MAX_SIZE, ConfigError)
+            else:
+                _as_number(v, "sweep.values")
+        if not isinstance(material, _SWEEP_MODELS.get(param, object)):
+            raise ConfigError(f"{param} sweep requires a "
+                              f"{_SWEEP_MODELS[param].name} material in the config")
 
     return RunConfig(
         raw=copy.deepcopy(data), surface=surface, material=material, h=h,
@@ -509,7 +504,7 @@ def main(argv=None):
                   file=sys.stderr)
             return EXIT_CONFIG
         except _ADMISSIBILITY_ERRORS as err:
-            # grid_columns names the first failing row of evaluate's grid
+            # grid_columns names the first failing row of every grid run
             point = getattr(err, "point", None)
             where = "" if point is None else " at point ({:.6g}, {:.6g})".format(*point)
             print(f"admissibility failure{where}: {err}", file=sys.stderr)

@@ -17,7 +17,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .surface_geometry import (_central, _dot, _eigen_gap, _lattice, evaluate_jets,
-                               integer)
+                               integer, read_point)
 
 
 # the frame fields that change sign when both eigenvectors are negated;
@@ -149,7 +149,7 @@ def compute_frame(surface, x):
         At umbilic points of the stretch, where the eigenframe rotation
         rate is ill-conditioned; the output is flagged.
     """
-    x = np.asarray(x, dtype=float)[:, None]
+    x = read_point(x)[:, None]
     fields = _frame_fields(surface, x.T)
 
     def c_field(p):

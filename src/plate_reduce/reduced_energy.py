@@ -401,8 +401,8 @@ def integrate_contents(surface, material, h, grid=(8, 8)):
     Raises
     ------
     StiffeningLimitError, MaterialDomainError
-        Re-raised with the first offending grid node attached, nodes
-        ordered by the first axis, then the second.
+        The model's own error at the first offending node (x1 outer, x2
+        inner), with its grid row as ``index`` and its (x1, x2) as ``point``.
     """
     half_thickness(h)
     nx, ny = (integer(n, "grid side", 1, np.inf, ValueError) for n in grid)
@@ -413,12 +413,8 @@ def integrate_contents(surface, material, h, grid=(8, 8)):
     sv, cv = 0.5 * (v1 - v0), 0.5 * (v1 + v0)
 
     points = np.column_stack([np.repeat(su * xu + cu, ny), np.tile(sv * xv + cv, nx)])
-    try:
-        stretching, bending = grid_columns(
-            surface, material, points, lambda _, c: (c.stretching, c.bending))
-    except (StiffeningLimitError, MaterialDomainError) as err:
-        raise type(err)("at grid node ({:.6g}, {:.6g}): {}".format(
-            *err.point, err)) from err
+    stretching, bending = grid_columns(
+        surface, material, points, lambda _, c: (c.stretching, c.bending))
 
     weights = np.outer(wu * su, wv * sv)
     total_stretch = float(np.sum(weights * stretching.reshape(nx, ny)))

@@ -212,6 +212,14 @@ def real_values(value):
     return np.vectorize(_real, otypes=[float])(np.asarray(value, dtype=object))
 
 
+def read_point(x):
+    """``x`` as a (2,) float array; a ValueError names any other shape."""
+    x = real_values(x)
+    if x.shape != (2,):
+        raise ValueError(f"a point must have shape (2,), got {x.shape}")
+    return x
+
+
 def positive(value, message, error=ValueError):
     """``value``, or ``error(message.format(x))``, with ``index``, for its
     first element x outside (0, inf); NaN, and so anything not a real
@@ -404,10 +412,10 @@ _SCALAR_FIELDS = ("lambda1", "lambda2", "H", "K", "b1", "trC", "detC")
 def evaluate_jet(surface, x):
     """Evaluate the full second-order jet of ``surface`` at ``x`` (2,).
 
-    Raises DomainError outside the domain and DegenerateImmersionError if
-    the surface gradient loses rank.
+    Raises ValueError for ``x`` of another shape, DomainError outside the
+    domain and DegenerateImmersionError if the surface gradient loses rank.
     """
-    jet = _jet_fields(surface, np.asarray(x, dtype=float))
+    jet = _jet_fields(surface, read_point(x))
     for name in _SCALAR_FIELDS:
         jet[name] = float(jet[name])
     return SurfaceJet(**jet)

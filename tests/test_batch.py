@@ -317,19 +317,21 @@ def test_gent_at_the_exact_extensibility_limit_raises_for_one_jet():
             contents(jet, 1.0, 2.25)
 
 
-@pytest.mark.parametrize("surface,jm,grid,message", [
-    (catalog_surface("uniform_stretch", l1=4, l2=0.25), 10.0, (3, 3),
-     "at grid node (-0.387298, -0.387298): tr C - 2 = 14.0625 reached the "
-     "extensibility limit Jm = 10"),
-    (ramp(-1.0), 1.0, (4, 4),
-     "at grid node (0.430568, -0.430568): det C (Jm - tr C + 3) - 1 = "
-     "-0.132381889 is not positive (tr C = 1.32425263, det C = 0.324252625, "
-     "Jm = 1)"),
+@pytest.mark.parametrize("surface,jm,grid,index,point,message", [
+    (catalog_surface("uniform_stretch", l1=4, l2=0.25), 10.0, (3, 3), 0,
+     (-0.387298, -0.387298),
+     "tr C - 2 = 14.0625 reached the extensibility limit Jm = 10"),
+    (ramp(-1.0), 1.0, (4, 4), 12, (0.430568, -0.430568),
+     "det C (Jm - tr C + 3) - 1 = -0.132381889 is not positive "
+     "(tr C = 1.32425263, det C = 0.324252625, Jm = 1)"),
 ])
 def test_integrate_contents_names_the_first_failing_node(surface, jm, grid,
-                                                         message):
+                                                         index, point, message):
+    # the model's own error, carrying the Gauss-grid row and its (x1, x2)
     with pytest.raises(StiffeningLimitError) as info:
         integrate_contents(surface, Gent(mu=1.0, jm=jm), 0.01, grid=grid)
+    assert info.value.index == index
+    assert "({:.6g}, {:.6g})".format(*info.value.point) == str(point)
     assert str(info.value) == message
 
 
@@ -502,7 +504,9 @@ def test_blocked_integration_names_a_later_blocks_first_failing_node():
     x1, x2 = nodes[index]
     with pytest.raises(StiffeningLimitError) as info:
         integrate_contents(surface, material, 1e-3, grid=BLOCKED_GRID)
-    assert str(info.value) == f"at grid node ({x1:.6g}, {x2:.6g}): {message}"
+    assert info.value.index == index
+    assert tuple(info.value.point) == (x1, x2)
+    assert str(info.value) == message
 
 
 def test_blocked_evaluate_names_a_non_finite_value_as_one_pass_did(

@@ -635,10 +635,13 @@ def test_usage_errors_and_help_return_from_main(capsys):
     ({"param": "lambda1", "values": [1.1]},
      "lambda1 sweep requires a ciarlet_geymonat material in the config"),
     ({"param": "quad_order", "values": [1]},
-     "quad_order sweep values must be integers >= 2, got 1"),
-    ({"param": "quad_order", "values": [1e300]},
-     "quad_order sweep values must be at most 1024, got 1e+300"),
-], ids=["param_mu", "lambda1_gent", "quad_order_1", "quad_order_1e300"])
+     "'sweep.values' must be at least 2, got 1"),
+    ({"param": "quad_order", "values": [2048]},
+     "'sweep.values' must be at most 1024, got 2048"),
+    ({"param": "quad_order", "values": [8.0]},
+     "'sweep.values' must be an integer, got 8.0"),
+], ids=["param_mu", "lambda1_gent", "quad_order_1", "quad_order_2048",
+        "quad_order_8.0"])
 def test_every_command_validates_options_sweep(tmp_path, capsys, command,
                                                sweep, message):
     code, out = run_cli(tmp_path, _patched(options={"sweep": sweep}),
@@ -913,29 +916,32 @@ def test_sweep_quad_order(tmp_path, capsys):
     cfg["options"]["sweep"]["values"] = [4.5]
     code, _ = run_cli(tmp_path, cfg, command="sweep", name="frac.json")
     assert code == 2
-    assert "integers >= 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("config error: 'sweep.values' must be "
+                                       "an integer, got 4.5\n")
 
 
 _SVK_STRETCH = {"surface": {"name": "uniform_stretch", "l1": 3.0, "l2": 0.5},
                 "material": {"model": "svk", "lambda": 1.0, "mu": 1.0}}
 
 
-@pytest.mark.parametrize("changes,sweep,message", [
+@pytest.mark.parametrize("changes,sweep,where,message", [
     ({"surface": {"name": "uniform_stretch", "l1": 3.0, "l2": 0.3333333333333333},
       "material": {"model": "gent", "mu": 1.0, "jm": 100.0}},
-     {"param": "Jm", "values": [1e-9]}, "reached the extensibility limit"),
+     {"param": "Jm", "values": [1e-9]}, "", "reached the extensibility limit"),
+    # a grid's first failing Gauss node, as evaluate names a lattice point:
+    # the 3 x 3 config grid, then the 4 x 4 reference of the top order
     (_SVK_STRETCH, {"param": "h", "values": [1e-3, 2e-3]},
-     "needs an unstretched mid-surface"),
+     " at point (-0.387298, -0.387298)", "needs an unstretched mid-surface"),
     (_SVK_STRETCH, {"param": "quad_order", "values": [2, 4]},
-     "needs an unstretched mid-surface"),
+     " at point (-0.430568, -0.430568)", "needs an unstretched mid-surface"),
 ], ids=["Jm_gent", "h_svk", "quad_order_svk"])
 def test_sweep_admissibility_failure_exits_3(tmp_path, capsys, changes, sweep,
-                                             message):
+                                             where, message):
     code, out = run_cli(tmp_path, _patched(options={"sweep": sweep}, **changes),
                         command="sweep")
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("admissibility failure: ") and message in err
+    assert err.startswith(f"admissibility failure{where}: ") and message in err
     assert not out.exists()
 
 

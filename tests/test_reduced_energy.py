@@ -380,9 +380,12 @@ def test_integrate_contents_guards():
         integrate_contents(catalog_surface("plane"), Gent(mu=1.0, jm=10.0),
                            -0.01)
     overstretched = catalog_surface("uniform_stretch", l1=4.0, l2=0.25)
-    with pytest.raises(StiffeningLimitError, match="at grid node"):
+    with pytest.raises(StiffeningLimitError,
+                       match="^tr C - 2 = 14.0625 reached") as info:
         integrate_contents(overstretched, Gent(mu=1.0, jm=10.0), 0.01,
                            grid=(3, 3))
+    assert info.value.index == 0
+    assert tuple(info.value.point) == pytest.approx((-0.5 * np.sqrt(0.6),) * 2)
     # a fractional, zero or boolean side is no Gauss-Legendre rule
     for grid, message in (((2.5, 3), "must be an integer, got 2.5"),
                           ((0, 8), "must be at least 1, got 0"),

@@ -17,8 +17,10 @@ from plate_reduce import (
     SurfaceJet,
     appendix_H_K,
     catalog_surface,
+    compute_frame,
     evaluate_jet,
     evaluate_jets,
+    exact_invariants,
     fiber_deformation_gradient,
     gent_contents,
     incompressible_profile,
@@ -27,6 +29,7 @@ from plate_reduce import (
     sample_frame_grid,
     sampled_injectivity,
     solve_svk_profile_ode,
+    through_thickness_energy,
     through_thickness_energy_from_jet,
     verify_orientation,
     PolyProfile,
@@ -336,6 +339,28 @@ def test_evaluate_jet_outside_domain():
         jet_of("cylinder", (5.0, 0.0))
 
 
+_BUMP_PROFILE = incompressible_profile(jet_of("gaussian_bump", (0.1, 0.2)))
+
+
+# each single-point entry reads its point by one rule
+@pytest.mark.parametrize("entry", [
+    evaluate_jet,
+    lambda s, x: through_thickness_energy(s, x, Gent(mu=1.0, jm=10.0),
+                                          _BUMP_PROFILE, 1e-3),
+    lambda s, x: exact_invariants(s, x, _BUMP_PROFILE, 0.0),
+    compute_frame,
+], ids=["evaluate_jet", "through_thickness_energy", "exact_invariants",
+        "compute_frame"])
+@pytest.mark.parametrize("x,shape", [
+    (None, "()"), ("2", "()"), ([0.1], "(1,)"), ([0.1, 0.2, 0.3], "(3,)"),
+    ([[0.1, 0.2]], "(1, 2)"),
+], ids=["None", "str", "one", "three", "row"])
+def test_a_single_point_entry_names_a_bad_points_shape(entry, x, shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"a point must have shape (2,), got {shape}") + "$"):
+        entry(catalog_surface("gaussian_bump"), x)
+
+
 def test_degenerate_immersion_is_rejected():
     flat = ParametricSurface(
         map=lambda x: np.array([x[0], 0.0, 0.0]),
@@ -495,6 +520,14 @@ def _config_grid(key):
     return run
 
 
+def _config_sweep_order(n):
+    cfg = {"surface": {"name": "cylinder"}, "h": 1e-3,
+           "material": {"model": "gent", "mu": 1.0, "jm": 10.0},
+           "options": {"sweep": {"param": "quad_order", "values": [n]}}}
+    # the values as cmd_sweep reads them
+    return [float(v) for v in parse_config(cfg).options["sweep"]["values"]]
+
+
 def _quadrature(n):
     jet = jet_of("cylinder", (0.1, -0.2))
     return through_thickness_energy_from_jet(
@@ -507,6 +540,7 @@ def _quadrature(n):
 INTEGER_PARAMETERS = [
     ("'grid.nx'", ConfigError, _config_grid("nx"), 4),
     ("'grid.ny'", ConfigError, _config_grid("ny"), 4),
+    ("'sweep.values'", ConfigError, _config_sweep_order, 8),
     ("quad_order", ValueError, _quadrature, 8),
     ("n_steps", ValueError,
      lambda n: solve_svk_profile_ode(-0.5, 1.0, 1.0, 0.05, n_steps=n), 200),
@@ -516,7 +550,7 @@ INTEGER_PARAMETERS = [
     ("grid side", ValueError, lambda n: sample_frame_grid(
         catalog_surface("saddle"), (n, 5), ((0.05, 0.4), (0.05, 0.4))), 5),
 ]
-INTEGER_IDS = ["grid.nx", "grid.ny", "quad_order", "n_steps",
+INTEGER_IDS = ["grid.nx", "grid.ny", "sweep.quad_order", "quad_order", "n_steps",
                "integrate_contents", "sample_frame_grid"]
 
 
