@@ -17,7 +17,7 @@ from typing import Tuple
 from . import materials as _materials
 from .surface_geometry import (_gauss_legendre, evaluate_jet, float_if_scalar,
                                fiber_deformation_gradient, half_thickness,
-                               integer, positive, raise_first_failure)
+                               integer, positive, raise_first_failure, real_values)
 
 GOLDEN = (5.0 ** 0.5 - 1.0) / 2.0
 
@@ -66,7 +66,7 @@ def through_thickness_energy_from_jet(jet, material, profile, h, quad_order=8):
     """
     nodes, weights = _gauss_legendre(
         integer(quad_order, "quad_order", 2, np.inf, ValueError))
-    h = np.asarray(half_thickness(h), dtype=float)
+    h = half_thickness(h)
     x3 = np.multiply.outer(h, nodes)
     F = fiber_deformation_gradient(jet, profile, x3)
     try:
@@ -87,8 +87,7 @@ def fit_h_powers(h_samples, energies):
     included, so keep max(h) small enough that h^5 leakage is below the
     tolerance of the comparison at hand.
     """
-    hs = np.asarray(h_samples, dtype=float)
-    es = np.asarray(energies, dtype=float)
+    hs, es = real_values(h_samples), real_values(energies)
     if hs.shape != es.shape or hs.ndim != 1:
         raise FitError("h_samples and energies must be 1-d and equally long")
     if len(hs) < 4:
@@ -119,7 +118,7 @@ def _lanes(f, *values):
     scalar = all(np.ndim(v) == 0 for v in values)
     lane_f = (lambda x: np.array([f(float(x[0]))])) if scalar else f
     return (scalar, lane_f, *np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in values)))
+        *(np.atleast_1d(real_values(v)) for v in values)))
 
 
 def minimize_scalar(f, bracket):

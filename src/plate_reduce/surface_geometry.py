@@ -430,7 +430,7 @@ def evaluate_jets(surface, points):
     DegenerateImmersionError that ``evaluate_jet`` raises at the first
     failing row, with that row as the error's ``index``.
     """
-    points = np.asarray(points, dtype=float)
+    points = real_values(points)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError(f"points must have shape (N, 2), got {points.shape}")
     return JetBatch(**_jet_fields(surface, np.ascontiguousarray(points.T)))

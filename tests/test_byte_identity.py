@@ -7,6 +7,8 @@ import shutil
 
 import pytest
 
+from plate_reduce.cli_io import SWEEP_PARAMS, parse_config
+
 _TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "tools", "byte_identity.py")
 _spec = importlib.util.spec_from_file_location("_byte_identity", _TOOL)
@@ -103,3 +105,18 @@ def test_a_missing_file_fails(base, tmp_path):
 
 def test_a_missing_set_is_a_usage_error(base, tmp_path):
     assert byte_identity.main(["compare", base, str(tmp_path / "none")]) == 2
+
+
+def _kind(command, config):
+    run = parse_config(config)
+    if command == "evaluate":
+        return command, run.surface.derivative_mode
+    return command, run.options["sweep"]["param"]
+
+
+def test_the_extra_runs_are_valid_and_cover_what_the_workloads_leave_out():
+    labels = [label for label, _, _ in byte_identity.EXTRA]
+    assert len(set(labels)) == len(labels)
+    kinds = sorted(_kind(command, config) for _, command, config in byte_identity.EXTRA)
+    assert kinds == sorted([("evaluate", "finite-difference"),
+                            *(("sweep", p) for p in SWEEP_PARAMS if p != "h")])

@@ -237,6 +237,8 @@ POSITIVE_GUARDS = {
         ValueError, "step must be positive", 0),
     "parabolic_refine-delta": (lambda x: parabolic_refine(lambda t: t * t, 0.5, x),
                                ValueError, "parabolic_refine needs delta > 0, got {:g}", 0),
+    "parabolic_refine-x0": (lambda x: parabolic_refine(lambda t: t * t, x, 0.1),
+                            ValueError, "parabolic_refine needs a finite x0, got {:g}", 0),
     "uniform_stretch_cone": (uniform_stretch_cone, ValueError,
                              "cone construction needs lambda1 > 1", None),
     "gent-mu": (lambda x: Gent(mu=x, jm=1.0), ValueError,

@@ -9,8 +9,10 @@ import pytest
 
 from plate_reduce import (
     AreaDistortionError,
+    BracketError,
     DegenerateImmersionError,
     DomainError,
+    FitError,
     Gent,
     ParametricSurface,
     ProfileConstraintError,
@@ -22,10 +24,13 @@ from plate_reduce import (
     evaluate_jets,
     exact_invariants,
     fiber_deformation_gradient,
+    fit_h_powers,
     gent_contents,
+    grid_contents,
     incompressible_profile,
     incompressible_profile_general,
     integrate_contents,
+    minimize_scalar,
     sample_frame_grid,
     sampled_injectivity,
     solve_svk_profile_ode,
@@ -359,6 +364,29 @@ def test_a_single_point_entry_names_a_bad_points_shape(entry, x, shape):
     with pytest.raises(ValueError, match=re.escape(
             f"a point must have shape (2,), got {shape}") + "$"):
         entry(catalog_surface("gaussian_bump"), x)
+
+
+# an array input reads a numeric string as NaN, as the single-point and
+# positivity guards do, and an integer past the double range as an infinity
+@pytest.mark.parametrize("call,error,message,index", [
+    (lambda: evaluate_jets(catalog_surface("gaussian_bump"), [["0.1", 0.2]]),
+     DomainError, "point (nan, 0.2) outside domain of 'gaussian_bump'", 0),
+    (lambda: grid_contents(catalog_surface("gaussian_bump"), Gent(mu=1.0, jm=10.0),
+                           [[0.1, 0.2], [0.3, "0.1"]]),
+     DomainError, "point (0.3, nan) outside domain of 'gaussian_bump'", 1),
+    (lambda: minimize_scalar(lambda t: (t - 1.0) ** 2, ("0", 2.0)),
+     BracketError, "bracket must have finite ends with lo < hi", None),
+    (lambda: minimize_scalar(lambda t: (t - 1.0) ** 2, (0.0, 10 ** 400)),
+     BracketError, "bracket must have finite ends with lo < hi", None),
+    (lambda: fit_h_powers(["1e-3", 3e-3, 1e-2, 3e-2], [1e-3, 3e-3, 1e-2, 3e-2]),
+     FitError, "h samples and energies must be finite", None),
+], ids=["evaluate_jets", "grid_contents", "minimize_scalar", "minimize_scalar-10**400",
+        "fit_h_powers"])
+def test_array_inputs_read_a_numeric_string_as_nan(call, error, message, index):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as err:
+        call()
+    assert type(err.value) is error
+    assert getattr(err.value, "index", None) == index
 
 
 def test_degenerate_immersion_is_rejected():

@@ -9,16 +9,22 @@ Runs, one fresh ``python -m plate_reduce.cli_io`` process at a time:
 - the four ``evaluate-grid`` configs at seeds 0 and 9
   (``points.csv``, ``summary.json``);
 - ``sweep-fd`` at seeds 0-3 (``sweep.csv``);
-- ``verify --all`` (``verdicts.json``).
+- ``verify --all`` (``verdicts.json``);
+- the ``EXTRA`` table below, which the workloads leave out: a
+  finite-difference ``evaluate`` (``points.csv``, ``summary.json``) and a
+  ``Jm``, a ``lambda1`` and a ``quad_order`` sweep (``sweep.csv``).
 
-The configs come from ``perfbench/workloads.py``, which is imported and
-never changed.  The layout under OUT_DIR is fixed
-(``<workload>/seed<n>/<label>/<file>``), so two checkouts' sets compare
-file by file.  A run fails when it exits non-zero or writes anything to
-standard error, such as a leaked ``RuntimeWarning`` that a comparison
-of the files would not see.  Each run's standard output and error are
-discarded unless it fails; the script prints the first failing run's
-label, exit code and output, and exits 1.
+That is 26 files.  The workload configs come from
+``perfbench/workloads.py``, which is imported and never changed.  The
+layout under OUT_DIR is fixed (``<workload>/seed<n>/<label>/<file>`` and
+``extra/<label>/<file>``), so two checkouts' sets compare file by file.
+CI writes the base commit's set with the change's copy of this script, so
+one ``EXTRA`` table defines both sets.  A run fails when it exits
+non-zero or writes anything to standard error, such as a leaked
+``RuntimeWarning`` that a comparison of the files would not see.  Each
+run's standard output and error are discarded unless it fails; the
+script prints the first failing run's path under OUT_DIR, exit code and
+output, and exits 1.
 
 ``compare`` checks that the set CHANGE keeps the set BASE and may only
 add checks.  Both must hold the same files, and every file other than
@@ -39,6 +45,28 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = {"evaluate-grid": (0, 9), "sweep-fd": (0, 1, 2, 3), "verify-all": (0,)}
+
+_BUMP = {"name": "gaussian_bump", "A": 0.5, "s": 1.0}
+_GENT = {"model": "gent", "mu": 1.0, "jm": 10.0}
+
+
+def _sweep(material, param, values):
+    return {"surface": _BUMP, "material": material, "h": 0.001,
+            "options": {"sweep": {"param": param, "values": values}}}
+
+
+# (label, command, config) of each run under extra/: the set's only
+# finite-difference evaluate and its only sweeps of a parameter other than h
+EXTRA = (
+    ("fd_evaluate", "evaluate", {"surface": _BUMP, "material": _GENT,
+                                 "derivative_mode": "finite-difference", "h": 0.001,
+                                 "grid": {"nx": 16, "ny": 16}}),
+    ("sweep_Jm", "sweep", _sweep(_GENT, "Jm", [5, 10, 20])),
+    ("sweep_lambda1", "sweep", _sweep(
+        {"model": "ciarlet_geymonat", "lambda": 1.0, "mu": 1.0}, "lambda1", [1.01, 1.1, 1.5])),
+    ("sweep_quad_order", "sweep", _sweep(
+        {"model": "mooney_rivlin", "mu": 1.0, "chi": 0.6}, "quad_order", [4, 8, 16])),
+)
 
 
 def _workloads():
@@ -118,22 +146,22 @@ def main(argv=None):
     out_root = os.path.abspath(args[0])
     workloads = _workloads()
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    runs = [(os.path.join(workload, f"seed{seed}"), inv)
+            for workload, seeds in SEEDS.items() for seed in seeds
+            for inv in workloads.invocations(workload, seed)]
+    runs += [("extra", workloads.Invocation(*row)) for row in EXTRA]
     with tempfile.TemporaryDirectory() as config_dir:
-        for workload, seeds in SEEDS.items():
-            for seed in seeds:
-                for inv in workloads.invocations(workload, seed):
-                    out = os.path.join(out_root, workload, f"seed{seed}", inv.label)
-                    os.makedirs(out, exist_ok=True)
-                    config = inv.write_config(config_dir)
-                    argv = [sys.executable, "-m", "plate_reduce.cli_io"]
-                    run = subprocess.run(argv + inv.argv(config, out), cwd=ROOT, env=env,
-                                         stdin=subprocess.DEVNULL, capture_output=True,
-                                         text=True)
-                    if run.returncode != 0 or run.stderr:
-                        print(f"{workload} seed {seed} {inv.label}: exit "
-                              f"{run.returncode}\n{run.stdout}{run.stderr}",
-                              file=sys.stderr)
-                        return 1
+        for where, inv in runs:
+            out = os.path.join(out_root, where, inv.label)
+            os.makedirs(out, exist_ok=True)
+            config = inv.write_config(config_dir)
+            argv = [sys.executable, "-m", "plate_reduce.cli_io"]
+            run = subprocess.run(argv + inv.argv(config, out), cwd=ROOT, env=env,
+                                 stdin=subprocess.DEVNULL, capture_output=True, text=True)
+            if run.returncode != 0 or run.stderr:
+                print(f"{os.path.join(where, inv.label)}: exit {run.returncode}\n"
+                      f"{run.stdout}{run.stderr}", file=sys.stderr)
+                return 1
     print(f"wrote the byte-identity set under {out_root}")
     return 0
 
