@@ -428,11 +428,13 @@ def cmd_sweep(config, out_dir):
             except (OverflowError, ZeroDivisionError):  # l1**2 out of range
                 raise OverflowError(f"the swept lambda1 = {l1:g}") from None
             strain = 0.5 * (C - np.eye(2))
+            rows.append((param, l1, "strain_norm",
+                         float(np.linalg.norm(strain))))
+            if not np.isfinite(strain).all():
+                continue  # E's reader would refuse it; the check below names it
             synthetic = SimpleNamespace(trC=float(np.trace(C)), detC=1.0)
             w1 = cg_stretching_closed(synthetic, config.material)
             quad = cg_small_strain_contents(strain, 0.0, 0.0, lam, mu).stretching
-            rows.append((param, l1, "strain_norm",
-                         float(np.linalg.norm(strain))))
             rows.append((param, l1, "w1_quadratic_remainder", abs(w1 - quad)))
     else:  # quad_order
         orders = [int(v) for v in values]

@@ -17,7 +17,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .surface_geometry import (_central, _dot, _eigen_gap, _lattice, evaluate_jets,
-                               integer, read_point)
+                               integer, positive, read_point)
 
 
 # the frame fields that change sign when both eigenvectors are negated;
@@ -296,6 +296,7 @@ def gauss_uniform_stretch(frame, lambda1):
     With lambda2 = 1/lambda1 constant over the plane, the curvature
     reduces to (1/lambda2^2 - 1/lambda1^2)(c2^2 - c1^2 + c12).
     """
+    positive(lambda1, "lambda1 = {:.9g} must be positive")
     l2inv = lambda1 * lambda1
     return float((l2inv - 1.0 / l2inv)
                  * (frame.c2**2 - frame.c1**2 + frame.c12))

@@ -12,8 +12,8 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from .surface_geometry import (evaluate_jet, fiber_deformation_gradient,
-                               finite_number, float_if_scalar, positive,
+from .surface_geometry import (above, evaluate_jet, fiber_deformation_gradient,
+                               finite, finite_number, float_if_scalar, positive,
                                raise_first_failure, real_values,
                                unimodular_tolerance)
 from .thickness_profile import (cg_profile, incompressible_profile_general,
@@ -53,9 +53,6 @@ class MaterialModel(object):
         return cls(*_pop_numbers(spec, cls.params))
 
     def density(self, C_f):
-        C_f = real_values(C_f)
-        if np.isnan(C_f).any():  # before det, which warns of a NaN
-            raise MaterialDomainError("matrix is not positive definite")
         return self.energy(*matrix_invariants(C_f))
 
     def partials(self, I1, I2, I3):
@@ -265,8 +262,7 @@ def molecular_params(n_chains, n_links, k_boltzmann, temperature):
 
     Returns (mu, jm) = (n k T, 3 (N - 1)).
     """
-    if not 1.0 < real_values(n_links) < np.inf:
-        raise MaterialDomainError("chain segment count N must exceed 1")
+    above(1.0, n_links, "chain segment count N must exceed 1", MaterialDomainError)
     positive((n_chains, k_boltzmann, temperature),
              "chain density, k, and temperature must be positive", MaterialDomainError)
     return n_chains * k_boltzmann * temperature, 3.0 * (n_links - 1.0)
@@ -302,7 +298,7 @@ def small_strain_energy(material, E_f):
     """Quadratic strain energy (lambda/2) tr^2 E + mu tr E^2 of a model's
     Lame pair: a float for one 3x3 strain, an array for a stack (..., 3, 3)."""
     lam, mu = lame_constants(material)
-    E_f = real_values(E_f)
+    E_f = finite(real_values(E_f), "strain E_f must be finite, got {:g}", ValueError)
     tr = lambda A: np.trace(A, axis1=-2, axis2=-1)
     return float_if_scalar(0.5 * lam * tr(E_f) ** 2 + mu * tr(E_f @ E_f))
 
@@ -313,8 +309,11 @@ def small_strain_energy(material, E_f):
 
 def matrix_invariants(C):
     """Principal invariants (tr C, (tr^2 C - tr C^2) / 2, det C) of one 3x3
-    matrix, or of each matrix in a stack of shape (..., 3, 3)."""
+    matrix, or of each matrix in a stack of shape (..., 3, 3).  A NaN entry,
+    or one that is not a real number, is a MaterialDomainError."""
     C = real_values(C)
+    if np.isnan(C).any():  # before det, which warns of a NaN
+        raise MaterialDomainError("matrix is not positive definite")
     i1 = np.trace(C, axis1=-2, axis2=-1)
     return i1, 0.5 * (i1 * i1 - np.trace(C @ C, axis1=-2, axis2=-1)), np.linalg.det(C)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import materials as _materials
-from .surface_geometry import (_gauss_legendre, evaluate_jet, float_if_scalar,
+from .surface_geometry import (_gauss_legendre, evaluate_jet, finite, float_if_scalar,
                                fiber_deformation_gradient, half_thickness,
                                integer, positive, raise_first_failure, real_values)
 
@@ -92,8 +92,8 @@ def fit_h_powers(h_samples, energies):
         raise FitError("h_samples and energies must be 1-d and equally long")
     if len(hs) < 4:
         raise FitError("need at least 4 samples")
-    if not (np.all(np.isfinite(hs)) and np.all(np.isfinite(es))):
-        raise FitError("h samples and energies must be finite")
+    for v in (hs, es):
+        finite(v, "h samples and energies must be finite", FitError)
     if np.any(np.diff(np.sort(hs)) == 0.0):
         raise FitError("h samples must be distinct")
     if np.any(hs <= 0):
@@ -171,8 +171,7 @@ def parabolic_refine(f, x0, delta):
     ValueError for a non-finite ``x0`` or a ``delta`` outside (0, inf)."""
     positive(delta, "parabolic_refine needs delta > 0, got {:g}")
     scalar, f, x0, delta = _lanes(f, x0, delta)
-    raise_first_failure((~np.isfinite(x0), lambda i: ValueError(
-        f"parabolic_refine needs a finite x0, got {np.ravel(x0)[i]:g}")))
+    finite(x0, "parabolic_refine needs a finite x0, got {:g}", ValueError)
     # a lane with a non-finite value reads as flat (0, 0, 0), which is kept
     probes = [f(x0 - delta), f(x0), f(x0 + delta)]
     fm, f0, fp = np.where(np.isfinite(probes).all(axis=0), probes, 0.0)

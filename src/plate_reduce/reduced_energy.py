@@ -15,9 +15,9 @@ import numpy as np
 from .materials import (MaterialDomainError, StiffeningLimitError, as_model,
                         invariant_series, volumetric_energy)
 from .surface_geometry import (DegenerateImmersionError, DomainError, JetBatch,
-                               _gauss_legendre, _where, evaluate_jets,
+                               _gauss_legendre, _where, evaluate_jets, finite,
                                float_if_scalar, half_thickness, integer, positive,
-                               raise_first_failure, unimodular_tolerance)
+                               raise_first_failure, real_values, unimodular_tolerance)
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def cg_small_strain_contents(E, H, K, lam, mu):
     lam, mu : float
         Lame constants.
     """
-    E = np.asarray(E, dtype=float)
+    E = finite(real_values(E), "strain E must be finite, got {:g}", ValueError)
     tr_e = np.trace(E)
     w1 = 2.0 * lam * mu / (lam + 2.0 * mu) * tr_e * tr_e + 2.0 * mu * np.trace(E @ E)
     # the bending content of an isometry
@@ -270,6 +270,7 @@ def eigenframe_coupling(kappa1, kappa2, lambda1, phi_angle):
         The (nonnegative) coupling term, a float for a scalar
         ``phi_angle`` and an array of its shape otherwise.
     """
+    finite(phi_angle, "phi_angle = {:.9g} must be finite", ValueError)
     a, b = _coupling_coefficients(kappa1, kappa2, lambda1)
     c = np.cos(phi_angle)
     s = np.sin(phi_angle)

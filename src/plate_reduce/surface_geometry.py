@@ -177,10 +177,7 @@ def finite_number(value, key, error):
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"'{key}' must be a number, got {value!r}")
-    value = float(real_values(value))
-    if not np.isfinite(value):
-        raise error(f"'{key}' must be finite, got {value!r}")
-    return value
+    return float(finite(value, f"'{key}' must be finite, got {{:g}}", error))
 
 
 def integer(value, name, low, high, error):
@@ -220,14 +217,22 @@ def read_point(x):
     return x
 
 
-def positive(value, message, error=ValueError):
+def above(low, value, message, error):
     """``value``, or ``error(message.format(x))``, with ``index``, for its
-    first element x outside (0, inf); NaN, and so anything not a real
-    number, fails."""
+    first element x outside (low, inf); NaN, and so anything not a real
+    number, fails.  The one interval rule of the guards."""
     x = real_values(value)
-    raise_first_failure((~((x > 0) & (x < np.inf)),
+    raise_first_failure((~((x > low) & (x < np.inf)),
                          lambda i: error(message.format(np.ravel(x)[i]))))
     return value
+
+
+def positive(value, message, error=ValueError):
+    return above(0.0, value, message, error)
+
+
+def finite(value, message, error):
+    return above(-np.inf, value, message, error)
 
 
 def half_thickness(h):
@@ -769,9 +774,8 @@ def uniform_stretch_cone(lambda1):
     Requires lambda1 > 1.  Not a config surface name; its callables
     broadcast like the catalog's.
     """
+    above(1.0, lambda1, "cone construction needs lambda1 > 1", ValueError)
     lambda1 = float(real_values(lambda1))
-    if not 1.0 < lambda1 < np.inf:
-        raise ValueError("cone construction needs lambda1 > 1")
     s = 1.0 / lambda1
     k = np.sqrt(lambda1 ** 2 - s ** 2)
 

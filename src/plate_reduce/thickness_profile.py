@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .surface_geometry import (_gauss_legendre, _where, float_if_scalar,
+from .surface_geometry import (_gauss_legendre, _where, finite, float_if_scalar,
                                half_thickness, positive, raise_first_failure,
-                               real_values, unimodular_tolerance)
+                               unimodular_tolerance)
 
 SHC_SERIES_CUTOFF = 1e-4
 
@@ -52,12 +52,6 @@ class PolyProfile:
         return self.alpha + x3 * (2.0 * self.beta + 3.0 * x3 * self.gamma)
 
 
-def _require_finite_H(H):
-    H = real_values(H)
-    raise_first_failure((~np.isfinite(H), lambda i: ValueError(
-        f"the SVK profile needs a finite H, got {np.ravel(H)[i]:g}")))
-
-
 @dataclass(frozen=True)
 class HyperbolicProfile:
     """Stationary fiber profile of the Saint Venant-Kirchhoff sheet.
@@ -77,7 +71,7 @@ class HyperbolicProfile:
     kind = "hyperbolic"
 
     def __post_init__(self):
-        _require_finite_H(self.H)
+        finite(self.H, "the SVK profile needs a finite H, got {:g}", ValueError)
         positive((self.lam, self.mu), "Lame constants must be positive")
         half_thickness(self.h)
         positive(self.alpha_bar, "mid-plane slope 2 H xi must be positive")
@@ -229,7 +223,7 @@ def svk_profile(H, lam, mu, h):
     """
     rows = np.broadcast(H, lam, mu, h).shape
     at = lambda v, i: np.broadcast_to(v, rows).ravel()[i]
-    _require_finite_H(np.broadcast_to(H, rows))
+    finite(np.broadcast_to(H, rows), "the SVK profile needs a finite H, got {:g}", ValueError)
     positive((lam, mu), "Lame constants must be positive")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c = np.cosh(2.0 * H * half_thickness(h))

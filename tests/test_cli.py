@@ -435,6 +435,14 @@ _NON_FINITE_RESULTS = [
       "material": {"model": "svk", "lambda": 1e-200, "mu": 1e-300}},
      "a result overflows double precision: the SVK profile at H = 0, "
      "h = 0.001", ("evaluate",)),
+    # 1 / lambda1 ** 2 overflows: the strain norm is named before the
+    # small-strain contents, which read the strain as finite, refuse it
+    ("lambda1_1e-160",
+     {"surface": {"name": "cylinder"},
+      "material": {"model": "ciarlet_geymonat", "lambda": 1.0, "mu": 1.0},
+      "options": {"sweep": {"param": "lambda1", "values": [1e-160]}}},
+     "config error: strain_norm at lambda1 = 1e-160 is inf, not a finite "
+     "number: the config leaves the range of double precision\n", ("sweep",)),
 ]
 
 

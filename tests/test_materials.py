@@ -7,18 +7,14 @@ from types import SimpleNamespace
 from plate_reduce import (
     CiarletGeymonat,
     Gent,
-    HyperbolicProfile,
     MaterialDomainError,
     MooneyRivlin,
     NeoHookean,
-    ParametricSurface,
     PolyProfile,
     SaintVenantKirchhoff,
     StiffeningLimitError,
     catalog_surface,
     cg_profile,
-    coupling_stationary_angles,
-    eigenframe_coupling,
     evaluate_jet,
     exact_invariants,
     exact_invariants_from_jet,
@@ -28,14 +24,10 @@ from plate_reduce import (
     lame_constants,
     material_from_config,
     molecular_params,
-    parabolic_refine,
     small_strain_energy,
-    svk_profile,
     symmetric_sqrt,
     volumetric_energy,
 )
-from plate_reduce.materials import matrix_invariants
-from plate_reduce.surface_geometry import uniform_stretch_cone
 
 ALL_MODELS = (Gent(mu=1.0, jm=10.0), NeoHookean(mu=1.0),
               MooneyRivlin(mu=1.0, chi=0.4),
@@ -174,164 +166,6 @@ def test_array_parameter_cg_rejects_any_bad_lane():
     a, b = np.array([0.5, 1.0]), np.array([0.25, 0.5])
     lanes = CiarletGeymonat(a=a, b=b)
     assert lanes.c.tolist() == [1.5, 3.0] and lanes.d.tolist() == [-1.75, -3.5]
-
-
-NAN, INF = float("nan"), float("inf")
-CG_CONFIG = {"model": "ciarlet_geymonat", "a": 1.0, "b": 1.0}
-
-
-@pytest.mark.parametrize("make,message", [
-    (lambda x: Gent(mu=x, jm=10.0), "Gent requires"),
-    (lambda x: Gent(mu=1.0, jm=x), "Gent requires"),
-    (lambda x: NeoHookean(mu=x), "NeoHookean requires"),
-    (lambda x: MooneyRivlin(mu=x, chi=0.5), "MooneyRivlin requires mu"),
-    (lambda x: CiarletGeymonat(a=x, b=1.0), "a > 0 and b > 0"),
-    (lambda x: CiarletGeymonat(a=1.0, b=x), "a > 0 and b > 0"),
-    (lambda x: CiarletGeymonat(a=np.array([1.0, x]), b=np.array([1.0, 1.0])),
-     "a > 0 and b > 0"),
-    (lambda x: CiarletGeymonat(a=np.array([1.0, 1.0]), b=np.array([x, 1.0])),
-     "a > 0 and b > 0"),
-    # c and d are derived, so a config naming either is rejected
-    (lambda x: material_from_config(CG_CONFIG | {"c": x}), "unknown material parameters"),
-    (lambda x: material_from_config(CG_CONFIG | {"d": x}), "unknown material parameters"),
-    (lambda x: CiarletGeymonat.from_lame(x, 1.0), "Lame constants"),
-    (lambda x: CiarletGeymonat.from_lame(1.0, x), "Lame constants"),
-    (lambda x: SaintVenantKirchhoff(lam=x, mu=1.0), "lam > 0 and mu > 0"),
-    (lambda x: SaintVenantKirchhoff(lam=1.0, mu=x), "lam > 0 and mu > 0"),
-], ids=["gent-mu", "gent-jm", "neo_hookean-mu", "mooney_rivlin-mu", "cg-a",
-        "cg-b", "cg-a-lane", "cg-b-lane", "cg-c", "cg-d", "cg-lame-lambda",
-        "cg-lame-mu", "svk-lambda", "svk-mu"])
-@pytest.mark.parametrize("value", [NAN, INF, -INF, "2"],
-                         ids=["nan", "inf", "-inf", "numeric-string"])
-def test_models_reject_non_finite_parameters(make, message, value):
-    # NaN fails every comparison, so `x <= 0` alone let it through
-    with pytest.raises(ValueError, match=message):
-        make(value)
-
-
-# (make, error, message with {} for the value, index or None); each of
-# these once let NaN or an infinity through, or failed only later
-POSITIVE_GUARDS = {
-    "hyperbolic-lam": (lambda x: HyperbolicProfile(H=0.5, lam=x, mu=1.0, h=0.1, alpha_bar=1.0),
-                       ValueError, "Lame constants must be positive", 0),
-    "hyperbolic-mu": (lambda x: HyperbolicProfile(H=0.5, lam=1.0, mu=x, h=0.1, alpha_bar=1.0),
-                      ValueError, "Lame constants must be positive", 1),
-    "hyperbolic-xi": (lambda x: HyperbolicProfile(H=0.5, lam=1.0, mu=1.0, h=0.1, alpha_bar=x),
-                      ValueError, "mid-plane slope 2 H xi must be positive", 0),
-    "poly-alpha": (lambda x: PolyProfile(x), ValueError,
-                   "profile slope alpha at the mid-plane must be positive", 0),
-    "eigenframe_coupling": (lambda x: eigenframe_coupling(1.0, 2.0, x, 0.3),
-                            ValueError, "lambda1 = {:.9g} must be positive", 0),
-    "coupling_stationary_angles": (lambda x: coupling_stationary_angles(1.0, 2.0, x),
-                                   ValueError, "lambda1 = {:.9g} must be positive", 0),
-    "molecular-n_chains": (lambda x: molecular_params(x, 10, 1, 1), MaterialDomainError,
-                           "chain density, k, and temperature must be positive", 0),
-    "molecular-n_links": (lambda x: molecular_params(1, x, 1, 1), MaterialDomainError,
-                          "chain segment count N must exceed 1", None),
-    "molecular-k": (lambda x: molecular_params(1, 10, x, 1), MaterialDomainError,
-                    "chain density, k, and temperature must be positive", 1),
-    "molecular-temperature": (lambda x: molecular_params(1, 10, 1, x), MaterialDomainError,
-                              "chain density, k, and temperature must be positive", 2),
-    "surface-step": (lambda x: ParametricSurface(
-        map=lambda p: p, derivative_mode="finite-difference", step=x),
-        ValueError, "step must be positive", 0),
-    "parabolic_refine-delta": (lambda x: parabolic_refine(lambda t: t * t, 0.5, x),
-                               ValueError, "parabolic_refine needs delta > 0, got {:g}", 0),
-    "parabolic_refine-x0": (lambda x: parabolic_refine(lambda t: t * t, x, 0.1),
-                            ValueError, "parabolic_refine needs a finite x0, got {:g}", 0),
-    "uniform_stretch_cone": (uniform_stretch_cone, ValueError,
-                             "cone construction needs lambda1 > 1", None),
-    "gent-mu": (lambda x: Gent(mu=x, jm=1.0), ValueError,
-                "Gent requires mu > 0 and jm > 0", 0),
-    "gent-jm": (lambda x: Gent(mu=1.0, jm=x), ValueError,
-                "Gent requires mu > 0 and jm > 0", 1),
-    "mooney_rivlin-chi": (lambda x: MooneyRivlin(1.0, x), ValueError,
-                          "MooneyRivlin requires chi in (0, 1]", None),
-    "cg-from_lame-lam": (lambda x: CiarletGeymonat.from_lame(x, 1.0), ValueError,
-                         "Lame constants must be positive", 0),
-    "cg-from_lame-mu": (lambda x: CiarletGeymonat.from_lame(1.0, x), ValueError,
-                        "Lame constants must be positive", 1),
-    "catalog-step": (lambda x: catalog_surface("plane", step=x), ValueError,
-                     "step must be positive", 0),
-    "hyperbolic-H": (lambda x: HyperbolicProfile(H=x, lam=1.0, mu=1.0, h=0.1, alpha_bar=1.0),
-                     ValueError, "the SVK profile needs a finite H, got {:g}", 0),
-    "svk_profile-H": (lambda x: svk_profile(x, 1.0, 1.0, 0.1), ValueError,
-                      "the SVK profile needs a finite H, got {:g}", 0),
-    "svk_profile-lam": (lambda x: svk_profile(0.1, x, 1.0, 0.1), ValueError,
-                        "Lame constants must be positive", 0),
-    "svk_profile-mu": (lambda x: svk_profile(0.1, 1.0, x, 0.1), ValueError,
-                       "Lame constants must be positive", 1),
-}
-# an infinite principal value is allowed there; NaN is not
-NAN_GUARDS = {
-    "principal_energy": (lambda x: SaintVenantKirchhoff(lam=1.0, mu=1.0).principal_energy(
-        [1.0, 1.0, x]), MaterialDomainError, "matrix is not positive definite", None),
-    "symmetric_sqrt": (lambda x: symmetric_sqrt(np.diag([1.0, x, 1.0])),
-                       MaterialDomainError, "matrix is not positive definite", None),
-    # eigvalsh did not converge on a NaN matrix: LinAlgError
-    "svk-energy": (lambda x: SaintVenantKirchhoff(lam=1.0, mu=1.0).energy(np.full((3, 3), x)),
-                   MaterialDomainError, "matrix is not positive definite", None),
-    # det warned of a NaN and every invariant model returned NaN
-    **{f"{m.name}-density": (lambda x, m=m: m.density(np.diag([1.0, x, 1.0])),
-                             MaterialDomainError, "matrix is not positive definite", None)
-       for m in ALL_MODELS if not m.needs_C_f},
-}
-
-
-@pytest.mark.parametrize("guard,value", [
-    *((g, v) for g in POSITIVE_GUARDS for v in (NAN, INF, -INF)),
-    *(pytest.param(g, v, id=f"{g}-{name}") for g in POSITIVE_GUARDS
-      for v, name in ((10 ** 400, "10**400"), (-10 ** 400, "-10**400"))),
-    *((g, NAN) for g in NAN_GUARDS)])
-def test_positivity_guards_reject_nan_and_infinities(guard, value):
-    make, error, message, index = {**POSITIVE_GUARDS, **NAN_GUARDS}[guard]
-    with pytest.raises(error) as err:
-        make(value)
-    assert type(err.value) is error
-    # an integer past the double range reads as the infinity of its sign
-    shown = value if isinstance(value, float) else (INF if value > 0 else -INF)
-    assert str(err.value) == message.format(shown)
-    assert getattr(err.value, "index", None) == index
-
-
-@pytest.mark.parametrize("guard", POSITIVE_GUARDS)
-def test_positivity_guards_reject_none(guard):
-    # a missing value is read as NaN and fails with the guard's own error
-    make, error, message, index = POSITIVE_GUARDS[guard]
-    with pytest.raises(error) as err:
-        make(None)
-    assert type(err.value) is error
-    assert str(err.value) == message.format(NAN)
-    assert getattr(err.value, "index", None) == index
-
-
-@pytest.mark.parametrize("guard", [*POSITIVE_GUARDS, *NAN_GUARDS])
-def test_positivity_guards_reject_a_numeric_string(guard):
-    # a value that is not a real number reads as NaN, even where float()
-    # would parse it, and fails with the guard's own error
-    make, error, message, index = {**POSITIVE_GUARDS, **NAN_GUARDS}[guard]
-    with pytest.raises(error) as err:
-        make("2")
-    assert type(err.value) is error
-    assert str(err.value) == message.format(NAN)
-    assert getattr(err.value, "index", None) == index
-
-
-# diag(4, 1, 1) written as numeric strings, which float() would parse
-STRING_MATRIX = [["4", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-
-
-def test_matrix_readers_read_numeric_strings_as_nan():
-    # these read the strings as numbers once: 1.5, (6, 9, 4) and 0.015;
-    # numpy's det warns of the NaN it is given
-    with pytest.raises(MaterialDomainError, match="^matrix is not positive definite$"):
-        volumetric_energy(NeoHookean(mu=1.0), C_f=STRING_MATRIX)
-    with np.errstate(invalid="ignore"):
-        assert np.isnan(matrix_invariants(STRING_MATRIX)).all()
-    strain = [["0.1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
-    assert np.isnan(small_strain_energy(CiarletGeymonat.from_lame(1.0, 1.0), strain))
-    with pytest.raises(MaterialDomainError, match="^matrix is not positive definite$"):
-        volumetric_energy(SaintVenantKirchhoff(lam=1.0, mu=1.0), C_f=STRING_MATRIX)
 
 
 def test_cg_from_config_gives_scalars():

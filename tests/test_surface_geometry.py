@@ -1,7 +1,5 @@
 """Mid-surface jets: catalog values, internal identities, and guards."""
 
-import pickle
-import re
 from dataclasses import fields
 
 import numpy as np
@@ -9,37 +7,23 @@ import pytest
 
 from plate_reduce import (
     AreaDistortionError,
-    BracketError,
     DegenerateImmersionError,
     DomainError,
-    FitError,
-    Gent,
     ParametricSurface,
     ProfileConstraintError,
     SurfaceJet,
     appendix_H_K,
     catalog_surface,
-    compute_frame,
     evaluate_jet,
     evaluate_jets,
-    exact_invariants,
     fiber_deformation_gradient,
-    fit_h_powers,
     gent_contents,
-    grid_contents,
     incompressible_profile,
     incompressible_profile_general,
-    integrate_contents,
-    minimize_scalar,
-    sample_frame_grid,
     sampled_injectivity,
-    solve_svk_profile_ode,
-    through_thickness_energy,
-    through_thickness_energy_from_jet,
     verify_orientation,
     PolyProfile,
 )
-from plate_reduce.cli_io import ConfigError, parse_config
 from plate_reduce.surface_geometry import _lattice, _pow, unimodular_tolerance
 
 
@@ -344,51 +328,6 @@ def test_evaluate_jet_outside_domain():
         jet_of("cylinder", (5.0, 0.0))
 
 
-_BUMP_PROFILE = incompressible_profile(jet_of("gaussian_bump", (0.1, 0.2)))
-
-
-# each single-point entry reads its point by one rule
-@pytest.mark.parametrize("entry", [
-    evaluate_jet,
-    lambda s, x: through_thickness_energy(s, x, Gent(mu=1.0, jm=10.0),
-                                          _BUMP_PROFILE, 1e-3),
-    lambda s, x: exact_invariants(s, x, _BUMP_PROFILE, 0.0),
-    compute_frame,
-], ids=["evaluate_jet", "through_thickness_energy", "exact_invariants",
-        "compute_frame"])
-@pytest.mark.parametrize("x,shape", [
-    (None, "()"), ("2", "()"), ([0.1], "(1,)"), ([0.1, 0.2, 0.3], "(3,)"),
-    ([[0.1, 0.2]], "(1, 2)"),
-], ids=["None", "str", "one", "three", "row"])
-def test_a_single_point_entry_names_a_bad_points_shape(entry, x, shape):
-    with pytest.raises(ValueError, match=re.escape(
-            f"a point must have shape (2,), got {shape}") + "$"):
-        entry(catalog_surface("gaussian_bump"), x)
-
-
-# an array input reads a numeric string as NaN, as the single-point and
-# positivity guards do, and an integer past the double range as an infinity
-@pytest.mark.parametrize("call,error,message,index", [
-    (lambda: evaluate_jets(catalog_surface("gaussian_bump"), [["0.1", 0.2]]),
-     DomainError, "point (nan, 0.2) outside domain of 'gaussian_bump'", 0),
-    (lambda: grid_contents(catalog_surface("gaussian_bump"), Gent(mu=1.0, jm=10.0),
-                           [[0.1, 0.2], [0.3, "0.1"]]),
-     DomainError, "point (0.3, nan) outside domain of 'gaussian_bump'", 1),
-    (lambda: minimize_scalar(lambda t: (t - 1.0) ** 2, ("0", 2.0)),
-     BracketError, "bracket must have finite ends with lo < hi", None),
-    (lambda: minimize_scalar(lambda t: (t - 1.0) ** 2, (0.0, 10 ** 400)),
-     BracketError, "bracket must have finite ends with lo < hi", None),
-    (lambda: fit_h_powers(["1e-3", 3e-3, 1e-2, 3e-2], [1e-3, 3e-3, 1e-2, 3e-2]),
-     FitError, "h samples and energies must be finite", None),
-], ids=["evaluate_jets", "grid_contents", "minimize_scalar", "minimize_scalar-10**400",
-        "fit_h_powers"])
-def test_array_inputs_read_a_numeric_string_as_nan(call, error, message, index):
-    with pytest.raises(error, match=f"^{re.escape(message)}$") as err:
-        call()
-    assert type(err.value) is error
-    assert getattr(err.value, "index", None) == index
-
-
 def test_degenerate_immersion_is_rejected():
     flat = ParametricSurface(
         map=lambda x: np.array([x[0], 0.0, 0.0]),
@@ -533,67 +472,3 @@ def test_sampled_injectivity_detects_a_fold():
                                  [[0.0, 0.0], [0.0, 0.0]],
                                  [[0.0, 0.0], [0.0, 0.0]]]))
     assert not sampled_injectivity(folded)
-
-
-# ---------------------------------------------------------------------------
-# the one integer rule
-
-
-def _config_grid(key):
-    def run(n):
-        cfg = {"surface": {"name": "cylinder"}, "h": 1e-3,
-               "material": {"model": "gent", "mu": 1.0, "jm": 10.0},
-               "grid": dict({"nx": 3, "ny": 3}, **{key: n})}
-        return parse_config(cfg).grid
-    return run
-
-
-def _config_sweep_order(n):
-    cfg = {"surface": {"name": "cylinder"}, "h": 1e-3,
-           "material": {"model": "gent", "mu": 1.0, "jm": 10.0},
-           "options": {"sweep": {"param": "quad_order", "values": [n]}}}
-    # the values as cmd_sweep reads them
-    return [float(v) for v in parse_config(cfg).options["sweep"]["values"]]
-
-
-def _quadrature(n):
-    jet = jet_of("cylinder", (0.1, -0.2))
-    return through_thickness_energy_from_jet(
-        jet, Gent(mu=1.0, jm=10.0), incompressible_profile(jet), 1e-3,
-        quad_order=n)
-
-
-# each integer parameter: the name its error gives, the error class, a call
-# that reads it, and a valid value
-INTEGER_PARAMETERS = [
-    ("'grid.nx'", ConfigError, _config_grid("nx"), 4),
-    ("'grid.ny'", ConfigError, _config_grid("ny"), 4),
-    ("'sweep.values'", ConfigError, _config_sweep_order, 8),
-    ("quad_order", ValueError, _quadrature, 8),
-    ("n_steps", ValueError,
-     lambda n: solve_svk_profile_ode(-0.5, 1.0, 1.0, 0.05, n_steps=n), 200),
-    ("grid side", ValueError, lambda n: integrate_contents(
-        catalog_surface("cylinder"), Gent(mu=1.0, jm=10.0), 1e-3,
-        grid=(n, 3)), 4),
-    ("grid side", ValueError, lambda n: sample_frame_grid(
-        catalog_surface("saddle"), (n, 5), ((0.05, 0.4), (0.05, 0.4))), 5),
-]
-INTEGER_IDS = ["grid.nx", "grid.ny", "sweep.quad_order", "quad_order", "n_steps",
-               "integrate_contents", "sample_frame_grid"]
-
-
-@pytest.mark.parametrize("value", [np.nan, 2.5, 400.0, "5", None, True],
-                         ids=["nan", "2.5", "400.0", "str", "None", "True"])
-@pytest.mark.parametrize("name,error,call,valid", INTEGER_PARAMETERS,
-                         ids=INTEGER_IDS)
-def test_every_integer_parameter_rejects_a_non_integer(name, error, call,
-                                                       valid, value):
-    with pytest.raises(error, match=f"^{re.escape(name)} must be an integer, "
-                                    f"got {re.escape(repr(value))}$"):
-        call(value)
-
-
-@pytest.mark.parametrize("name,error,call,valid", INTEGER_PARAMETERS,
-                         ids=INTEGER_IDS)
-def test_a_numpy_integer_gives_the_bits_of_its_int(name, error, call, valid):
-    assert pickle.dumps(call(np.int64(valid))) == pickle.dumps(call(valid))

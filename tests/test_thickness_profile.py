@@ -9,12 +9,9 @@ from types import SimpleNamespace
 from plate_reduce import (
     CiarletGeymonat,
     ExactIncompressibleProfile,
-    Gent,
     HyperbolicProfile,
-    NeoHookean,
     PolyProfile,
     ProfileConstraintError,
-    SaintVenantKirchhoff,
     catalog_surface,
     cg_profile,
     deformed_thickness,
@@ -22,14 +19,9 @@ from plate_reduce import (
     exact_invariants_from_jet,
     incompressible_profile,
     incompressible_profile_general,
-    integrate_contents,
     invariant_series,
-    order_of_residual,
     series_contents,
-    solve_svk_profile_ode,
     svk_profile,
-    through_thickness_energy_from_jet,
-    verify_orientation,
 )
 
 
@@ -197,25 +189,6 @@ def test_svk_profile_flat_limit():
         svk_profile(-0.5, 1.0, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("H", [np.nan, np.inf, -np.inf])
-def test_svk_profile_rejects_a_non_finite_H_before_cosh(H):
-    # rejected before cosh runs, so without a RuntimeWarning, and in every
-    # row before the overflow test that H = 1e4 would fail
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError) as info:
-            svk_profile(H, 1.0, 1.0, 0.1)
-        assert str(info.value) == f"the SVK profile needs a finite H, got {H:g}"
-        with pytest.raises(ValueError) as info:
-            svk_profile(np.array([0.1, H, 1e4]), 1.0, 1.0, np.array([0.1, 0.2, 0.1]))
-        assert info.value.index == 1
-        assert str(info.value) == f"the SVK profile needs a finite H, got {H:g}"
-        # the constructor rejects it too: phi and xi were once nan
-        with pytest.raises(ValueError) as info:
-            HyperbolicProfile(H=H, lam=1.0, mu=1.0, h=0.1, alpha_bar=1.0)
-        assert str(info.value) == f"the SVK profile needs a finite H, got {H:g}"
-
-
 def test_svk_profile_overflow_raises_without_a_runtime_warning():
     # cosh(2 H h) overflows, or lam and mu underflow to 0 / 0: numpy's
     # warnings stay inside, and only the documented OverflowError leaves
@@ -280,42 +253,3 @@ def test_deformed_thickness_linear_profile():
         pytest.approx(0.4, abs=1e-15)
     with pytest.raises(ValueError, match="positive"):
         deformed_thickness(PolyProfile(1.0), -0.1)
-
-
-# ---------------------------------------------------------------------------
-# the half-thickness rule
-
-
-HALF_THICKNESS_USERS = {
-    "HyperbolicProfile": lambda h: HyperbolicProfile(
-        H=-0.5, lam=1.0, mu=1.0, h=h, alpha_bar=1.0),
-    "svk_profile": lambda h: svk_profile(-0.5, 1.0, 1.0, h),
-    "deformed_thickness": lambda h: deformed_thickness(PolyProfile(1.0), h),
-    "integrate_contents": lambda h: integrate_contents(
-        catalog_surface("cylinder"), Gent(mu=1.0, jm=10.0), h, grid=(4, 4)),
-    "through_thickness_energy_from_jet": lambda h: through_thickness_energy_from_jet(
-        jet_of("cylinder", (0.05, -0.3)), NeoHookean(mu=1.0), PolyProfile(1.0), h),
-    "solve_svk_profile_ode": lambda h: solve_svk_profile_ode(-0.5, 1.0, 1.0, h),
-    "order_of_residual": lambda h: order_of_residual(lambda x: x ** 2, [1.0, 0.1, 0.01, h]),
-    "verify_orientation": lambda h: verify_orientation(
-        catalog_surface("cylinder"), lambda jet: PolyProfile(1.0), h),
-    "SaintVenantKirchhoff.profile": lambda h: SaintVenantKirchhoff(1.0, 1.0).profile(
-        jet_of("cylinder", (0.05, -0.3)), h),
-}
-
-
-@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf, None, "0.1",
-                               pytest.param(10 ** 400, id="10**400")])
-@pytest.mark.parametrize("user", HALF_THICKNESS_USERS)
-def test_every_half_thickness_user_rejects_a_bad_h(user, h):
-    with pytest.raises(ValueError, match="half thickness must be positive and finite"):
-        HALF_THICKNESS_USERS[user](h)
-
-
-@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
-@pytest.mark.parametrize("user", ["svk_profile", "through_thickness_energy_from_jet"])
-def test_an_array_half_thickness_names_its_first_bad_element(user, h):
-    with pytest.raises(ValueError) as err:
-        HALF_THICKNESS_USERS[user](np.array([1e-3, 2e-3, h, -1.0]))
-    assert str(err.value) == f"half thickness must be positive and finite, got {h:g}"
-    assert err.value.index == 2
