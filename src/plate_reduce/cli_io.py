@@ -45,7 +45,7 @@ from .reduced_energy import (cg_small_strain_contents, cg_stretching_closed,
                              GRID_BLOCK, grid_columns, integrate_contents,
                              plate_energy, point_contents)
 from .surface_geometry import (DegenerateImmersionError, DomainError,
-                               ParametricSurface, _lattice, catalog_surface,
+                               ParametricSurface, _catalog_surface, _lattice,
                                evaluate_jet, finite_number, integer, positive)
 from .thickness_profile import (ProfileConstraintError,
                                 incompressible_profile_general)
@@ -83,12 +83,13 @@ class RunConfig:
     h: float
     grid: tuple
     tolerances: dict
-    options: dict
+    checks: tuple  # the check ids options.checks selects; None: every check
+    sweep: tuple  # (param, values) of options.sweep, values read; or None
 
 
 _TOP_KEYS = ("surface", "material", "h", "grid", "derivative_mode",
              "fd_step", "tolerances", "options")
-_OPTION_KEYS = ("checks", "sweep")
+_SWEEP_KEYS = ("param", "values")
 SWEEP_PARAMS = ("h", "Jm", "lambda1", "quad_order")
 _SWEEP_MODELS = {"Jm": Gent, "lambda1": CiarletGeymonat}
 # the largest grid side or quad_order: an n-point Gauss rule is an n x n
@@ -101,20 +102,27 @@ def _as_number(value, key):
                     f"'{key}' must be positive, got {{:g}}", ConfigError)
 
 
-def _reject_unknown_keys(mapping, allowed, where):
-    unknown = sorted(set(mapping) - set(allowed))
+def _mapping(value, where, allowed, required):
+    """``value``, if it is a mapping whose keys are all in ``allowed`` (any
+    keys if None) and include every key in ``required``; ``where`` is its
+    dotted path in the config.  The one mapping rule of config parsing."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping, got {value!r}")
+    unknown = [] if allowed is None else sorted(set(value) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown {where} key '{unknown[0]}'; "
                           f"allowed keys: {', '.join(allowed)}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{where} is missing required key '{key}'")
+    return value
 
 
-def _require_check_id(cid, message):
-    # the check table is imported only for a config that names a check;
-    # returns the check's default tolerance, None if it takes none
+def _check_ids(with_tolerance):
+    # the check table is imported only here, for a config naming a check
     from .checks import _DEFAULT_TOL
-    if cid not in _DEFAULT_TOL:
-        raise ConfigError(f"{message}; known checks: {', '.join(_DEFAULT_TOL)}")
-    return _DEFAULT_TOL[cid]
+    return tuple(cid for cid, tol in _DEFAULT_TOL.items()
+                 if tol is not None or not with_tolerance)
 
 
 def parse_config(data):
@@ -122,31 +130,21 @@ def parse_config(data):
 
     Unknown keys are rejected at every level so that a misspelled
     tolerance or option cannot silently weaken a verification run.  This
-    is the only place a config is validated: ``options.sweep`` is checked
-    here, against the material too, for every command.
+    is the only place a config is read, sweep values included, and
+    ``options.sweep`` is checked against the material for every command.
     """
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown_keys(data, _TOP_KEYS, "config")
-    for key in ("surface", "material", "h"):
-        if key not in data:
-            raise ConfigError(f"config is missing required key '{key}'")
-
+    _mapping(data, "config", _TOP_KEYS, ("surface", "material", "h"))
     mode = data.get("derivative_mode", "analytic")
     if mode not in ("analytic", "finite-difference"):
         raise ConfigError("'derivative_mode' must be 'analytic' or "
                           f"'finite-difference', got {mode!r}")
     fd_step = _as_number(data.get("fd_step", 1e-4), "fd_step")
 
-    sspec = data["surface"]
-    if not isinstance(sspec, dict) or "name" not in sspec:
-        raise ConfigError("'surface' must be a mapping with a 'name' key")
-    sspec = dict(sspec)
-    name = sspec.pop("name")
+    sspec = _mapping(data["surface"], "surface", None, ("name",))
+    params = {key: value for key, value in sspec.items() if key != "name"}
     try:
-        surface = catalog_surface(name, derivative_mode=mode, step=fd_step,
-                                  **sspec)
-    except (ValueError, TypeError) as err:
+        surface = _catalog_surface(sspec["name"], params, mode, fd_step)
+    except ValueError as err:
         raise ConfigError(f"surface: {err}") from err
 
     try:
@@ -156,58 +154,45 @@ def parse_config(data):
 
     h = _as_number(data["h"], "h")
 
-    gspec = data.get("grid", {"nx": 8, "ny": 8})
-    if not isinstance(gspec, dict):
-        raise ConfigError("'grid' must be a mapping with 'nx' and 'ny'")
-    _reject_unknown_keys(gspec, ("nx", "ny"), "grid")
-    nx, ny = (integer(gspec.get(key, 8), f"'grid.{key}'", 2, MAX_SIZE, ConfigError)
+    grid = _mapping(data.get("grid", {}), "grid", ("nx", "ny"), ())
+    nx, ny = (integer(grid.get(key, 8), f"'grid.{key}'", 2, MAX_SIZE, ConfigError)
               for key in ("nx", "ny"))
 
     tolerances = data.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("'tolerances' must be a mapping of check id to number")
-    for key, value in tolerances.items():
-        if _require_check_id(key, f"unknown tolerance key '{key}'") is None:
-            raise ConfigError(f"the {key} check takes no tolerance")
-        _as_number(value, f"tolerances.{key}")
+    _mapping(tolerances, "tolerances", _check_ids(True) if tolerances else (), ())
+    tolerances = {key: _as_number(value, f"tolerances.{key}")
+                  for key, value in tolerances.items()}
 
-    options = data.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigError("'options' must be a mapping")
-    _reject_unknown_keys(options, _OPTION_KEYS, "options")
+    options = _mapping(data.get("options", {}), "options", ("checks", "sweep"), ())
+    checks = sweep = None
     if "checks" in options:
-        checks = options["checks"]
+        checks, known = options["checks"], _check_ids(False)
         if (not isinstance(checks, list) or not all(isinstance(c, str) for c in checks)
                 or len(set(checks)) < len(checks)):
             raise ConfigError("'options.checks' must be a list of check ids, each once")
         for cid in checks:
-            _require_check_id(cid, f"unknown check id '{cid}'")
+            if cid not in known:
+                raise ConfigError(f"unknown check id '{cid}'; known checks: {', '.join(known)}")
+        checks = tuple(checks)
     if "sweep" in options:
-        swp = options["sweep"]
-        if not isinstance(swp, dict):
-            raise ConfigError("'options.sweep' must be a mapping")
-        _reject_unknown_keys(swp, ("param", "values"), "sweep")
-        if "param" not in swp or "values" not in swp:
-            raise ConfigError("'options.sweep' needs 'param' and 'values'")
+        swp = _mapping(options["sweep"], "options.sweep", _SWEEP_KEYS, _SWEEP_KEYS)
         param, values = swp["param"], swp["values"]
         if param not in SWEEP_PARAMS:
             raise ConfigError(f"unknown sweep parameter {param!r}; expected "
                               f"one of {', '.join(SWEEP_PARAMS)}")
         if not isinstance(values, list) or not values:
             raise ConfigError("'sweep.values' must be a non-empty list")
-        for v in values:
-            if param == "quad_order":
-                integer(v, "'sweep.values'", 2, MAX_SIZE, ConfigError)
-            else:
-                _as_number(v, "sweep.values")
+        sweep = (param, tuple(
+            integer(v, "'sweep.values'", 2, MAX_SIZE, ConfigError)
+            if param == "quad_order" else _as_number(v, "sweep.values")
+            for v in values))
         if not isinstance(material, _SWEEP_MODELS.get(param, object)):
             raise ConfigError(f"{param} sweep requires a "
                               f"{_SWEEP_MODELS[param].name} material in the config")
 
     return RunConfig(
         raw=copy.deepcopy(data), surface=surface, material=material, h=h,
-        grid=(nx, ny), tolerances=dict(tolerances),
-        options=copy.deepcopy(options))
+        grid=(nx, ny), tolerances=tolerances, checks=checks, sweep=sweep)
 
 
 def load_config(path):
@@ -342,9 +327,8 @@ def cmd_verify(config, out_dir, run_all):
     """
     from .checks import CHECK_IDS, CHECKS, _verdict
     tolerances = {} if config is None else config.tolerances
-    selection = CHECK_IDS
-    if config is not None and not run_all and "checks" in config.options:
-        selection = tuple(config.options["checks"])
+    selection = (CHECK_IDS if run_all or config is None or config.checks is None
+                 else config.checks)
     if not selection:
         raise ConfigError("empty check selection: nothing to verify")
 
@@ -391,12 +375,9 @@ def cmd_sweep(config, out_dir):
     ``parse_config`` has validated the sweep.  A non-finite result writes
     no file and is a configuration error.
     """
-    sweep = config.options.get("sweep")
-    if sweep is None:
-        raise ConfigError("sweep command needs options.sweep = "
-                          "{param, values} in the config")
-    param = sweep["param"]
-    values = [float(v) for v in sweep["values"]]
+    if config.sweep is None:
+        raise ConfigError("sweep command needs options.sweep = {param, values} in the config")
+    param, values = config.sweep
     jet = evaluate_jet(config.surface, _sweep_point(config.surface))
     rows = []
 
@@ -422,14 +403,14 @@ def cmd_sweep(config, out_dir):
                          abs(contents.bending - base.bending)))
     elif param == "lambda1":
         lam, mu = lame_constants(config.material)
+        _require_finite("the Lame pair (lambda, mu)", (lam, mu))  # CG: 4 b, 2 a overflow
         for l1 in values:
             try:
                 C = np.diag([l1 ** 2, 1.0 / l1 ** 2])
             except (OverflowError, ZeroDivisionError):  # l1**2 out of range
                 raise OverflowError(f"the swept lambda1 = {l1:g}") from None
             strain = 0.5 * (C - np.eye(2))
-            rows.append((param, l1, "strain_norm",
-                         float(np.linalg.norm(strain))))
+            rows.append((param, l1, "strain_norm", float(np.linalg.norm(strain))))
             if not np.isfinite(strain).all():
                 continue  # E's reader would refuse it; the check below names it
             synthetic = SimpleNamespace(trC=float(np.trace(C)), detC=1.0)
@@ -437,16 +418,14 @@ def cmd_sweep(config, out_dir):
             quad = cg_small_strain_contents(strain, 0.0, 0.0, lam, mu).stretching
             rows.append((param, l1, "w1_quadratic_remainder", abs(w1 - quad)))
     else:  # quad_order
-        orders = [int(v) for v in values]
-        top = max(orders)
+        top = max(values)
         reference = integrate_contents(config.surface, config.material,
                                        config.h, grid=(top, top))[2]
-        for q in orders:
+        for q in values:
             total = reference if q == top else integrate_contents(
                 config.surface, config.material, config.h, grid=(q, q))[2]
-            rows.append((param, float(q), "total_energy", total))
-            rows.append((param, float(q), "quadrature_delta",
-                         abs(total - reference)))
+            rows.append((param, q, "total_energy", total))
+            rows.append((param, q, "quadrature_delta", abs(total - reference)))
 
     for name, value, observable, result in rows:
         _require_finite(f"{observable} at {name} = {value:g}", result)

@@ -118,8 +118,14 @@ def _gent_general(jet, mu, jm):
         f"Jm = {jm:.9g})"))
 
 
+def _positive_each(message, *moduli):  # each alone: a list is not packed with the rest
+    for modulus in moduli:
+        positive(modulus, message)
+
+
 def gent_contents_unimodular(jet, mu, jm):
     """Gent contents for an area-preserving mid-surface (det C = 1)."""
+    _positive_each("Gent requires mu > 0 and jm > 0", mu, jm)
     w_s, w_b, check = _gent_unimodular(jet, mu, jm)
     raise_first_failure(check)
     return EnergyContents(float_if_scalar(w_s), float_if_scalar(w_b), "gent_unimodular")
@@ -130,6 +136,7 @@ def gent_contents_general(jet, mu, jm):
 
     Reduces to the unimodular formulas on det C = 1 inputs.
     """
+    _positive_each("Gent requires mu > 0 and jm > 0", mu, jm)
     w_s, w_b, check = _gent_general(jet, mu, jm)
     raise_first_failure(check)
     return EnergyContents(float_if_scalar(w_s), float_if_scalar(w_b), "gent_general")
@@ -148,6 +155,7 @@ def gent_contents(jet, mu, jm):
     StiffeningLimitError
         When the stretch reaches the model's extensibility limit.
     """
+    _positive_each("Gent requires mu > 0 and jm > 0", mu, jm)
     unimodular = np.abs(jet.detC - 1.0) <= unimodular_tolerance(jet)
     s_u, b_u, (failed_u, error_u) = _gent_unimodular(jet, mu, jm)
     s_g, b_g, (failed_g, error_g) = _gent_general(jet, mu, jm)
@@ -220,10 +228,9 @@ def cg_small_strain_contents(E, H, K, lam, mu):
         Lame constants.
     """
     E = finite(real_values(E), "strain E must be finite, got {:g}", ValueError)
+    w3 = svk_content(H, K, lam, mu).bending  # an isometry's, read through its guards
     tr_e = np.trace(E)
     w1 = 2.0 * lam * mu / (lam + 2.0 * mu) * tr_e * tr_e + 2.0 * mu * np.trace(E @ E)
-    # the bending content of an isometry
-    w3 = svk_content(H, K, lam, mu).bending
     return EnergyContents(float(w1), float(w3), "cg_small_strain")
 
 
@@ -238,6 +245,14 @@ def svk_content(H, K, lam, mu):
     stretching content zero; K is accepted for formula completeness even
     though isometries of a flat sheet have K = 0.
     """
+    _positive_each("Lame constants must be positive", lam, mu)
+    for name, value in (("H", H), ("K", K)):
+        finite(value, f"the bending content needs a finite {name}, got {{:g}}", ValueError)
+    return _svk_content(H, K, lam, mu)
+
+
+def _svk_content(H, K, lam, mu):
+    # unguarded: a grid run names a jet's non-finite curvature by its column
     w3 = 16.0 / 3.0 * mu * (lam + mu) / (2.0 * mu + lam) * H * H - 4.0 / 3.0 * mu * K
     return EnergyContents(float_if_scalar(np.zeros_like(w3)), float_if_scalar(w3),
                           "svk_isometry")
@@ -301,7 +316,7 @@ def _svk_closed_form(jet, material):
     raise_first_failure((strain > unimodular_tolerance(jet), lambda i: MaterialDomainError(
         f"Saint Venant-Kirchhoff content needs an unstretched "
         f"mid-surface; max |C - I| = {np.ravel(strain)[i]:.6g}")))
-    return svk_content(jet.H, jet.K, material.lam, material.mu)
+    return _svk_content(jet.H, jet.K, material.lam, material.mu)
 
 
 def _series(formula_id):  # the invariant series along the model's profile rule

@@ -751,6 +751,11 @@ def catalog_surface(name, derivative_mode="analytic", step=1e-4, **params):
     saddle{a}, gaussian_bump{A,s}.  Their callables broadcast over
     trailing point axes (see ParametricSurface).
     """
+    return _catalog_surface(name, params, derivative_mode, step)
+
+
+def _catalog_surface(name, params, derivative_mode, step):
+    # params as one mapping, so that a "step" key is an unknown parameter
     if not isinstance(name, str) or name not in _CATALOG:
         raise ValueError(f"unknown catalog surface '{name}'")
     build, defaults = _CATALOG[name]

@@ -348,8 +348,8 @@ def test_evaluate_names_the_first_failing_point(tmp_path, capsys, monkeypatch,
         material = {"model": "gent", "mu": 1.0, "jm": 10.0}
         grid = {"nx": 3, "ny": 3}
     else:
-        monkeypatch.setattr(cli_io, "catalog_surface",
-                            lambda name, **kwargs: ramp(slope))
+        monkeypatch.setattr(cli_io, "_catalog_surface",
+                            lambda name, params, mode, step: ramp(slope))
         surface = {"name": "ramp"}
         material = {"model": "gent", "mu": 1.0, "jm": 1.0}
         grid = {"nx": 5, "ny": 5}
@@ -478,8 +478,8 @@ def test_grid_columns_index_the_first_failing_row_of_the_whole_grid():
 
 def test_blocked_evaluate_names_a_later_blocks_first_failing_point(
         tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli_io, "catalog_surface",
-                        lambda name, **kwargs: ramp(-1.0))
+    monkeypatch.setattr(cli_io, "_catalog_surface",
+                        lambda name, params, mode, step: ramp(-1.0))
     code, out = evaluate_blocked(tmp_path, {"name": "ramp"},
                                  {"model": "gent", "mu": 1.0, "jm": 1.0})
     assert code == 3

@@ -111,7 +111,7 @@ def _kind(command, config):
     run = parse_config(config)
     if command == "evaluate":
         return command, run.surface.derivative_mode
-    return command, run.options["sweep"]["param"]
+    return command, run.sweep[0]
 
 
 def test_the_extra_runs_are_valid_and_cover_what_the_workloads_leave_out():

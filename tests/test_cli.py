@@ -20,6 +20,7 @@ from plate_reduce import (AreaDistortionError, BracketError,
                           StiffeningLimitError, checks, cli_io, evaluate_jet)
 from plate_reduce.checks import (
     CHECK_IDS,
+    _DEFAULT_TOL,
     _check_eigenframe_coupling,
     _verdict,
 )
@@ -250,7 +251,7 @@ def test_parse_config_defaults():
     assert config.surface.derivative_mode == "analytic"
     assert config.surface.step == 1e-4
     assert config.tolerances == {}
-    assert config.options == {}
+    assert config.checks is None and config.sweep is None
     assert config.h == 0.01
     assert isinstance(config.material, Gent)
     assert config.surface.name == "cylinder"
@@ -272,20 +273,19 @@ def _patched(**changes):
 _DROP = object()
 
 BAD_CONFIGS = [
-    ([], "config must be a JSON object"),
-    (_patched(bogus=1), "unknown config key 'bogus'; allowed keys:"),
-    (_patched(h=_DROP), "config is missing required key 'h'"),
     (_patched(h="thin"), "'h' must be a number"),
     (_patched(h=True), "'h' must be a number"),
     (_patched(h=-1.0), "'h' must be positive"),
     (_patched(derivative_mode="symbolic"), "'derivative_mode' must be"),
-    (_patched(surface="cylinder"), "'surface' must be a mapping with a 'name' key"),
     (_patched(surface={"name": "nope"}), "surface: unknown catalog surface"),
     # a name that cannot be a table key is still an unknown name
     (_patched(surface={"name": [1]}), "surface: unknown catalog surface '[1]'"),
     (_patched(surface={"name": {"a": 1}}), "surface: unknown catalog surface '{'a': 1}'"),
-    (_patched(surface={"name": "cylinder", "bogus": 1}),
-     "surface: unknown parameters"),
+    # catalog_surface's own keywords are no surface parameters
+    (_patched(surface={"name": "cylinder", "step": 1}),
+     "surface: unknown parameters ['step'] for surface 'cylinder'"),
+    (_patched(surface={"name": "cylinder", "derivative_mode": "analytic"}),
+     "surface: unknown parameters ['derivative_mode'] for surface 'cylinder'"),
     (_patched(surface={"name": "gaussian_bump", "A": -0.1}),
      "surface: bump amplitude must be nonnegative"),
     (_patched(material={"model": "nope"}), "material: unknown material model"),
@@ -294,16 +294,11 @@ BAD_CONFIGS = [
     (_patched(grid={"nx": 1, "ny": 3}), "'grid.nx' must be at least 2"),
     (_patched(grid={"nx": 3, "ny": 100000}),
      "'grid.ny' must be at most 1024, got 100000"),
-    (_patched(grid={"nx": 3, "ny": 3, "nz": 3}), "unknown grid key 'nz'"),
-    (_patched(grid=[8, 8]), "'grid' must be a mapping"),
     (_patched(quad_order=16), "unknown config key 'quad_order'; allowed keys:"),
-    (_patched(tolerances={"bogus": 1e-3}), "unknown tolerance key 'bogus'"),
     (_patched(tolerances={"gent_bending": "x"}),
      "'tolerances.gent_bending' must be a number"),
     (_patched(tolerances={"orientation": 5.0}),
-     "the orientation check takes no tolerance"),
-    (_patched(options=[]), "'options' must be a mapping"),
-    (_patched(options={"bogus": 1}), "unknown options key 'bogus'"),
+     "unknown tolerances key 'orientation'; allowed keys: incompressibility_order,"),
     (_patched(options={"perturb_beta": 1e-3}),
      "unknown options key 'perturb_beta'"),
     (_patched(options={"checks": "gent_bending"}),
@@ -311,13 +306,8 @@ BAD_CONFIGS = [
     (_patched(options={"checks": ["nope"]}), "unknown check id 'nope'"),
     (_patched(options={"checks": ["cg_small_strain", "cg_small_strain"]}),
      "list of check ids, each once"),
-    (_patched(options={"sweep": [1]}), "'options.sweep' must be a mapping"),
-    (_patched(options={"sweep": {"param": "h"}}),
-     "'options.sweep' needs 'param' and 'values'"),
     (_patched(options={"sweep": {"param": "h", "values": []}}),
      "'sweep.values' must be a non-empty list"),
-    (_patched(options={"sweep": {"param": "h", "values": [1e-3], "bogus": 1}}),
-     "unknown sweep key 'bogus'"),
     (_patched(options={"sweep": {"param": "lambda1", "values": [-1.0]}}),
      "'sweep.values' must be positive"),
 ]
@@ -329,6 +319,55 @@ def test_parse_config_rejects(data, match):
     with pytest.raises(ConfigError) as err:
         parse_config(data)
     assert match in str(err.value)
+
+
+def _replaced(cfg, path, change):
+    # cfg with the object at the key path replaced by change(object)
+    if not path:
+        return change(cfg)
+    return dict(cfg, **{path[0]: _replaced(cfg[path[0]], path[1:], change)})
+
+
+# every config object: its dotted path, its key path in _EVERY_OBJECT, the
+# message for an unknown key 'bogus', and its required keys
+_EVERY_OBJECT = dict(BASE, tolerances={"gent_bending": 1e-4},
+                     options={"sweep": {"param": "h", "values": [1e-3]}})
+_CONFIG_OBJECTS = [
+    ("config", (), "unknown config key 'bogus'; allowed keys: surface, "
+     "material, h, grid, derivative_mode, fd_step, tolerances, options",
+     ("surface", "material", "h")),
+    # a surface's parameters are its catalog entry's, which names the surface
+    ("surface", ("surface",),
+     "surface: unknown parameters ['bogus'] for surface 'cylinder'", ("name",)),
+    ("grid", ("grid",), "unknown grid key 'bogus'; allowed keys: nx, ny", ()),
+    ("tolerances", ("tolerances",), "unknown tolerances key 'bogus'; allowed "
+     "keys: " + ", ".join(cid for cid, tol in _DEFAULT_TOL.items() if tol is not None),
+     ()),
+    ("options", ("options",),
+     "unknown options key 'bogus'; allowed keys: checks, sweep", ()),
+    ("options.sweep", ("options", "sweep"),
+     "unknown options.sweep key 'bogus'; allowed keys: param, values",
+     ("param", "values")),
+]
+
+
+@pytest.mark.parametrize("path,change,message", [
+    pytest.param(path, change, message, id=f"{where}-{fault}")
+    for where, path, unknown, required in _CONFIG_OBJECTS
+    for fault, change, message in [
+        ("not_a_mapping", lambda obj: [1], f"{where} must be a mapping, got [1]"),
+        ("unknown_key", lambda obj: dict(obj, bogus=1), unknown),
+        *((f"missing_{key}", lambda obj, key=key: {
+            k: v for k, v in obj.items() if k != key},
+           f"{where} is missing required key '{key}'") for key in required)]])
+def test_every_config_object_is_read_by_one_mapping_rule(tmp_path, capsys, path,
+                                                         change, message):
+    # the config without its fault is valid, so the fault alone ends the run
+    assert parse_config(_EVERY_OBJECT).sweep == ("h", (1e-3,))
+    code, out = run_cli(tmp_path, _replaced(_EVERY_OBJECT, path, change))
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,changes,message", [
@@ -429,6 +468,12 @@ _NON_FINITE_RESULTS = [
       "material": {"model": "svk", "lambda": 1.0, "mu": 1.0}},
      "a result overflows double precision: the SVK profile at H = -500, "
      "h = 0.8", ("evaluate",)),
+    # a subnormal radius: 1 / R overflows and the jet's H is NaN; the SVK
+    # contents of a grid take it unguarded, so its column names it
+    ("svk_cylinder_R_1e-310",
+     {"surface": {"name": "cylinder", "R": 1e-310},
+      "material": {"model": "svk", "lambda": 1.0, "mu": 1.0}},
+     "config error: H is nan, not a finite number", ("evaluate",)),
     # lambda * lambda and mu * (lambda + mu) underflow: 0 / 0
     ("svk_plane_lame_1e-200",
      {"surface": {"name": "plane"},
@@ -443,6 +488,15 @@ _NON_FINITE_RESULTS = [
       "options": {"sweep": {"param": "lambda1", "values": [1e-160]}}},
      "config error: strain_norm at lambda1 = 1e-160 is inf, not a finite "
      "number: the config leaves the range of double precision\n", ("sweep",)),
+    # valid CG constants whose Lame pair (4 b, 2 a) overflows: named before
+    # the small-strain contents, which read it as positive, refuse it
+    *[(f"lambda1_cg_{key}_1e308",
+       {"surface": {"name": "cylinder"},
+        "material": dict({"model": "ciarlet_geymonat", "a": 1.0, "b": 1.0}, **{key: 1e308}),
+        "options": {"sweep": {"param": "lambda1", "values": [1.1]}}},
+       "config error: the Lame pair (lambda, mu) is inf, not a finite number: "
+       "the config leaves the range of double precision\n", ("sweep",))
+      for key in ("a", "b")],
 ]
 
 

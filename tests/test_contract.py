@@ -42,6 +42,9 @@ from plate_reduce import (
     exact_invariants,
     fit_h_powers,
     gauss_uniform_stretch,
+    gent_contents,
+    gent_contents_general,
+    gent_contents_unimodular,
     grid_contents,
     incompressible_profile,
     integrate_contents,
@@ -53,6 +56,7 @@ from plate_reduce import (
     sample_frame_grid,
     small_strain_energy,
     solve_svk_profile_ode,
+    svk_content,
     svk_profile,
     symmetric_sqrt,
     through_thickness_energy,
@@ -124,8 +128,8 @@ def _config_sweep_order(n):
     cfg = {"surface": {"name": "cylinder"}, "h": 1e-3,
            "material": {"model": "gent", "mu": 1.0, "jm": 10.0},
            "options": {"sweep": {"param": "quad_order", "values": [n]}}}
-    # the values as cmd_sweep reads them
-    return [float(v) for v in parse_config(cfg).options["sweep"]["values"]]
+    # the values as cmd_sweep gets them
+    return parse_config(cfg).sweep[1]
 
 
 BUMP = catalog_surface("gaussian_bump")
@@ -140,6 +144,9 @@ LAME = "Lame constants must be positive"
 CG_AB = "CiarletGeymonat requires a > 0 and b > 0"
 LAMBDA1 = "lambda1 = {:.9g} must be positive"
 SVK_H = "the SVK profile needs a finite H, got {:g}"
+BENDING = "the bending content needs a finite {}, got {{:g}}"
+GENT_ARGS = {"mu": 1.0, "jm": 10.0}
+STRAIN = [[0.1, 0.0], [0.0, 0.0]]
 
 # (id, call, kind, error, message, index, valid): ``valid`` is a value the
 # call accepts, or None where the rest of the call rejects every value
@@ -296,6 +303,29 @@ CONTRACT = [
     ("cg_small_strain_contents-E", lambda x: cg_small_strain_contents(
         [[0.1, 0.0], [0.0, x]], 0.0, 0.0, 1.0, 1.0), "finite", ValueError,
      "strain E must be finite, got {:g}", 3, 0.0),
+    # the contents read each modulus through positive, each alone
+    *((f"{contents.__name__}-{key}", lambda x, contents=contents, key=key: contents(
+        CYLINDER_JET, **dict(GENT_ARGS, **{key: x})), "positive", ValueError,
+       "Gent requires mu > 0 and jm > 0", 0, GENT_ARGS[key])
+      for contents in (gent_contents, gent_contents_unimodular, gent_contents_general)
+      for key in GENT_ARGS),
+    # cg_small_strain_contents reads H, K and the Lame pair through svk_content
+    ("svk_content-H", lambda x: svk_content(x, 0.0, 1.0, 1.0), "finite", ValueError,
+     BENDING.format("H"), 0, 0.5),
+    ("svk_content-K", lambda x: svk_content(0.5, x, 1.0, 1.0), "finite", ValueError,
+     BENDING.format("K"), 0, 0.0),
+    ("svk_content-lam", lambda x: svk_content(0.5, 0.0, x, 1.0), "positive", ValueError,
+     LAME, 0, 1.0),
+    ("svk_content-mu", lambda x: svk_content(0.5, 0.0, 1.0, x), "positive", ValueError,
+     LAME, 0, 1.0),
+    ("cg_small_strain_contents-H", lambda x: cg_small_strain_contents(
+        STRAIN, x, 0.0, 1.0, 1.0), "finite", ValueError, BENDING.format("H"), 0, 0.5),
+    ("cg_small_strain_contents-K", lambda x: cg_small_strain_contents(
+        STRAIN, 0.5, x, 1.0, 1.0), "finite", ValueError, BENDING.format("K"), 0, 0.0),
+    ("cg_small_strain_contents-lam", lambda x: cg_small_strain_contents(
+        STRAIN, 0.5, 0.0, x, 1.0), "positive", ValueError, LAME, 0, 1.0),
+    ("cg_small_strain_contents-mu", lambda x: cg_small_strain_contents(
+        STRAIN, 0.5, 0.0, 1.0, x), "positive", ValueError, LAME, 0, 1.0),
     ("eigenframe_coupling-lambda1", lambda x: eigenframe_coupling(1.0, 2.0, x, 0.3),
      "positive", ValueError, LAMBDA1, 0, 1.2),
     ("eigenframe_coupling-phi_angle", lambda x: eigenframe_coupling(1.0, 2.0, 1.2, x),

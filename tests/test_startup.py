@@ -154,9 +154,11 @@ def test_evaluate_and_sweep_never_run_the_verify_only_layers(tmp_path):
     assert report["unrun_after_runs"] == ["connectors", "oracle"]
     assert report["absent_after_runs"] == ["plate_reduce.checks", "numpy.random"]
     assert report["bad_tolerance_code"] == 2
+    from plate_reduce.checks import _DEFAULT_TOL
     assert report["bad_tolerance_err"] == (
-        "config error: unknown tolerance key 'bogus'; known checks: "
-        + ", ".join(CHECK_IDS) + "\n")
+        "config error: unknown tolerances key 'bogus'; allowed keys: "
+        # every check that declares a tolerance, in declaration order
+        + ", ".join(cid for cid, tol in _DEFAULT_TOL.items() if tol is not None) + "\n")
     assert sorted(report["all"]) == sorted(PUBLIC_NAMES)
     assert report["resolved"] == report["all"]
     assert report["star"] == sorted(PUBLIC_NAMES)
